@@ -26,11 +26,11 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     MODEL_ALGORITHMS,
-    _client_configs,
     cross_validate,
     emit_results,
     exit_code_for,
     bench_scaling,
+    federation_config,
     grid_points,
     load_model,
     prepare_repetition,
@@ -39,7 +39,6 @@ from .experiments import (
     train_model,
 )
 from .federation import (
-    FederationConfig,
     run_client,
     run_federation,
     transport_tcp_connect,
@@ -66,14 +65,8 @@ def _federation_setup(cfg, rep):
     seed = cfg.base_seed + rep
     shards, test, stats = prepare_repetition(cfg, seed)
     params = _single_point_params(cfg)
-    clients = _client_configs(cfg, params, shards)
-    fed = FederationConfig(
-        clients=clients, T=int(params["T"]),
-        algorithm=MODEL_ALGORITHMS[cfg.model],
-        gamma0=float(params.get("gamma0", 1.0)),
-        rho=float(params.get("rho", 1.0)),
-    )
-    return fed, clients, shards, test, stats
+    fed = federation_config(cfg, params, shards, int(params["T"]))
+    return fed, shards, test, stats
 
 
 def cmd_train(args):
@@ -137,7 +130,7 @@ def cmd_bench(args):
 
 def cmd_serve(args):
     cfg = ExperimentConfig.from_file(args.config)
-    fed, _, shards, test, _ = _federation_setup(cfg, args.rep)
+    fed, shards, test, _ = _federation_setup(cfg, args.rep)
     server = transport_tcp_serve(host=args.host, port=args.port)
     host, port = server.address
     print(f"serving on {host}:{port}, waiting for {fed.G} clients", flush=True)
@@ -154,7 +147,7 @@ def cmd_serve(args):
 
 def cmd_client(args):
     cfg = ExperimentConfig.from_file(args.config)
-    fed, clients, shards, _, _ = _federation_setup(cfg, args.rep)
+    fed, shards, _, _ = _federation_setup(cfg, args.rep)
     g = args.client_id
     if not (0 <= g < fed.G):
         raise ConfigError(f"client id must be in [0, {fed.G}), got {g}")
@@ -162,7 +155,7 @@ def cmd_client(args):
     channel = transport_tcp_connect((host, int(port)))
     # same effective per-client config the server assumes (shared rho)
     from dataclasses import replace
-    local_cfg = replace(clients[g], rho=fed.rho)
+    local_cfg = replace(fed.clients[g], rho=fed.rho)
     run_client(channel, g, shards[g], local_cfg, fed.algorithm)
     print(f"client {g} finished", flush=True)
     return 0

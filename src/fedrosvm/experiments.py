@@ -43,7 +43,7 @@ from .data import (
     split_train_test,
 )
 from .federation import Algorithm, FederationConfig, run_federation
-from .robust import ClientConfig
+from .robust import ClientConfig, radius_heuristic
 
 
 class ConfigError(ValueError):
@@ -243,10 +243,22 @@ def _client_configs(cfg, params, shards):
         if params.get("epsilon") is not None:
             eps = params["epsilon"]
         if eps is None:
-            eps = 1.0 / (beta * s.n)
+            eps = radius_heuristic(s.n, beta)
         out.append(ClientConfig(epsilon=eps, kappa=kappa, alpha=1.0 / G,
                                 norm=norm, tau=tau))
     return out
+
+
+def federation_config(cfg, params, shards, T):
+    """The FederationConfig of a federated model (sm/admm/admm_sc) at one
+    grid point, run for T rounds."""
+    return FederationConfig(
+        clients=_client_configs(cfg, params, shards),
+        T=T,
+        algorithm=MODEL_ALGORITHMS[cfg.model],
+        gamma0=float(params.get("gamma0", 1.0)),
+        rho=float(params.get("rho", 1.0)),
+    )
 
 
 def train_model(cfg, params, shards, seed):
@@ -255,13 +267,7 @@ def train_model(cfg, params, shards, seed):
     l2 baselines)."""
     name = cfg.model
     if name in MODEL_ALGORITHMS:
-        fed = FederationConfig(
-            clients=_client_configs(cfg, params, shards),
-            T=int(params["T"]),
-            algorithm=MODEL_ALGORITHMS[name],
-            gamma0=float(params.get("gamma0", 1.0)),
-            rho=float(params.get("rho", 1.0)),
-        )
+        fed = federation_config(cfg, params, shards, int(params["T"]))
         result = run_federation(fed, shards)
         model = result.w_best if name == "sm" else result.w_last
         rounds = [
@@ -274,7 +280,7 @@ def train_model(cfg, params, shards, seed):
         pooled = pool(shards)
         eps = params.get("epsilon", cfg.fixed["epsilon"])
         if eps is None:
-            eps = 1.0 / (cfg.fixed["beta"] * pooled.n)
+            eps = radius_heuristic(pooled.n, cfg.fixed["beta"])
         central = CentralDrConfig(
             epsilon=eps, kappa=params.get("kappa", cfg.fixed["kappa"]),
             norm=NormKind.L1 if cfg.fixed["norm"] == "l1" else NormKind.LINF,
@@ -298,13 +304,7 @@ def _snapshots_over_t(cfg, params, shards, t_grid, seed):
     name = cfg.model
     t_max = max(t_grid)
     if name in MODEL_ALGORITHMS:
-        fed = FederationConfig(
-            clients=_client_configs(cfg, params, shards),
-            T=t_max, algorithm=MODEL_ALGORITHMS[name],
-            gamma0=float(params.get("gamma0", 1.0)),
-            rho=float(params.get("rho", 1.0)),
-        )
-        result = run_federation(fed, shards)
+        result = run_federation(federation_config(cfg, params, shards, t_max), shards)
         out = {}
         if name == "sm":
             best_w, best_obj = None, math.inf
@@ -569,7 +569,7 @@ def time_sm_round(n_total, G, p, runs, seed):
     stats = fit_minmax(data)
     data = apply_minmax(data, stats)
     shards = partition(data, PartitionPlan(scheme=PartitionScheme.EVEN, G=G, seed=seed))
-    clients = [ClientConfig(epsilon=1.0 / (10.0 * s.n), kappa=1.0, alpha=1.0 / G)
+    clients = [ClientConfig(epsilon=radius_heuristic(s.n), kappa=1.0, alpha=1.0 / G)
                for s in shards]
     times = []
     for _ in range(runs):

@@ -7,12 +7,15 @@ rounds), and only when all G results are in does the server update. A
 client failure aborts the whole run with a diagnostic naming the client;
 there is no partial-participation fallback.
 
-Two interchangeable transports carry the messages: an in-process one built
-on queues (the default; client workers run on threads inside
-`run_federation`) and a TCP one speaking the length-prefixed frame format
-from `wire`. Both move the exact same message sequence and the server
-reduces results in client order, so the two produce bit-identical models
-on the same inputs.
+Each client is one `FederatedClient` state machine with a method per
+server message. Two interchangeable transports drive it: an in-process one
+(the default) that calls the client objects directly, in client order, on
+the server's own thread, and a TCP one speaking the length-prefixed frame
+format from `wire`, where `run_client` wraps the same object in a socket
+loop. The rounds are synchronous, so the order of the client steps within
+a round changes no result; both transports deliver the same message
+sequence to every client and the server reduces results in client order,
+so the two produce bit-identical models on the same inputs.
 
 ADMM bookkeeping: multipliers live at the clients (the wire only ever
 carries w_g), and the server maintains its own mirror by applying the same
@@ -24,7 +27,6 @@ import queue
 import socket
 import threading
 import time
-import traceback
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -187,74 +189,64 @@ def global_objective(w, client_data, client_cfgs):
 # --------------------------------------------------------------- transports
 
 
-class _ClientFailure:
-    def __init__(self, description):
-        self.description = description
-
-
-class _QueueChannel:
-    """Client endpoint of the in-process transport."""
-
-    def __init__(self, inbox, outbox):
-        self._inbox = inbox
-        self._outbox = outbox
-
-    def send(self, msg):
-        self._outbox.put(("result", msg))
-
-    def send_failure(self, description):
-        self._outbox.put(("failure", description))
-
-    def recv(self):
-        return self._inbox.get()
-
-    def close(self):
-        pass
+def check_barrier(replies, G):
+    """One round's barrier: take replies until every client id in [0, G)
+    has answered exactly once, and return them keyed by client id. A
+    duplicate or out-of-range id aborts the round, and so does running
+    out of replies early."""
+    results = {}
+    for msg in replies:
+        g = msg.g
+        if g in results:
+            raise RuntimeError(f"barrier violation: duplicate result from client {g}")
+        if not (0 <= g < G):
+            raise RuntimeError(f"barrier violation: unknown client id {g}")
+        results[g] = msg
+        if len(results) == G:
+            return results
+    raise RuntimeError(f"barrier violation: only {len(results)} of {G} clients answered")
 
 
 class InProcessTransport:
-    """Queue-backed transport; `run_federation` spawns the client workers
-    itself when given one of these."""
+    """Delivers messages by calling the client objects directly, in client
+    order, on the server's thread. `broadcast` only records a message;
+    `collect` hands every recorded message to every client and gathers
+    the replies, so the client work happens inside the barrier."""
 
-    needs_local_workers = True
-
-    def __init__(self):
-        self._to_client = []
-        self._from_clients = queue.Queue()
+    def __init__(self, clients):
+        self.clients = list(clients)
+        self._pending = []
 
     def start(self, G):
-        self._to_client = [queue.Queue() for _ in range(G)]
-
-    def client_channel(self, g):
-        return _QueueChannel(self._to_client[g], self._from_clients)
+        if len(self.clients) != G:
+            raise ValueError(f"expected {G} in-process clients, got {len(self.clients)}")
 
     def broadcast(self, msg):
-        for q in self._to_client:
-            q.put(msg)
+        self._pending.append(msg)
 
     def collect(self, G):
-        results = {}
-        while len(results) < G:
-            kind, payload = self._from_clients.get()
-            if kind == "failure":
-                raise RuntimeError(f"federation aborted: {payload}")
-            g = payload.g
-            if g in results:
-                raise RuntimeError(f"barrier violation: duplicate result from client {g}")
-            if not (0 <= g < G):
-                raise RuntimeError(f"barrier violation: unknown client id {g}")
-            results[g] = payload
-        return results
+        pending, self._pending = self._pending, []
+        replies = []
+        for msg in pending:
+            for client in self.clients:
+                try:
+                    reply = client.handle(msg)
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"federation aborted: client {client.g} failed: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
+                if reply is not None:
+                    replies.append(reply)
+        return check_barrier(replies, G)
 
     def close(self):
-        pass
+        self._pending = []
 
 
 class TcpServerTransport:
     """Server side of the TCP transport. Binds immediately; `start`
     accepts exactly G client connections before the first round."""
-
-    needs_local_workers = False
 
     def __init__(self, host="127.0.0.1", port=0, frame_cap=DEFAULT_FRAME_CAP,
                  accept_timeout=60.0):
@@ -262,7 +254,6 @@ class TcpServerTransport:
         self._listener.settimeout(accept_timeout)
         self._frame_cap = frame_cap
         self._conns = []
-        self._readers = []
         self._from_clients = queue.Queue()
 
     @property
@@ -277,12 +268,12 @@ class TcpServerTransport:
                 raise RuntimeError(
                     f"only {i} of {G} clients connected before the accept timeout"
                 )
+            # a Broadcast and the next RoundStart go out back to back
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conns.append(conn)
-            reader = threading.Thread(
+            threading.Thread(
                 target=self._read_loop, args=(conn, peer), daemon=True
-            )
-            reader.start()
-            self._readers.append(reader)
+            ).start()
 
     def _read_loop(self, conn, peer):
         while True:
@@ -300,23 +291,19 @@ class TcpServerTransport:
                 return
             self._from_clients.put(("result", msg))
 
+    def _replies(self):
+        while True:
+            kind, payload = self._from_clients.get()
+            if kind == "failure":
+                raise RuntimeError(f"federation aborted: {payload}")
+            yield payload
+
     def broadcast(self, msg):
         for conn in self._conns:
             write_frame(conn, msg, self._frame_cap)
 
     def collect(self, G):
-        results = {}
-        while len(results) < G:
-            kind, payload = self._from_clients.get()
-            if kind == "failure":
-                raise RuntimeError(f"federation aborted: {payload}")
-            g = payload.g
-            if g in results:
-                raise RuntimeError(f"barrier violation: duplicate result from client {g}")
-            if not (0 <= g < G):
-                raise RuntimeError(f"barrier violation: unknown client id {g}")
-            results[g] = payload
-        return results
+        return check_barrier(self._replies(), G)
 
     def close(self):
         for conn in self._conns:
@@ -355,60 +342,77 @@ def transport_tcp_serve(host="127.0.0.1", port=0, frame_cap=DEFAULT_FRAME_CAP,
 def transport_tcp_connect(address, frame_cap=DEFAULT_FRAME_CAP, timeout=60.0):
     sock = socket.create_connection(address, timeout=timeout)
     sock.settimeout(None)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return _SocketChannel(sock, frame_cap)
 
 
 # ------------------------------------------------------------- client side
 
 
-def run_client(channel, g, data, cfg, algorithm, mu0=None, solver_cfg=None):
-    """Message loop for one client; returns when the server shuts the
-    federation down.
+class FederatedClient:
+    """State machine of one client: its shard, config, ADMM state and
+    warm-start cache, with one method per server message. Both transports
+    drive the same object.
 
     SM rounds: solve the worst-case LP at the received model, extract the
     extremal distribution, reply with the subgradient. ADMM rounds: solve
     the proximal QP (warm-started across rounds), reply with w_g, and fold
     the follow-up broadcast into the local multipliers.
     """
-    state = None
-    cache = {}
-    if algorithm is not Algorithm.SM:
-        mu = np.ones(data.p) if mu0 is None else np.asarray(mu0, dtype=float).copy()
-        state = ClientModel(w_g=np.zeros(data.p), mu_g=mu)
+
+    def __init__(self, g, data, cfg, algorithm, mu0=None, solver_cfg=None):
+        self.g = g
+        self.data = data
+        self.cfg = cfg
+        self.algorithm = algorithm
+        self.solver_cfg = solver_cfg
+        self.state = None
+        self.cache = {}
+        if algorithm is not Algorithm.SM:
+            mu = np.ones(data.p) if mu0 is None else np.asarray(mu0, dtype=float).copy()
+            self.state = ClientModel(w_g=np.zeros(data.p), mu_g=mu)
+
+    def on_round_start(self, msg):
+        if self.algorithm is Algorithm.SM:
+            sol = solve(build_sm_lp(msg.w, self.data, self.cfg), self.solver_cfg)
+            if sol.status is not SolverStatus.OPTIMAL:
+                raise RuntimeError(f"worst-case LP did not converge: {sol.message}")
+            dist = extract_worst_case(sol, self.data, self.cfg)
+            return SmResult(g=self.g, v=sm_subgradient(msg.w, dist))
+        self.state = admm_client_step(
+            msg.w, self.state, self.data, self.cfg,
+            solver_cfg=self.solver_cfg, cache=self.cache, client_id=self.g,
+        )
+        return AdmmResult(g=self.g, w_g=self.state.w_g)
+
+    def on_broadcast(self, msg):
+        if self.state is not None:
+            self.state = admm_multiplier_update(self.state, msg.w)
+
+    def handle(self, msg):
+        """Dispatch one server message; returns the reply, or None."""
+        if isinstance(msg, RoundStart):
+            return self.on_round_start(msg)
+        if isinstance(msg, Broadcast):
+            self.on_broadcast(msg)
+            return None
+        raise RuntimeError(f"unexpected message: {type(msg).__name__}")
+
+
+def run_client(channel, g, data, cfg, algorithm, mu0=None, solver_cfg=None):
+    """Message loop for one remote client; returns when the server shuts
+    the federation down."""
+    client = FederatedClient(g, data, cfg, algorithm, mu0=mu0, solver_cfg=solver_cfg)
     try:
         while True:
             msg = channel.recv()
             if isinstance(msg, Shutdown):
                 return
-            if isinstance(msg, RoundStart):
-                if algorithm is Algorithm.SM:
-                    sol = solve(build_sm_lp(msg.w, data, cfg), solver_cfg)
-                    if sol.status is not SolverStatus.OPTIMAL:
-                        raise RuntimeError(
-                            f"worst-case LP did not converge: {sol.message}"
-                        )
-                    dist = extract_worst_case(sol, data, cfg)
-                    channel.send(SmResult(g=g, v=sm_subgradient(msg.w, dist)))
-                else:
-                    state = admm_client_step(
-                        msg.w, state, data, cfg,
-                        solver_cfg=solver_cfg, cache=cache, client_id=g,
-                    )
-                    channel.send(AdmmResult(g=g, w_g=state.w_g))
-            elif isinstance(msg, Broadcast):
-                if state is not None:
-                    state = admm_multiplier_update(state, msg.w)
-            else:
-                raise RuntimeError(f"unexpected message: {type(msg).__name__}")
+            reply = client.handle(msg)
+            if reply is not None:
+                channel.send(reply)
     finally:
         channel.close()
-
-
-def _worker(channel, g, data, cfg, algorithm, mu0, solver_cfg):
-    try:
-        run_client(channel, g, data, cfg, algorithm, mu0=mu0, solver_cfg=solver_cfg)
-    except Exception:
-        channel.send_failure(f"client {g} failed:\n{traceback.format_exc()}")
 
 
 # ------------------------------------------------------------- server side
@@ -430,9 +434,10 @@ def run_federation(cfg, client_data, transport=None, solver_cfg=None):
 
     `client_data` is one DatasetView per client (also used to evaluate the
     global objective after each round). With the default in-process
-    transport the client workers run on local threads; with a TCP server
-    transport the clients are expected to have connected already (see
-    `run_client` / `transport_tcp_connect`).
+    transport every client step runs on the caller's thread, inside the
+    round's `collect`; no thread is started. With a TCP server transport
+    the clients connect on their own (see `run_client` /
+    `transport_tcp_connect`) and `start` waits for all of them.
     """
     G = cfg.G
     if len(client_data) != G:
@@ -445,7 +450,6 @@ def run_federation(cfg, client_data, transport=None, solver_cfg=None):
     w = _as_vector(cfg.w0, p, "w0", 0.0)
     mu0 = _as_vector(cfg.mu0, p, "mu0", 1.0)
     ccfgs = [replace(c, rho=cfg.rho) for c in cfg.clients]
-    is_admm = cfg.algorithm is not Algorithm.SM
 
     if cfg.algorithm is Algorithm.ADMM_SC and G >= 2:
         cap = rho_upper_bound(cfg.alphas, [c.tau for c in ccfgs])
@@ -463,20 +467,16 @@ def run_federation(cfg, client_data, transport=None, solver_cfg=None):
             best_objective=None, traces=[],
         )
 
-    transport = transport if transport is not None else InProcessTransport()
+    if transport is None:
+        transport = InProcessTransport(
+            FederatedClient(g, client_data[g], ccfgs[g], cfg.algorithm,
+                            mu0=mu0, solver_cfg=solver_cfg)
+            for g in range(G)
+        )
     transport.start(G)
 
-    workers = []
-    if getattr(transport, "needs_local_workers", False):
-        for g in range(G):
-            th = threading.Thread(
-                target=_worker,
-                args=(transport.client_channel(g), g, client_data[g], ccfgs[g],
-                      cfg.algorithm, mu0, solver_cfg),
-            )
-            th.start()
-            workers.append(th)
-
+    kind, expected = (("SM", SmResult) if cfg.algorithm is Algorithm.SM
+                      else ("ADMM", AdmmResult))
     server_mu = [mu0.copy() for _ in range(G)]
     traces = []
     try:
@@ -484,23 +484,18 @@ def run_federation(cfg, client_data, transport=None, solver_cfg=None):
             started = time.perf_counter()
             transport.broadcast(RoundStart(t=t, w=w))
             results = transport.collect(G)
+            for g in range(G):
+                if not isinstance(results[g], expected):
+                    raise RuntimeError(
+                        f"client {g} sent {type(results[g]).__name__} in an {kind} round"
+                    )
             if cfg.algorithm is Algorithm.SM:
-                for g in range(G):
-                    if not isinstance(results[g], SmResult):
-                        raise RuntimeError(
-                            f"client {g} sent {type(results[g]).__name__} in an SM round"
-                        )
                 w = sm_server_update(
                     w, [(ccfgs[g].alpha, results[g].v) for g in range(G)],
                     t, cfg.gamma0,
                 )
                 consensus = 0.0
             else:
-                for g in range(G):
-                    if not isinstance(results[g], AdmmResult):
-                        raise RuntimeError(
-                            f"client {g} sent {type(results[g]).__name__} in an ADMM round"
-                        )
                 iterates = [results[g].w_g for g in range(G)]
                 w = admm_server_update(
                     [(ccfgs[g].alpha, iterates[g], server_mu[g]) for g in range(G)]
@@ -522,8 +517,6 @@ def run_federation(cfg, client_data, transport=None, solver_cfg=None):
             transport.broadcast(Shutdown())
         except Exception:
             pass  # sockets may already be gone; shutdown is best-effort
-        for th in workers:
-            th.join(timeout=30.0)
         transport.close()
 
     best = min(traces, key=lambda tr: tr.global_objective)

@@ -30,6 +30,7 @@ keep the atoms inside the support, so feeding unnormalized data would
 silently change the geometry. We refuse instead.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,8 @@ from .core import (
     hinge_losses,
 )
 from .solver import ConvexProgram, SolverConfig, SolverStatus, solve
+
+log = logging.getLogger(__name__)
 
 # Mass below this is treated as a degenerate (empty) atom when extracting the
 # worst-case distribution; the division by beta is not meaningful there.
@@ -588,12 +591,14 @@ def admm_client_step(
         if cache is not None:
             cache["program"] = prog
     sol = solve(prog, solver_cfg, warm=warm)
+    who = "client" if client_id is None else f"client {client_id}"
     if sol.status is not SolverStatus.OPTIMAL and warm is not None:
         # a stale warm point can stall the solver when the anchor jumps far
         # between rounds (small rho lets the multipliers drift); retry cold
+        log.warning("%s: warm-started proximal QP failed (%s); retrying cold",
+                    who, sol.message)
         sol = solve(prog, solver_cfg)
     if sol.status is not SolverStatus.OPTIMAL:
-        who = "client" if client_id is None else f"client {client_id}"
         raise RuntimeError(f"{who}: proximal QP failed to converge: {sol.message}")
     if cache is not None:
         cache["warm"] = (sol.x_star, sol.z_star)

@@ -26,6 +26,7 @@ deterministic within one build.
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -42,6 +43,8 @@ __all__ = [
     "solve",
     "solve_lp_by_enumeration",
 ]
+
+log = logging.getLogger(__name__)
 
 
 def _as_sparse(a, shape):
@@ -181,6 +184,10 @@ class _SchurBackend:
         A = p.A_ineq.tocsc()
         self.A_s = A[:, s_idx].tocsr()
         self.A_s2 = self.A_s.multiply(self.A_s).tocsr()
+        # transposes built once per program, not on every iteration
+        self.A_sT = self.A_s.T
+        self.A_s2T = self.A_s2.T
+        self.A_ineqT = p.A_ineq.T
         self.A_r = np.asarray(A[:, r_idx].todense())
         qdiag = p.Q.diagonal()
         self.q_s = qdiag[s_idx]
@@ -188,9 +195,9 @@ class _SchurBackend:
         self.delta = delta
 
     def factor(self, w: np.ndarray):
-        self.d_s = self.q_s + (self.A_s2.T @ w) + self.delta
+        self.d_s = self.q_s + (self.A_s2T @ w) + self.delta
         arw = self.A_r * w[:, None]
-        self.m_sr = self.A_s.T @ arw  # |S| x n_r dense
+        self.m_sr = self.A_sT @ arw  # |S| x n_r dense
         h = arw.T @ self.A_r + np.diag(self.q_r + self.delta)
         h -= self.m_sr.T @ (self.m_sr / self.d_s[:, None])
         self.w = w
@@ -201,7 +208,7 @@ class _SchurBackend:
         # Newton rows:  (Q + A'WA) dx = rhs_x + A'W g ;  dz = W (A dx - g)
         wg = self.w * g
         b = rhs_x.copy()
-        b[self.s_idx] += self.A_s.T @ wg
+        b[self.s_idx] += self.A_sT @ wg
         b[self.r_idx] += self.A_r.T @ wg
         b_s = b[self.s_idx]
         b_r = b[self.r_idx] - self.m_sr.T @ (b_s / self.d_s)
@@ -241,6 +248,7 @@ class _SparseBackend:
     def __init__(self, p: ConvexProgram, delta: float):
         self.p = p
         self.delta = delta
+        self.A_ineqT = p.A_ineq.T
         self.reg_x = sp.identity(p.n) * delta
         self.reg_y = -sp.identity(p.k) * delta if p.k else None
 
@@ -248,7 +256,7 @@ class _SparseBackend:
         p = self.p
         d = -sp.diags(1.0 / w + self.delta)
         blocks = [
-            [p.Q + self.reg_x, p.A_ineq.T, p.A_eq.T if p.k else None],
+            [p.Q + self.reg_x, self.A_ineqT, p.A_eq.T if p.k else None],
             [p.A_ineq, d, None],
             [p.A_eq if p.k else None, None, self.reg_y],
         ]
@@ -334,6 +342,7 @@ def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None,
         if split is not None:
             # dense Schur path lost positive definiteness; re-run on the
             # robust sparse path from scratch
+            log.warning("Schur backend failed (%s); re-solving on the sparse KKT backend", e)
             try:
                 return _ip_loop(p, cfg, _SparseBackend(p, delta), warm)
             except (scipy.linalg.LinAlgError, RuntimeError, np.linalg.LinAlgError) as e2:
@@ -364,7 +373,7 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
         z = np.ones(m)
         y = np.zeros(k)
         backend.factor(z / s)
-        r_d = p.Q @ x + p.c + p.A_ineq.T @ z + (p.A_eq.T @ y if k else 0.0)
+        r_d = p.Q @ x + p.c + backend.A_ineqT @ z + (p.A_eq.T @ y if k else 0.0)
         r_p = p.A_ineq @ x + s - p.b_ineq
         r_e = p.A_eq @ x - p.b_eq if k else np.zeros(0)
         dx, dz, dy = backend.solve(-r_d, -r_p + s - 1.0 / z, -r_e)
@@ -383,13 +392,14 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
     stall = 0
     kkt_resid = np.inf
     for it in range(1, cfg.max_iterations + 1):
-        r_d = p.Q @ x + p.c + p.A_ineq.T @ z + (p.A_eq.T @ y if k else 0.0)
+        qx = p.Q @ x
+        r_d = qx + p.c + backend.A_ineqT @ z + (p.A_eq.T @ y if k else 0.0)
         r_p = p.A_ineq @ x + s - p.b_ineq
         r_e = p.A_eq @ x - p.b_eq if k else np.zeros(0)
         mu = (s @ z) / m
-        obj = p.objective(x)
+        obj = float(0.5 * (x @ qx) + p.c @ x)
 
-        rd_rel = np.max(np.abs(r_d)) / (scale_c + np.max(np.abs(p.Q @ x), initial=0.0))
+        rd_rel = np.max(np.abs(r_d)) / (scale_c + np.max(np.abs(qx), initial=0.0))
         rp_rel = max(np.max(np.abs(r_p), initial=0.0), np.max(np.abs(r_e), initial=0.0)) / scale_b
         gap_rel = mu / (1.0 + abs(obj))
         kkt_resid = max(rd_rel, rp_rel, gap_rel)

@@ -9,8 +9,8 @@ from fedrosvm.core import DatasetView, NormKind
 from fedrosvm.federation import (
     Algorithm,
     FederationConfig,
-    InProcessTransport,
     admm_server_update,
+    check_barrier,
     global_objective,
     rho_upper_bound,
     run_client,
@@ -250,31 +250,36 @@ def test_client_failure_aborts_run_with_diagnostic():
     # client 1's features leave the unit box, which its round-1 build rejects
     bad = DatasetView(X=shards[1].X + 2.0, y=shards[1].y)
     cfg = FederationConfig(clients=toy_cfg(2), T=3, algorithm=Algorithm.SM)
-    with pytest.raises(RuntimeError, match="client 1"):
+    with pytest.raises(RuntimeError, match="federation aborted: client 1 failed") as info:
         run_federation(cfg, [shards[0], bad])
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_duplicate_result_is_a_barrier_violation():
-    tr = InProcessTransport()
-    tr.start(2)
-    tr._from_clients.put(("result", SmResult(g=0, v=np.zeros(2))))
-    tr._from_clients.put(("result", SmResult(g=0, v=np.ones(2))))
+    replies = [SmResult(g=0, v=np.zeros(2)), SmResult(g=0, v=np.ones(2))]
     with pytest.raises(RuntimeError, match="duplicate result from client 0"):
-        tr.collect(2)
+        check_barrier(replies, 2)
 
 
 def test_unknown_client_id_is_a_barrier_violation():
-    tr = InProcessTransport()
-    tr.start(2)
-    tr._from_clients.put(("result", SmResult(g=7, v=np.zeros(2))))
+    replies = [SmResult(g=7, v=np.zeros(2))]
     with pytest.raises(RuntimeError, match="unknown client id 7"):
-        tr.collect(2)
+        check_barrier(replies, 2)
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.SM, Algorithm.ADMM])
+def test_in_process_run_starts_no_thread(monkeypatch, algorithm):
+    def refuse(self):
+        raise AssertionError(f"in-process federation started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = FederationConfig(clients=toy_cfg(2), T=3, algorithm=algorithm, rho=0.5)
+    result = run_federation(cfg, make_shards(33, 2, 6, 2))
+    assert len(result.traces) == 3
 
 
 def test_wrong_result_type_for_round_is_rejected():
     class CannedTransport:
-        needs_local_workers = False
-
         def start(self, G):
             pass
 

@@ -12,11 +12,13 @@ LP value, the re-evaluated risk of the extracted atoms, and the dual then
 provably coincide.
 """
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from fedrosvm import robust
 from fedrosvm.core import DatasetView, NormKind, dual_norm, hinge_losses
 from fedrosvm.robust import (
     ClientConfig,
@@ -33,7 +35,13 @@ from fedrosvm.robust import (
     worst_case_risk_dual,
     WorstCaseDistribution,
 )
-from fedrosvm.solver import SolverConfig, SolverStatus, solve, solve_lp_by_enumeration
+from fedrosvm.solver import (
+    SolverConfig,
+    SolverSolution,
+    SolverStatus,
+    solve,
+    solve_lp_by_enumeration,
+)
 
 
 def make_data(X, y):
@@ -575,6 +583,32 @@ def test_admm_client_step_cache_survives_anchor_drift():
         # accuracy relative to scale
         np.testing.assert_allclose(upd_cached.w_g, upd_fresh.w_g,
                                    rtol=1e-4, atol=1e-5)
+
+
+def test_admm_warm_to_cold_retry_is_logged(monkeypatch, caplog):
+    rng = np.random.default_rng(2039)
+    data, _ = random_instance(rng, 8, 2)
+    cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=1.0)
+    client = ClientModel(w_g=np.zeros(2), mu_g=np.zeros(2))
+    cache = {}
+    admm_client_step(np.ones(2), client, data, cfg, cache=cache, client_id=3)
+    real_solve = robust.solve
+    calls = []
+
+    def stall_when_warm(prog, solver_cfg=None, warm=None):
+        calls.append(warm is not None)
+        sol = real_solve(prog, solver_cfg)
+        if warm is None:
+            return sol
+        return SolverSolution(sol.x_star, sol.objective, SolverStatus.MAX_ITERATIONS,
+                              sol.kkt_residual, 200, "iteration cap reached")
+
+    monkeypatch.setattr(robust, "solve", stall_when_warm)
+    with caplog.at_level(logging.WARNING, logger="fedrosvm.robust"):
+        admm_client_step(np.zeros(2), client, data, cfg, cache=cache, client_id=3)
+    assert calls == [True, False]
+    assert "client 3" in caplog.text
+    assert "iteration cap reached" in caplog.text
 
 
 def test_client_qp_requires_anchor_with_rho():

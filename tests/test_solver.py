@@ -1,8 +1,12 @@
 """Interior-point solver against hand values and the enumeration oracle."""
 
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from fedrosvm import solver
 from fedrosvm.solver import (
     ConvexProgram,
     SolverConfig,
@@ -11,6 +15,27 @@ from fedrosvm.solver import (
     solve,
     solve_lp_by_enumeration,
 )
+
+
+def epigraph_program(rng):
+    """Epigraph-shaped program that triggers the Schur split."""
+    n_s, n_r = 30, 3
+    n = n_r + n_s
+    rows, rhs = [], []
+    for i in range(n_s):
+        r = np.zeros(n)
+        r[:n_r] = rng.normal(size=n_r)
+        r[n_r + i] = -1.0
+        rows.append(r)
+        rhs.append(-1.0)
+        r2 = np.zeros(n)
+        r2[n_r + i] = -1.0
+        rows.append(r2)
+        rhs.append(0.0)
+    q = np.zeros(n)
+    q[:n_r] = 1.0
+    c = np.concatenate([rng.normal(size=n_r) * 0.1, np.full(n_s, 1.0 / n_s)])
+    return ConvexProgram(n=n, Q=np.diag(q), c=c, A_ineq=np.vstack(rows), b_ineq=rhs)
 
 
 def random_box_lp(rng, n=None):
@@ -180,30 +205,24 @@ class TestDeterminismAndBackends:
         assert a.objective == b.objective
 
     def test_schur_and_sparse_backends_agree(self):
-        # epigraph-shaped program that triggers the Schur split
-        rng = np.random.default_rng(31)
-        n_s, n_r = 30, 3
-        n = n_r + n_s
-        rows, rhs = [], []
-        for i in range(n_s):
-            r = np.zeros(n)
-            r[:n_r] = rng.normal(size=n_r)
-            r[n_r + i] = -1.0
-            rows.append(r)
-            rhs.append(-1.0)
-            r2 = np.zeros(n)
-            r2[n_r + i] = -1.0
-            rows.append(r2)
-            rhs.append(0.0)
-        q = np.zeros(n)
-        q[:n_r] = 1.0
-        c = np.concatenate([rng.normal(size=n_r) * 0.1, np.full(n_s, 1.0 / n_s)])
-        p = ConvexProgram(n=n, Q=np.diag(q), c=c, A_ineq=np.vstack(rows), b_ineq=rhs)
+        p = epigraph_program(np.random.default_rng(31))
         fast = solve(p)
         slow = solve(p, _force_sparse=True)
         assert fast.status is SolverStatus.OPTIMAL
         assert slow.status is SolverStatus.OPTIMAL
         assert fast.objective == pytest.approx(slow.objective, rel=1e-7, abs=1e-8)
+
+    def test_schur_failure_falls_back_loudly(self, monkeypatch, caplog):
+        def broken(self, w):
+            raise scipy.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(solver._SchurBackend, "factor", broken)
+        p = epigraph_program(np.random.default_rng(31))
+        with caplog.at_level(logging.WARNING, logger="fedrosvm.solver"):
+            sol = solve(p)
+        assert sol.status is SolverStatus.OPTIMAL
+        assert "leading minor not positive definite" in caplog.text
+        assert sol.objective == solve(p, _force_sparse=True).objective
 
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
