@@ -36,11 +36,11 @@ class CentralDrConfig:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
 
 
-def train_central_dr_svm(data, cfg, solver_cfg=None):
+def train_central_dr_svm(data, cfg):
     """Solve the pooled robust hinge program (epigraph form, no proximal
     term) and return the optimal weights."""
     ccfg = ClientConfig(epsilon=cfg.epsilon, kappa=cfg.kappa, norm=cfg.norm)
-    sol = solve(build_risk_epigraph_qp(data, ccfg), solver_cfg)
+    sol = solve(build_risk_epigraph_qp(data, ccfg))
     if sol.status is not SolverStatus.OPTIMAL:
         raise RuntimeError(f"central robust solve failed: {sol.message}")
     return GlobalModel(w=sol.x_star[: data.p].copy())

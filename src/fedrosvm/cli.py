@@ -32,6 +32,7 @@ from .experiments import (
     bench_scaling,
     federation_config,
     grid_points,
+    kept_model,
     load_model,
     prepare_repetition,
     run_experiment,
@@ -135,8 +136,10 @@ def cmd_serve(args):
     host, port = server.address
     print(f"serving on {host}:{port}, waiting for {fed.G} clients", flush=True)
     result = run_federation(fed, shards, transport=server)
-    metrics = evaluate(result.w_last, test)
+    model = kept_model(cfg.model, result)
+    metrics = evaluate(model, test)
     print(json.dumps({
+        "model_w": [float(v) for v in model.w],
         "w_last": [float(v) for v in result.w_last.w],
         "best_round": result.best_round,
         "best_objective": result.best_objective,
@@ -153,10 +156,7 @@ def cmd_client(args):
         raise ConfigError(f"client id must be in [0, {fed.G}), got {g}")
     host, port = args.address.rsplit(":", 1)
     channel = transport_tcp_connect((host, int(port)))
-    # same effective per-client config the server assumes (shared rho)
-    from dataclasses import replace
-    local_cfg = replace(fed.clients[g], rho=fed.rho)
-    run_client(channel, g, shards[g], local_cfg, fed.algorithm)
+    run_client(channel, g, shards[g], fed.clients[g], fed.algorithm)
     print(f"client {g} finished", flush=True)
     return 0
 

@@ -61,6 +61,7 @@ FED_BASELINE_VARIANTS = {
     "fedprox": FedVariant.FEDPROX,
 }
 MODEL_NAMES = sorted(MODEL_ALGORITHMS) + sorted(FED_BASELINE_VARIANTS) + ["central_dr"]
+NORMS = {"l1": NormKind.L1, "linf": NormKind.LINF}
 
 DEFAULT_GRIDS = {
     "sm": {"gamma0": [1e0, 1e1, 1e2, 1e3], "T": [100, 140, 180, 220]},
@@ -172,7 +173,7 @@ class ExperimentConfig:
         merged = dict(DEFAULT_FIXED)
         merged.update(self.fixed)
         self.fixed = merged
-        if self.fixed["norm"] not in ("l1", "linf"):
+        if self.fixed["norm"] not in NORMS:
             raise ConfigError(f"norm must be 'l1' or 'linf', got {self.fixed['norm']!r}")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
@@ -233,7 +234,7 @@ def _client_configs(cfg, params, shards):
     G = len(shards)
     kappa = params.get("kappa", cfg.fixed["kappa"])
     beta = params.get("beta", cfg.fixed["beta"])
-    norm = NormKind.L1 if cfg.fixed["norm"] == "l1" else NormKind.LINF
+    norm = NORMS[cfg.fixed["norm"]]
     tau = 0.0
     if cfg.model == "admm_sc":
         tau = cfg.fixed["tau_factor"] * params["rho"]
@@ -261,6 +262,26 @@ def federation_config(cfg, params, shards, T):
     )
 
 
+def baseline_config(cfg, params, T):
+    """The FedBaselineConfig of an l2 baseline (fedsgd/fedavg/fedprox) at
+    one grid point, run for T rounds."""
+    return FedBaselineConfig(
+        variant=FED_BASELINE_VARIANTS[cfg.model],
+        gamma0=float(params.get("gamma0", 1.0)),
+        T=T,
+        local_epochs=int(cfg.fixed["local_epochs"]),
+        batch_fraction=float(cfg.fixed["batch_fraction"]),
+        prox_mu=float(cfg.fixed["prox_mu"]),
+    )
+
+
+def kept_model(name, result):
+    """The model a federated run yields: the best-objective iterate for sm
+    (the subgradient method only guarantees the best value converges), the
+    last iterate for the ADMM variants."""
+    return result.w_best if name == "sm" else result.w_last
+
+
 def train_model(cfg, params, shards, seed):
     """Train the configured model at one grid point. Returns the model and
     a per-round telemetry list (empty for non-federated models and the
@@ -269,7 +290,7 @@ def train_model(cfg, params, shards, seed):
     if name in MODEL_ALGORITHMS:
         fed = federation_config(cfg, params, shards, int(params["T"]))
         result = run_federation(fed, shards)
-        model = result.w_best if name == "sm" else result.w_last
+        model = kept_model(name, result)
         rounds = [
             {"t": tr.t, "objective": tr.global_objective,
              "consensus_residual": tr.consensus_residual, "wall_time": tr.wall_time}
@@ -283,17 +304,10 @@ def train_model(cfg, params, shards, seed):
             eps = radius_heuristic(pooled.n, cfg.fixed["beta"])
         central = CentralDrConfig(
             epsilon=eps, kappa=params.get("kappa", cfg.fixed["kappa"]),
-            norm=NormKind.L1 if cfg.fixed["norm"] == "l1" else NormKind.LINF,
+            norm=NORMS[cfg.fixed["norm"]],
         )
         return train_central_dr_svm(pooled, central), []
-    base = FedBaselineConfig(
-        variant=FED_BASELINE_VARIANTS[name],
-        gamma0=float(params.get("gamma0", 1.0)),
-        T=int(params["T"]),
-        local_epochs=int(cfg.fixed["local_epochs"]),
-        batch_fraction=float(cfg.fixed["batch_fraction"]),
-        prox_mu=float(cfg.fixed["prox_mu"]),
-    )
+    base = baseline_config(cfg, params, int(params["T"]))
     return train_fed_l2_svm(shards, base, seed), []
 
 
@@ -320,16 +334,8 @@ def _snapshots_over_t(cfg, params, shards, t_grid, seed):
                     out[tr.t] = GlobalModel(w=tr.w_after.copy())
         return out
     # l2 baselines: snapshot the averaged iterate trace
-    base = FedBaselineConfig(
-        variant=FED_BASELINE_VARIANTS[name],
-        gamma0=float(params.get("gamma0", 1.0)),
-        T=t_max,
-        local_epochs=int(cfg.fixed["local_epochs"]),
-        batch_fraction=float(cfg.fixed["batch_fraction"]),
-        prox_mu=float(cfg.fixed["prox_mu"]),
-    )
     trace = []
-    train_fed_l2_svm(shards, base, seed, trace=trace)
+    train_fed_l2_svm(shards, baseline_config(cfg, params, t_max), seed, trace=trace)
     return {t: GlobalModel(w=trace[t - 1]) for t in t_grid}
 
 

@@ -12,10 +12,14 @@ server message. Two interchangeable transports drive it: an in-process one
 (the default) that calls the client objects directly, in client order, on
 the server's own thread, and a TCP one speaking the length-prefixed frame
 format from `wire`, where `run_client` wraps the same object in a socket
-loop. The rounds are synchronous, so the order of the client steps within
-a round changes no result; both transports deliver the same message
-sequence to every client and the server reduces results in client order,
-so the two produce bit-identical models on the same inputs.
+loop and the server reads one reply per connection, in connection order,
+on its own thread. Neither transport starts a thread. The rounds are
+synchronous, so the order of the client steps within a round changes no
+result; both transports deliver the same message sequence to every client
+and the server reduces results in client order, so the two produce
+bit-identical models on the same inputs.
+
+The model starts at zeros and every ADMM multiplier at ones.
 
 ADMM bookkeeping: multipliers live at the clients (the wire only ever
 carries w_g), and the server maintains its own mirror by applying the same
@@ -23,9 +27,7 @@ deterministic update rule, which is what lets it form the Prop.-5-style
 weighted sum without extra traffic.
 """
 
-import queue
 import socket
-import threading
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -66,11 +68,12 @@ class Algorithm(Enum):
 @dataclass
 class FederationConfig:
     """Run-level knobs. Client weights (alpha) and robustness parameters
-    live in the per-client configs; the federation-level rho is
-    authoritative and is copied over each client's rho at run start so the
+    live in the per-client configs. The federation-level rho is
+    authoritative: construction stores every client config with its rho
+    replaced by it, so `clients` is what each client runs with and the
     proximal penalty always matches the server's aggregation rule.
 
-    T = 0 is allowed and returns the initial model untouched with an empty
+    T = 0 is allowed and returns the initial (zero) model with an empty
     trace.
     """
 
@@ -79,8 +82,6 @@ class FederationConfig:
     algorithm: Algorithm = Algorithm.SM
     gamma0: float = 1.0
     rho: float = 1.0
-    w0: np.ndarray = None
-    mu0: np.ndarray = None
 
     def __post_init__(self):
         if len(self.clients) < 1:
@@ -91,6 +92,7 @@ class FederationConfig:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
         if self.rho <= 0.0:
             raise ValueError(f"rho must be positive, got {self.rho}")
+        self.clients = [replace(c, rho=self.rho) for c in self.clients]
         total = sum(c.alpha for c in self.clients)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"client weights must sum to 1, got {total!r}")
@@ -246,7 +248,10 @@ class InProcessTransport:
 
 class TcpServerTransport:
     """Server side of the TCP transport. Binds immediately; `start`
-    accepts exactly G client connections before the first round."""
+    accepts exactly G client connections before the first round. `collect`
+    reads one frame from each connection, in accept order, on the server's
+    thread; a lost connection or a malformed frame aborts the run and names
+    the peer."""
 
     def __init__(self, host="127.0.0.1", port=0, frame_cap=DEFAULT_FRAME_CAP,
                  accept_timeout=60.0):
@@ -254,7 +259,6 @@ class TcpServerTransport:
         self._listener.settimeout(accept_timeout)
         self._frame_cap = frame_cap
         self._conns = []
-        self._from_clients = queue.Queue()
 
     @property
     def address(self):
@@ -270,43 +274,34 @@ class TcpServerTransport:
                 )
             # a Broadcast and the next RoundStart go out back to back
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conns.append(conn)
-            threading.Thread(
-                target=self._read_loop, args=(conn, peer), daemon=True
-            ).start()
-
-    def _read_loop(self, conn, peer):
-        while True:
-            try:
-                msg = read_frame(conn, self._frame_cap)
-            except (ConnectionError, OSError):
-                self._from_clients.put(
-                    ("failure", f"connection from {peer} lost")
-                )
-                return
-            except ProtocolError as exc:
-                self._from_clients.put(
-                    ("failure", f"protocol error from {peer}: {exc}")
-                )
-                return
-            self._from_clients.put(("result", msg))
-
-    def _replies(self):
-        while True:
-            kind, payload = self._from_clients.get()
-            if kind == "failure":
-                raise RuntimeError(f"federation aborted: {payload}")
-            yield payload
+            self._conns.append((conn, peer))
 
     def broadcast(self, msg):
-        for conn in self._conns:
-            write_frame(conn, msg, self._frame_cap)
+        for conn, peer in self._conns:
+            try:
+                write_frame(conn, msg, self._frame_cap)
+            except OSError as exc:
+                raise RuntimeError(
+                    f"federation aborted: connection from {peer} lost"
+                ) from exc
+
+    def _read(self, conn, peer):
+        try:
+            return read_frame(conn, self._frame_cap)
+        except OSError as exc:
+            raise RuntimeError(
+                f"federation aborted: connection from {peer} lost"
+            ) from exc
+        except ProtocolError as exc:
+            raise RuntimeError(
+                f"federation aborted: protocol error from {peer}: {exc}"
+            ) from exc
 
     def collect(self, G):
-        return check_barrier(self._replies(), G)
+        return check_barrier([self._read(conn, peer) for conn, peer in self._conns], G)
 
     def close(self):
-        for conn in self._conns:
+        for conn, _ in self._conns:
             try:
                 conn.close()
             except OSError:
@@ -360,28 +355,25 @@ class FederatedClient:
     the follow-up broadcast into the local multipliers.
     """
 
-    def __init__(self, g, data, cfg, algorithm, mu0=None, solver_cfg=None):
+    def __init__(self, g, data, cfg, algorithm):
         self.g = g
         self.data = data
         self.cfg = cfg
         self.algorithm = algorithm
-        self.solver_cfg = solver_cfg
         self.state = None
         self.cache = {}
         if algorithm is not Algorithm.SM:
-            mu = np.ones(data.p) if mu0 is None else np.asarray(mu0, dtype=float).copy()
-            self.state = ClientModel(w_g=np.zeros(data.p), mu_g=mu)
+            self.state = ClientModel(w_g=np.zeros(data.p), mu_g=np.ones(data.p))
 
     def on_round_start(self, msg):
         if self.algorithm is Algorithm.SM:
-            sol = solve(build_sm_lp(msg.w, self.data, self.cfg), self.solver_cfg)
+            sol = solve(build_sm_lp(msg.w, self.data, self.cfg))
             if sol.status is not SolverStatus.OPTIMAL:
                 raise RuntimeError(f"worst-case LP did not converge: {sol.message}")
             dist = extract_worst_case(sol, self.data, self.cfg)
             return SmResult(g=self.g, v=sm_subgradient(msg.w, dist))
         self.state = admm_client_step(
-            msg.w, self.state, self.data, self.cfg,
-            solver_cfg=self.solver_cfg, cache=self.cache, client_id=self.g,
+            msg.w, self.state, self.data, self.cfg, cache=self.cache, client_id=self.g,
         )
         return AdmmResult(g=self.g, w_g=self.state.w_g)
 
@@ -399,10 +391,11 @@ class FederatedClient:
         raise RuntimeError(f"unexpected message: {type(msg).__name__}")
 
 
-def run_client(channel, g, data, cfg, algorithm, mu0=None, solver_cfg=None):
+def run_client(channel, g, data, cfg, algorithm):
     """Message loop for one remote client; returns when the server shuts
-    the federation down."""
-    client = FederatedClient(g, data, cfg, algorithm, mu0=mu0, solver_cfg=solver_cfg)
+    the federation down. `cfg` should be the client's entry of
+    `FederationConfig.clients`, which carries the federation's rho."""
+    client = FederatedClient(g, data, cfg, algorithm)
     try:
         while True:
             msg = channel.recv()
@@ -418,18 +411,7 @@ def run_client(channel, g, data, cfg, algorithm, mu0=None, solver_cfg=None):
 # ------------------------------------------------------------- server side
 
 
-def _as_vector(value, p, name, fill):
-    if value is None:
-        return np.full(p, fill, dtype=float)
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(p, float(arr))
-    if arr.shape != (p,):
-        raise ValueError(f"{name} must have length {p}, got shape {arr.shape}")
-    return arr.copy()
-
-
-def run_federation(cfg, client_data, transport=None, solver_cfg=None):
+def run_federation(cfg, client_data, transport=None):
     """Run T synchronous rounds and return the result with full telemetry.
 
     `client_data` is one DatasetView per client (also used to evaluate the
@@ -437,7 +419,8 @@ def run_federation(cfg, client_data, transport=None, solver_cfg=None):
     transport every client step runs on the caller's thread, inside the
     round's `collect`; no thread is started. With a TCP server transport
     the clients connect on their own (see `run_client` /
-    `transport_tcp_connect`) and `start` waits for all of them.
+    `transport_tcp_connect`), `start` waits for all of them and each
+    `collect` reads their replies on the caller's thread.
     """
     G = cfg.G
     if len(client_data) != G:
@@ -447,12 +430,10 @@ def run_federation(cfg, client_data, transport=None, solver_cfg=None):
         raise ValueError(f"clients disagree on feature dimension: {sorted(dims)}")
     p = dims.pop()
 
-    w = _as_vector(cfg.w0, p, "w0", 0.0)
-    mu0 = _as_vector(cfg.mu0, p, "mu0", 1.0)
-    ccfgs = [replace(c, rho=cfg.rho) for c in cfg.clients]
+    w = np.zeros(p)
 
     if cfg.algorithm is Algorithm.ADMM_SC and G >= 2:
-        cap = rho_upper_bound(cfg.alphas, [c.tau for c in ccfgs])
+        cap = rho_upper_bound(cfg.alphas, [c.tau for c in cfg.clients])
         if cfg.rho > cap:
             warnings.warn(
                 f"rho={cfg.rho:.6g} exceeds the convergence bound {cap:.6g}; "
@@ -469,15 +450,14 @@ def run_federation(cfg, client_data, transport=None, solver_cfg=None):
 
     if transport is None:
         transport = InProcessTransport(
-            FederatedClient(g, client_data[g], ccfgs[g], cfg.algorithm,
-                            mu0=mu0, solver_cfg=solver_cfg)
+            FederatedClient(g, client_data[g], cfg.clients[g], cfg.algorithm)
             for g in range(G)
         )
     transport.start(G)
 
     kind, expected = (("SM", SmResult) if cfg.algorithm is Algorithm.SM
                       else ("ADMM", AdmmResult))
-    server_mu = [mu0.copy() for _ in range(G)]
+    server_mu = [np.ones(p) for _ in range(G)]
     traces = []
     try:
         for t in range(1, cfg.T + 1):
@@ -491,14 +471,14 @@ def run_federation(cfg, client_data, transport=None, solver_cfg=None):
                     )
             if cfg.algorithm is Algorithm.SM:
                 w = sm_server_update(
-                    w, [(ccfgs[g].alpha, results[g].v) for g in range(G)],
+                    w, [(cfg.clients[g].alpha, results[g].v) for g in range(G)],
                     t, cfg.gamma0,
                 )
                 consensus = 0.0
             else:
                 iterates = [results[g].w_g for g in range(G)]
                 w = admm_server_update(
-                    [(ccfgs[g].alpha, iterates[g], server_mu[g]) for g in range(G)]
+                    [(cfg.clients[g].alpha, iterates[g], server_mu[g]) for g in range(G)]
                 )
                 consensus = max(
                     float(np.linalg.norm(iterates[g] - w)) for g in range(G)
@@ -506,7 +486,7 @@ def run_federation(cfg, client_data, transport=None, solver_cfg=None):
                 transport.broadcast(Broadcast(t=t, w=w))
                 for g in range(G):
                     server_mu[g] += iterates[g] - w
-            objective = global_objective(w, client_data, ccfgs)
+            objective = global_objective(w, client_data, cfg.clients)
             traces.append(RoundTrace(
                 t=t, w_after=w.copy(), global_objective=objective,
                 consensus_residual=consensus,

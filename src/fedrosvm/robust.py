@@ -43,7 +43,7 @@ from .core import (
     feature_norm,
     hinge_losses,
 )
-from .solver import ConvexProgram, SolverConfig, SolverStatus, solve
+from .solver import ConvexProgram, SolverStatus, solve
 
 log = logging.getLogger(__name__)
 
@@ -567,9 +567,7 @@ def build_admm_qp(w_global, client, data, cfg):
     )
 
 
-def admm_client_step(
-    w_global, client, data, cfg, solver_cfg=None, cache=None, client_id=None
-):
+def admm_client_step(w_global, client, data, cfg, cache=None, client_id=None):
     """One client proximal step: solve the local QP anchored at
     w_global - mu_g and return a ClientModel with w_g updated and mu_g
     untouched.
@@ -590,14 +588,14 @@ def admm_client_step(
         warm = None
         if cache is not None:
             cache["program"] = prog
-    sol = solve(prog, solver_cfg, warm=warm)
+    sol = solve(prog, warm=warm)
     who = "client" if client_id is None else f"client {client_id}"
     if sol.status is not SolverStatus.OPTIMAL and warm is not None:
         # a stale warm point can stall the solver when the anchor jumps far
         # between rounds (small rho lets the multipliers drift); retry cold
         log.warning("%s: warm-started proximal QP failed (%s); retrying cold",
                     who, sol.message)
-        sol = solve(prog, solver_cfg)
+        sol = solve(prog)
     if sol.status is not SolverStatus.OPTIMAL:
         raise RuntimeError(f"{who}: proximal QP failed to converge: {sol.message}")
     if cache is not None:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from fedrosvm.cli import main
-from fedrosvm.core import GlobalModel
+from fedrosvm.core import GlobalModel, evaluate
 from fedrosvm.data import MinMaxStats
 from fedrosvm.experiments import (
     ExperimentConfig,
@@ -114,8 +114,9 @@ def test_help_and_missing_subcommand_exit_codes(capsys):
     capsys.readouterr()
 
 
-def test_tcp_serve_and_clients_match_in_process_run(tmp_path):
-    cfg_path = write_config(tmp_path / "cfg.json")
+def serve_over_tcp(cfg_path):
+    """Run `serve` and both `client` subcommands as separate processes and
+    return the server's JSON report."""
     server = subprocess.Popen(
         [sys.executable, "-m", "fedrosvm.cli", "serve", "-c", cfg_path, "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -143,7 +144,12 @@ def test_tcp_serve_and_clients_match_in_process_run(tmp_path):
     for g, (proc, (c_out, c_err)) in enumerate(zip(clients, client_io)):
         assert proc.returncode == 0, c_err
         assert f"client {g} finished" in c_out
-    report = json.loads(out)
+    return json.loads(out)
+
+
+def test_tcp_serve_and_clients_match_in_process_run(tmp_path):
+    cfg_path = write_config(tmp_path / "cfg.json")
+    report = serve_over_tcp(cfg_path)
     assert report["test_f1"] >= 0.0
 
     # the TCP run must land on exactly the model the in-process run produces
@@ -151,3 +157,19 @@ def test_tcp_serve_and_clients_match_in_process_run(tmp_path):
     shards, _, _ = prepare_repetition(cfg, cfg.base_seed)
     model, _ = train_model(cfg, {"rho": 0.01, "T": 3}, shards, cfg.base_seed)
     np.testing.assert_array_equal(np.array(report["w_last"]), model.w)
+    np.testing.assert_array_equal(np.array(report["model_w"]), model.w)
+
+
+def test_tcp_serve_scores_the_sm_model_train_keeps(tmp_path):
+    # at this point the best objective is reached in round 3 of 4
+    cfg_path = write_config(tmp_path / "cfg.json", model="sm",
+                            grid={"gamma0": [100.0], "T": [4]})
+    report = serve_over_tcp(cfg_path)
+    assert report["best_round"] == 3
+
+    cfg = ExperimentConfig.from_file(cfg_path)
+    shards, test, _ = prepare_repetition(cfg, cfg.base_seed)
+    model, _ = train_model(cfg, {"gamma0": 100.0, "T": 4}, shards, cfg.base_seed)
+    np.testing.assert_array_equal(np.array(report["model_w"]), model.w)
+    assert report["model_w"] != report["w_last"]
+    assert report["test_f1"] == evaluate(model, test).f1

@@ -1,5 +1,6 @@
 """Federated runtime: server updates, barriers, both transports."""
 
+import re
 import threading
 
 import numpy as np
@@ -137,10 +138,17 @@ def test_config_rejects_negative_horizon():
         FederationConfig(clients=[ClientConfig(epsilon=0.1)], T=-1)
 
 
+def test_config_applies_federation_rho_to_every_client():
+    clients = [ClientConfig(epsilon=0.1, alpha=0.5, rho=r) for r in (1.0, 3.0)]
+    cfg = FederationConfig(clients=clients, T=1, algorithm=Algorithm.ADMM, rho=0.25)
+    assert [c.rho for c in cfg.clients] == [0.25, 0.25]
+    assert [c.rho for c in clients] == [1.0, 3.0]
+
+
 def test_zero_rounds_returns_initial_model():
-    cfg = FederationConfig(clients=toy_cfg(1), T=0, w0=np.array([0.5, -0.5]))
+    cfg = FederationConfig(clients=toy_cfg(1), T=0)
     res = run_federation(cfg, make_shards(0, 1, 6, 2))
-    assert np.array_equal(res.w_last.w, [0.5, -0.5])
+    assert np.array_equal(res.w_last.w, [0.0, 0.0])
     assert res.traces == [] and res.best_objective is None and res.best_round == 0
 
 
@@ -148,12 +156,6 @@ def test_mismatched_shard_count_rejected():
     cfg = FederationConfig(clients=toy_cfg(2), T=1)
     with pytest.raises(ValueError, match="client datasets"):
         run_federation(cfg, make_shards(0, 3, 6, 2))
-
-
-def test_w0_shape_checked():
-    cfg = FederationConfig(clients=toy_cfg(1), T=1, w0=np.zeros(5))
-    with pytest.raises(ValueError, match="w0"):
-        run_federation(cfg, make_shards(0, 1, 6, 2))
 
 
 # ------------------------------------------------------------ full SM runs
@@ -347,6 +349,83 @@ def test_tcp_admm_round_trip_matches_in_process():
         th.join(timeout=30.0)
 
     assert np.array_equal(local.w_last.w, remote.w_last.w)
+
+
+def test_tcp_clients_built_from_config_use_federation_rho():
+    # the client configs keep their default rho = 1; the federation's rho
+    # reaches remote clients through FederationConfig.clients
+    shards = make_shards(43, 2, 6, 2)
+    cfg = FederationConfig(clients=toy_cfg(2), T=3, algorithm=Algorithm.ADMM, rho=0.3)
+    local = run_federation(cfg, shards)
+
+    server = transport_tcp_serve()
+    threads = spawn_tcp_clients(server.address, shards, cfg.clients, Algorithm.ADMM)
+    remote = run_federation(cfg, shards, transport=server)
+    for th in threads:
+        th.join(timeout=30.0)
+        assert not th.is_alive()
+
+    assert np.array_equal(local.w_last.w, remote.w_last.w)
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.SM, Algorithm.ADMM])
+def test_tcp_run_starts_no_server_thread(monkeypatch, algorithm):
+    shards = make_shards(44, 2, 6, 2)
+    cfg = FederationConfig(clients=toy_cfg(2), T=3, algorithm=algorithm, rho=0.5)
+    server = transport_tcp_serve()
+    threads = spawn_tcp_clients(server.address, shards, cfg.clients, algorithm)
+
+    def refuse(self):
+        raise AssertionError(f"TCP federation server started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    try:
+        result = run_federation(cfg, shards, transport=server)
+    finally:
+        server.close()  # releases the clients if the run failed early
+        for th in threads:
+            th.join(timeout=30.0)
+    assert not any(th.is_alive() for th in threads)
+    assert len(result.traces) == 3
+    assert np.array_equal(result.w_last.w, run_federation(cfg, shards).w_last.w)
+
+
+def test_tcp_client_closing_mid_run_aborts_without_hanging():
+    shards = make_shards(45, 2, 6, 2)
+    cfg = FederationConfig(clients=toy_cfg(2), T=3, algorithm=Algorithm.SM)
+    server = transport_tcp_serve()
+    # connect both ends here so the closing client is the second connection
+    honest = transport_tcp_connect(server.address)
+    quitter = transport_tcp_connect(server.address)
+
+    def serve_honestly():
+        try:
+            run_client(honest, 0, shards[0], cfg.clients[0], Algorithm.SM)
+        except ConnectionError:
+            pass  # the server may close before its shutdown reaches us
+
+    def answer_once_then_close():
+        assert quitter.recv().t == 1
+        quitter.send(SmResult(g=1, v=np.zeros(2)))
+        quitter.close()
+
+    errors = []
+
+    def run():
+        try:
+            run_federation(cfg, shards, transport=server)
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=f, daemon=True)
+               for f in (serve_honestly, answer_once_then_close, run)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30.0)
+        assert not th.is_alive()
+    assert len(errors) == 1
+    assert re.search(r"federation aborted: connection from .* lost", str(errors[0]))
 
 
 def test_tcp_server_rejects_oversized_inbound_frame():
