@@ -4,7 +4,6 @@ Subcommands:
   train     run all repetitions of a config, write result files
   evaluate  score a saved model against a CSV dataset
   cv        cross-validate repetition 0 of a config and print the choice
-  bench     time one training round across sample/client counts
   serve     run the federation server over TCP for one config
   client    join a TCP federation as one client of a config
 
@@ -20,7 +19,9 @@ import argparse
 import json
 import sys
 
-from .core import evaluate
+import numpy as np
+
+from .core import GlobalModel, evaluate
 from .data import apply_minmax, load_csv
 from .experiments import (
     ConfigError,
@@ -29,7 +30,6 @@ from .experiments import (
     cross_validate,
     emit_results,
     exit_code_for,
-    bench_scaling,
     federation_config,
     grid_points,
     kept_model,
@@ -37,7 +37,6 @@ from .experiments import (
     prepare_repetition,
     run_experiment,
     save_model,
-    train_model,
 )
 from .federation import (
     run_client,
@@ -85,9 +84,10 @@ def cmd_train(args):
     paths = emit_results(result, out_dir)
     last_ok = next((r for r in reversed(result.repetitions) if r["ok"]), None)
     if last_ok is not None:
-        seed = last_ok["seed"]
-        shards, test, stats = prepare_repetition(cfg, seed)
-        model, _ = train_model(cfg, last_ok["chosen"], shards, seed)
+        # the repetition already trained this model; only its min-max stats
+        # need rebuilding
+        _, _, stats = prepare_repetition(cfg, last_ok["seed"])
+        model = GlobalModel(w=np.array(last_ok["model_w"], dtype=float))
         model_path = f"{out_dir}/model.json"
         save_model(model_path, model, stats)
         paths["model"] = model_path
@@ -115,17 +115,6 @@ def cmd_cv(args):
     chosen, report = cross_validate(cfg, shards, seed)
     print(json.dumps({"chosen": chosen, "fold_resamples": report["fold_resamples"],
                       "table": report["table"]}, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_bench(args):
-    report = bench_scaling(
-        n_grid=[int(v) for v in args.n_grid.split(",")],
-        g_grid=[int(v) for v in args.g_grid.split(",")],
-        p=args.p, runs=args.runs, seed=args.seed,
-        fixed_g=args.fixed_g, fixed_n=args.fixed_n,
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -184,16 +173,6 @@ def build_parser():
     p.add_argument("-c", "--config", required=True)
     p.add_argument("--rep", type=int, default=0)
     p.set_defaults(func=cmd_cv)
-
-    p = sub.add_parser("bench", help="time one training round at several scales")
-    p.add_argument("--n-grid", default="500,1000,2000")
-    p.add_argument("--g-grid", default="2,4")
-    p.add_argument("-p", type=int, default=2)
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fixed-g", type=int, default=2)
-    p.add_argument("--fixed-n", type=int, default=1000)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("serve", help="run the federation server over TCP")
     p.add_argument("-c", "--config", required=True)

@@ -565,7 +565,7 @@ def load_model(path):
     return model, stats
 
 
-# ------------------------------------------------------------------- bench
+# ------------------------------------------------------------ round timing
 
 
 def time_sm_round(n_total, G, p, runs, seed):
@@ -583,12 +583,3 @@ def time_sm_round(n_total, G, p, runs, seed):
         result = run_federation(fed, shards)
         times.append(result.traces[0].wall_time)
     return float(np.median(times))
-
-
-def bench_scaling(n_grid, g_grid, p=2, runs=5, seed=0, fixed_g=2, fixed_n=1000):
-    """Scaling smoke: SM round time versus total sample count at fixed G,
-    and versus client count at fixed total N."""
-    by_n = {n: time_sm_round(n, fixed_g, p, runs, seed) for n in n_grid}
-    by_g = {g: time_sm_round(fixed_n, g, p, runs, seed) for g in g_grid}
-    return {"round_time_by_n": by_n, "round_time_by_g": by_g,
-            "fixed_g": fixed_g, "fixed_n": fixed_n, "p": p, "runs": runs}

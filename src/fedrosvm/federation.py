@@ -453,13 +453,14 @@ def run_federation(cfg, client_data, transport=None):
             FederatedClient(g, client_data[g], cfg.clients[g], cfg.algorithm)
             for g in range(G)
         )
-    transport.start(G)
-
     kind, expected = (("SM", SmResult) if cfg.algorithm is Algorithm.SM
                       else ("ADMM", AdmmResult))
     server_mu = [np.ones(p) for _ in range(G)]
     traces = []
     try:
+        # inside the try: clients that connected before a failed start still
+        # get their Shutdown and their sockets closed
+        transport.start(G)
         for t in range(1, cfg.T + 1):
             started = time.perf_counter()
             transport.broadcast(RoundStart(t=t, w=w))

@@ -37,7 +37,6 @@ import numpy as np
 from scipy import sparse
 
 from .core import (
-    DatasetView,
     NormKind,
     dual_norm,
     feature_norm,
@@ -114,6 +113,30 @@ def _require_unit_box(X, tol=1e-9):
         )
 
 
+def _csr(entries, shape):
+    """One CSR matrix from (rows, cols, vals) blocks; a scalar broadcasts
+    against the arrays of its block. Every (row, col) pair appears once, and
+    scipy stores the result canonically (sorted columns, explicit zeros
+    kept)."""
+    rows, cols, vals = zip(*(
+        np.broadcast_arrays(np.atleast_1d(r), np.atleast_1d(c), np.atleast_1d(v).astype(float))
+        for r, c, v in entries
+    ))
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    )
+
+
+def _sm_lp_layout(N, P, norm):
+    """Column layout of the worst-case LP after the two beta blocks and
+    the aux block at column 2N (one t per atom, or one u per coordinate):
+    (n_aux, off_qp, off_qm, n)."""
+    NP = N * P
+    n_aux = 2 * N if norm is NormKind.LINF else 2 * NP
+    off_qp = 2 * N + n_aux
+    return n_aux, off_qp, off_qp + NP, off_qp + 2 * NP
+
+
 def build_sm_lp(w, data, cfg):
     """LP over adversary mass splits and transport vectors at fixed w,
     whose maximizers define the worst-case distribution for an SM round.
@@ -129,13 +152,17 @@ def build_sm_lp(w, data, cfg):
     budget row sum_i(||q+_i|| + ||q-_i|| + kappa*beta-_i) <= N*epsilon stays
     linear. q blocks are stored row-major (sample-major).
 
-    Sizes as built here:
+    Inequality rows, in order (j runs over the NP q coordinates, i = j // P):
 
-      L-inf: n = 4N + 2NP   variables
-             m = 1 + 8NP + 2N inequalities (budget, 4NP norm-epigraph,
-                 4NP support box, 2N mass nonnegativity)
-             k = N equalities (beta+_i + beta-_i = 1)
-      L1:    n = 2N + 4NP, same m and k.
+      budget         1    every t/u; kappa on beta- (left out if kappa = 0)
+      epigraph, q+   2NP  q+_j - aux <= 0, then -q+_j - aux <= 0
+      epigraph, q-   2NP  the same for q-
+      box, beta+ q+  2NP  q+_j - x_j beta+_i <= 0, then (x_j - 1) beta+_i - q+_j <= 0
+      box, beta- q-  2NP  the same for beta-, q-; -x_j, x_j - 1 stored even if 0
+      beta >= 0      2N   -beta+ <= 0, then -beta- <= 0
+
+    and N equalities beta+_i + beta-_i = 1. So n = 4N + 2NP (L-inf) or
+    2N + 4NP (L1) variables and m = 1 + 8NP + 2N inequalities.
 
     The program minimizes the negated adversary gain
     (1/N) sum_i [(beta+_i - beta-_i) y_i<w, x_i> - y_i<w, q+_i - q-_i>],
@@ -150,107 +177,51 @@ def build_sm_lp(w, data, cfg):
     _require_unit_box(X)
 
     NP = N * P
-    if cfg.norm is NormKind.LINF:
-        n_aux = 2 * N  # one t per atom
-    else:
-        n_aux = 2 * NP  # one u per atom coordinate
-    n = 2 * N + n_aux + 2 * NP
-
-    off_bp = 0
-    off_bm = N
+    n_aux, off_qp, off_qm, n = _sm_lp_layout(N, P, cfg.norm)
     off_aux = 2 * N
-    off_qp = 2 * N + n_aux
-    off_qm = off_qp + NP
 
     # --- objective: minimize (beta+ - beta-) y<w,x> - y<w, q+ - q->
     # (the negation of the adversary's surrogate gain, averaged over N).
     margins = y * (X @ w)  # y_i <w, x_i>
     c = np.zeros(n)
-    c[off_bp:off_bp + N] = margins / N
-    c[off_bm:off_bm + N] = -margins / N
+    c[:N] = margins / N
+    c[N:2 * N] = -margins / N
     yw = (y[:, None] * w[None, :]).ravel()  # row-major (i, p) -> y_i w_p
-    c[off_qp:off_qp + NP] = -yw / N
-    c[off_qm:off_qm + NP] = yw / N
+    c[off_qp:off_qm] = -yw / N
+    c[off_qm:] = yw / N
 
-    rows, cols, vals = [], [], []
-    b = []
-    r = 0
-
-    def put(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    # --- budget row
-    if cfg.norm is NormKind.LINF:
-        for i in range(N):
-            put(r, off_aux + i, 1.0)  # t+_i
-            put(r, off_aux + N + i, 1.0)  # t-_i
-    else:
-        for j in range(NP):
-            put(r, off_aux + j, 1.0)  # u+ coords
-            put(r, off_aux + NP + j, 1.0)  # u- coords
+    entries = [(0, off_aux + np.arange(n_aux), 1.0)]
     if cfg.kappa != 0.0:
-        for i in range(N):
-            put(r, off_bm + i, cfg.kappa)
-    b.append(N * cfg.epsilon)
-    r += 1
+        entries.append((0, N + np.arange(N), cfg.kappa))
 
-    # --- norm epigraphs: +-q <= t (or u), per coordinate, both atom signs
-    idx = np.arange(NP)
-    samp = idx // P  # sample index of each q coordinate
-    for sgn_block, q_off in ((0, off_qp), (1, off_qm)):
-        if cfg.norm is NormKind.LINF:
-            aux_col = off_aux + sgn_block * N + samp
-        else:
-            aux_col = off_aux + sgn_block * NP + idx
-        for j in range(NP):
-            put(r, q_off + j, 1.0)
-            put(r, int(aux_col[j]), -1.0)
-            b.append(0.0)
-            r += 1
-        for j in range(NP):
-            put(r, q_off + j, -1.0)
-            put(r, int(aux_col[j]), -1.0)
-            b.append(0.0)
-            r += 1
+    # every block below is NP rows; row j holds q coordinate j and one partner
+    # entry: (q column offset, q coefficient, partner columns, coefficients)
+    j = np.arange(NP)
+    samp = j // P  # sample index of each q coordinate
+    blocks = []
+    for s, q_off in enumerate((off_qp, off_qm)):
+        aux = off_aux + (s * N + samp if cfg.norm is NormKind.LINF else s * NP + j)
+        blocks += [(q_off, 1.0, aux, -1.0), (q_off, -1.0, aux, -1.0)]
+    x = X.ravel()
+    for beta_off, q_off in ((0, off_qp), (N, off_qm)):
+        blocks += [(q_off, 1.0, beta_off + samp, -x),
+                   (q_off, -1.0, beta_off + samp, x - 1.0)]
+    for k, (q_off, q_val, partner, partner_val) in enumerate(blocks):
+        rows = 1 + k * NP + j
+        entries += [(rows, q_off + j, q_val), (rows, partner, partner_val)]
 
-    # --- support box: 0 <= beta*x - q <= beta, coordinatewise
-    xflat = X.ravel()
-    for beta_off, q_off in ((off_bp, off_qp), (off_bm, off_qm)):
-        for j in range(NP):
-            # q - beta*x <= 0
-            put(r, q_off + j, 1.0)
-            put(r, beta_off + int(samp[j]), -xflat[j])
-            b.append(0.0)
-            r += 1
-        for j in range(NP):
-            # beta*(x - 1) - q <= 0
-            put(r, q_off + j, -1.0)
-            put(r, beta_off + int(samp[j]), xflat[j] - 1.0)
-            b.append(0.0)
-            r += 1
-
-    # --- beta >= 0
-    for off in (off_bp, off_bm):
-        for i in range(N):
-            put(r, off + i, -1.0)
-            b.append(0.0)
-            r += 1
-
-    m = r
-    A_ineq = sparse.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(m, n)
-    )
+    m = 1 + len(blocks) * NP + 2 * N
+    entries.append((m - 2 * N + np.arange(2 * N), np.arange(2 * N), -1.0))  # beta >= 0
+    A_ineq = _csr(entries, (m, n))
+    b_ineq = np.zeros(m)
+    b_ineq[0] = N * cfg.epsilon
 
     # --- mass conservation: beta+_i + beta-_i = 1
-    er = np.repeat(np.arange(N), 2)
-    ec = np.column_stack([np.arange(N), N + np.arange(N)]).ravel()
-    A_eq = sparse.csr_matrix((np.ones(2 * N), (er, ec)), shape=(N, n))
-    b_eq = np.ones(N)
+    i = np.arange(N)
+    A_eq = _csr([(i, i, 1.0), (i, N + i, 1.0)], (N, n))
 
     return ConvexProgram(
-        n=n, c=c, A_ineq=A_ineq, b_ineq=np.asarray(b), A_eq=A_eq, b_eq=b_eq
+        n=n, c=c, A_ineq=A_ineq, b_ineq=b_ineq, A_eq=A_eq, b_eq=np.ones(N)
     )
 
 
@@ -347,16 +318,12 @@ def extract_worst_case(solution, data, cfg, drop_tol=MASS_DROP_TOL):
     if solution.status is not SolverStatus.OPTIMAL:
         raise ValueError(f"cannot extract from a non-optimal solve: {solution.message}")
     N, P = data.n, data.p
-    NP = N * P
+    _, off_qp, off_qm, n = _sm_lp_layout(N, P, cfg.norm)
     x = solution.x_star
-    if cfg.norm is NormKind.LINF:
-        off_qp = 4 * N
-    else:
-        off_qp = 2 * N + 2 * NP
     bp = x[:N].copy()
     bm = x[N:2 * N].copy()
-    qp = x[off_qp:off_qp + NP].reshape(N, P).copy()
-    qm = x[off_qp + NP:off_qp + 2 * NP].reshape(N, P).copy()
+    qp = x[off_qp:off_qm].reshape(N, P).copy()
+    qm = x[off_qm:n].reshape(N, P).copy()
 
     has_p = bp > drop_tol
     has_m = bm > drop_tol
@@ -464,11 +431,18 @@ def build_risk_epigraph_qp(data, cfg, rho=0.0, tau=0.0, anchor=None):
     ADMM proximal step (see build_admm_qp). The program objective omits the
     constant (rho/2)||anchor||^2.
 
-    Column order: [w (P)] [lam] [u (P), L-inf norm only] [s (N)]. The dual
-    norm constraint is 2P rows (+-w_p <= lam) for the L1 transport norm and
-    2P + 1 rows (+-w_p <= u_p, sum(u) <= lam) for L-inf. Keeping s last
-    leaves the dense solver's independent-column detection free to pick up
-    the slack block.
+    Column order: [w (P)] [lam] [u (P), L-inf norm only] [s (N)]. Keeping
+    s last leaves the dense solver's independent-column detection free to
+    pick up the slack block. Rows, in order:
+
+      hinge            N rows    -y_i x_i . w - s_i <= -1
+      flipped hinge    N rows    y_i x_i . w - kappa*lam - s_i <= -1
+      s >= 0           N rows    -s_i <= 0
+      dual norm, L1    2P rows   w_p - lam <= 0, then -w_p - lam <= 0
+      dual norm, L-inf 2P + 1    w_p - u_p <= 0, then -w_p - u_p <= 0;
+                                 last sum(u) - lam <= 0
+
+    Zero y_i x_ip entries are left out; -kappa on lam is always stored.
     """
     X, y = data.X, data.y
     N, P = data.n, data.p
@@ -490,71 +464,26 @@ def build_risk_epigraph_qp(data, cfg, rho=0.0, tau=0.0, anchor=None):
             raise ValueError("anchor is required when rho > 0")
         c[:P] = -rho * np.asarray(anchor, dtype=float)
 
-    rows, cols, vals = [], [], []
-    b = []
-    r = 0
-
-    def put(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
     yx = y[:, None] * X
-    # 1 - y<w,x> <= s
-    for i in range(N):
-        for p in range(P):
-            if yx[i, p] != 0.0:
-                put(r, p, -yx[i, p])
-        put(r, off_s + i, -1.0)
-        b.append(-1.0)
-        r += 1
-    # 1 + y<w,x> - kappa*lam <= s
-    for i in range(N):
-        for p in range(P):
-            if yx[i, p] != 0.0:
-                put(r, p, yx[i, p])
-        put(r, off_lam, -cfg.kappa)
-        put(r, off_s + i, -1.0)
-        b.append(-1.0)
-        r += 1
-    # s >= 0
-    for i in range(N):
-        put(r, off_s + i, -1.0)
-        b.append(0.0)
-        r += 1
-    # dual norm epigraph
+    i, p = np.nonzero(yx)
+    samples = np.arange(N)
+    entries = [
+        (i, p, -yx[i, p]),  # 1 - y<w,x> <= s
+        (N + i, p, yx[i, p]),  # 1 + y<w,x> - kappa*lam <= s
+        (N + samples, off_lam, -cfg.kappa),
+        (np.arange(3 * N), off_s + np.tile(samples, 3), -1.0),  # both hinges, s >= 0
+    ]
+    rows = 3 * N + np.arange(2 * P)
+    cols = np.repeat(np.arange(P), 2)
+    entries += [(rows, cols, np.tile([1.0, -1.0], P)),
+                (rows, off_u + cols if has_u else off_lam, -1.0)]
+    m = 3 * N + 2 * P
     if has_u:
-        for p in range(P):
-            put(r, p, 1.0)
-            put(r, off_u + p, -1.0)
-            b.append(0.0)
-            r += 1
-            put(r, p, -1.0)
-            put(r, off_u + p, -1.0)
-            b.append(0.0)
-            r += 1
-        for p in range(P):
-            put(r, off_u + p, 1.0)
-        put(r, off_lam, -1.0)
-        b.append(0.0)
-        r += 1
-    else:
-        for p in range(P):
-            put(r, p, 1.0)
-            put(r, off_lam, -1.0)
-            b.append(0.0)
-            r += 1
-            put(r, p, -1.0)
-            put(r, off_lam, -1.0)
-            b.append(0.0)
-            r += 1
-
-    A = sparse.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(r, n)
-    )
-    prog = ConvexProgram(n=n, c=c, Q=Q, A_ineq=A, b_ineq=np.asarray(b))
-    prog.w_dim = P  # stashed for callers peeling w off the solution
-    return prog
+        entries += [(m, off_u + np.arange(P), 1.0), (m, off_lam, -1.0)]
+        m += 1
+    b = np.zeros(m)
+    b[:2 * N] = -1.0
+    return ConvexProgram(n=n, c=c, Q=Q, A_ineq=_csr(entries, (m, n)), b_ineq=b)
 
 
 def build_admm_qp(w_global, client, data, cfg):

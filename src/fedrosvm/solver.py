@@ -46,6 +46,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Diagonal regularization of every Newton system; keeps the KKT matrix
+# quasi-definite when Q is singular or the constraints are degenerate.
+REGULARIZATION = 1e-10
+
 
 def _as_sparse(a, shape):
     if a is None:
@@ -125,7 +129,6 @@ class SolverStatus(enum.Enum):
 class SolverConfig:
     eps2: float = 1e-9
     max_iterations: int = 200
-    regularization: float = 1e-10
 
 
 @dataclass
@@ -178,7 +181,7 @@ def _schur_split(p: ConvexProgram):
 class _SchurBackend:
     """Normal-equations Newton solve with diagonal elimination of the S block."""
 
-    def __init__(self, p: ConvexProgram, split, delta: float):
+    def __init__(self, p: ConvexProgram, split):
         s_idx, r_idx = split
         self.s_idx, self.r_idx = s_idx, r_idx
         A = p.A_ineq.tocsc()
@@ -192,13 +195,12 @@ class _SchurBackend:
         qdiag = p.Q.diagonal()
         self.q_s = qdiag[s_idx]
         self.q_r = qdiag[r_idx]
-        self.delta = delta
 
     def factor(self, w: np.ndarray):
-        self.d_s = self.q_s + (self.A_s2T @ w) + self.delta
+        self.d_s = self.q_s + (self.A_s2T @ w) + REGULARIZATION
         arw = self.A_r * w[:, None]
         self.m_sr = self.A_sT @ arw  # |S| x n_r dense
-        h = arw.T @ self.A_r + np.diag(self.q_r + self.delta)
+        h = arw.T @ self.A_r + np.diag(self.q_r + REGULARIZATION)
         h -= self.m_sr.T @ (self.m_sr / self.d_s[:, None])
         self.w = w
         if self.r_idx.size:
@@ -245,16 +247,15 @@ def _splu_kkt(kkt):
 class _SparseBackend:
     """Augmented-KKT Newton solve via sparse LU."""
 
-    def __init__(self, p: ConvexProgram, delta: float):
+    def __init__(self, p: ConvexProgram):
         self.p = p
-        self.delta = delta
         self.A_ineqT = p.A_ineq.T
-        self.reg_x = sp.identity(p.n) * delta
-        self.reg_y = -sp.identity(p.k) * delta if p.k else None
+        self.reg_x = sp.identity(p.n) * REGULARIZATION
+        self.reg_y = -sp.identity(p.k) * REGULARIZATION if p.k else None
 
     def factor(self, w: np.ndarray):
         p = self.p
-        d = -sp.diags(1.0 / w + self.delta)
+        d = -sp.diags(1.0 / w + REGULARIZATION)
         blocks = [
             [p.Q + self.reg_x, self.A_ineqT, p.A_eq.T if p.k else None],
             [p.A_ineq, d, None],
@@ -284,9 +285,8 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 def _solve_equality_only(p: ConvexProgram, cfg: SolverConfig) -> SolverSolution:
-    delta = max(cfg.regularization, 1e-14)
     if p.k == 0:
-        kkt = (p.Q + sp.identity(p.n) * delta).tocsc()
+        kkt = (p.Q + sp.identity(p.n) * REGULARIZATION).tocsc()
         try:
             x = spla.splu(kkt).solve(-p.c)
         except RuntimeError as e:
@@ -298,7 +298,8 @@ def _solve_equality_only(p: ConvexProgram, cfg: SolverConfig) -> SolverSolution:
                                   0, "stationarity unattainable; objective likely unbounded below")
         return SolverSolution(x, p.objective(x), SolverStatus.OPTIMAL, float(resid), 0, "")
     kkt = sp.bmat(
-        [[p.Q + sp.identity(p.n) * delta, p.A_eq.T], [p.A_eq, -sp.identity(p.k) * delta]],
+        [[p.Q + sp.identity(p.n) * REGULARIZATION, p.A_eq.T],
+         [p.A_eq, -sp.identity(p.k) * REGULARIZATION]],
         format="csc",
     )
     sol = spla.splu(kkt).solve(np.concatenate([-p.c, p.b_eq]))
@@ -326,16 +327,15 @@ def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None,
     if p.m == 0:
         return _solve_equality_only(p, cfg)
 
-    delta = max(cfg.regularization, 0.0)
     # constraint structure is immutable after the first solve (only c may be
     # swapped between repeated solves), so the backend can be reused
     cached = getattr(p, "_backend_cache", None)
-    if cached is not None and cached[0] == (delta, _force_sparse):
+    if cached is not None and cached[0] == _force_sparse:
         split, backend = cached[1], cached[2]
     else:
         split = None if _force_sparse else _schur_split(p)
-        backend = _SchurBackend(p, split, delta) if split else _SparseBackend(p, delta)
-        p._backend_cache = ((delta, _force_sparse), split, backend)
+        backend = _SchurBackend(p, split) if split else _SparseBackend(p)
+        p._backend_cache = (_force_sparse, split, backend)
     try:
         return _ip_loop(p, cfg, backend, warm)
     except (scipy.linalg.LinAlgError, RuntimeError, np.linalg.LinAlgError) as e:
@@ -344,7 +344,7 @@ def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None,
             # robust sparse path from scratch
             log.warning("Schur backend failed (%s); re-solving on the sparse KKT backend", e)
             try:
-                return _ip_loop(p, cfg, _SparseBackend(p, delta), warm)
+                return _ip_loop(p, cfg, _SparseBackend(p), warm)
             except (scipy.linalg.LinAlgError, RuntimeError, np.linalg.LinAlgError) as e2:
                 e = e2
         return SolverSolution(np.full(p.n, np.nan), np.nan, SolverStatus.NUMERICAL_FAILURE,

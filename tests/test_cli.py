@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 
+from fedrosvm import cli, experiments
 from fedrosvm.cli import main
 from fedrosvm.core import GlobalModel, evaluate
 from fedrosvm.data import MinMaxStats
@@ -50,6 +51,30 @@ def test_train_writes_artifacts_and_exits_zero(tmp_path, capsys):
     assert (out_dir / "config_echo.json").read_text() == (tmp_path / "cfg.json").read_text()
 
 
+def test_train_trains_each_repetition_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting_train_model(cfg, params, shards, seed):
+        calls.append(seed)
+        return train_model(cfg, params, shards, seed)
+
+    monkeypatch.setattr(experiments, "train_model", counting_train_model)
+    # also counts a final refit made through a name imported into cli
+    monkeypatch.setattr(cli, "train_model", counting_train_model, raising=False)
+    cfg_path = write_config(tmp_path / "cfg.json", repetitions=2)
+    out_dir = tmp_path / "out"
+    assert main(["train", "-c", cfg_path, "-o", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert calls == [0, 1]
+
+    # model.json holds the last repetition's model, as a fresh fit saves it
+    cfg = ExperimentConfig.from_file(cfg_path)
+    shards, _, stats = prepare_repetition(cfg, 1)
+    model, _ = train_model(cfg, {"rho": 0.01, "T": 3}, shards, 1)
+    save_model(str(tmp_path / "fresh.json"), model, stats)
+    assert (out_dir / "model.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
 def test_train_config_error_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", bogus_knob=3)
     assert main(["train", "-c", cfg]) == 1
@@ -82,16 +107,6 @@ def test_cv_prints_the_single_grid_point(tmp_path, capsys):
     assert report["chosen"] == {"rho": 0.01, "T": 3}
     assert len(report["table"]) == 1
     assert report["table"][0]["mean_f1"] >= 0.0
-
-
-def test_bench_reports_round_times(capsys):
-    rc = main(["bench", "--n-grid", "40,80", "--g-grid", "2",
-               "--runs", "1", "--fixed-n", "40", "--fixed-g", "2"])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert set(report["round_time_by_n"]) == {"40", "80"}
-    assert all(v > 0.0 for v in report["round_time_by_n"].values())
-    assert all(v > 0.0 for v in report["round_time_by_g"].values())
 
 
 def test_serve_rejects_multipoint_grid(tmp_path, capsys):

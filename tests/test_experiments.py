@@ -11,7 +11,6 @@ from fedrosvm.experiments import (
     ExperimentConfig,
     RunResult,
     _snapshots_over_t,
-    bench_scaling,
     build_folds,
     cross_validate,
     emit_results,
@@ -284,14 +283,3 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.w, model.w)
     assert np.array_equal(loaded_stats.mins, stats.mins)
     assert np.array_equal(loaded_stats.maxs, stats.maxs)
-
-
-# ------------------------------------------------------------------- bench
-
-
-def test_bench_scaling_report_shape():
-    report = bench_scaling(n_grid=[40, 80], g_grid=[2], p=2, runs=1, seed=0,
-                           fixed_g=2, fixed_n=40)
-    assert set(report["round_time_by_n"]) == {40, 80}
-    assert all(v > 0.0 for v in report["round_time_by_n"].values())
-    assert report["round_time_by_g"][2] > 0.0

@@ -428,6 +428,25 @@ def test_tcp_client_closing_mid_run_aborts_without_hanging():
     assert re.search(r"federation aborted: connection from .* lost", str(errors[0]))
 
 
+def test_tcp_accept_timeout_releases_the_clients_that_connected():
+    shards = make_shards(46, 2, 6, 2)
+    cfg = FederationConfig(clients=toy_cfg(2), T=3, algorithm=Algorithm.SM)
+    server = transport_tcp_serve(accept_timeout=1.0)
+    address = server.address
+    lone = transport_tcp_connect(address)  # the second client never comes
+    client = threading.Thread(
+        target=run_client, args=(lone, 0, shards[0], cfg.clients[0], Algorithm.SM),
+        daemon=True,
+    )
+    client.start()
+    with pytest.raises(RuntimeError, match="only 1 of 2 clients connected"):
+        run_federation(cfg, shards, transport=server)
+    client.join(timeout=10.0)
+    assert not client.is_alive()  # it got its Shutdown
+    with pytest.raises(ConnectionRefusedError):
+        transport_tcp_connect(address, timeout=5.0)  # the listener is closed
+
+
 def test_tcp_server_rejects_oversized_inbound_frame():
     server = transport_tcp_serve(frame_cap=32)
     address = server.address

@@ -113,6 +113,52 @@ def test_lp_layout_counts_multi_sample():
     assert (p_l1.n, p_l1.m, p_l1.k) == (28, 53, 2)
 
 
+def edge_shard(seed, n=5, p=3):
+    """Unit-box shard with features sitting exactly at 0 and 1, where the
+    box coefficients -x and x - 1 vanish."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, p))
+    X[0, 0] = X[1, 2] = X[3, 1] = 0.0
+    X[0, 1] = X[2, 2] = X[4, 0] = 1.0
+    return make_data(X, np.where(rng.random(n) < 0.5, 1, -1)), rng
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+@pytest.mark.parametrize("norm", [NormKind.L1, NormKind.LINF])
+def test_lp_rows_are_the_written_out_constraints(norm, kappa):
+    data, rng = edge_shard(31)
+    X, N, P = data.X, data.n, data.p
+    cfg = ClientConfig(epsilon=0.07, kappa=kappa, norm=norm)
+    prog = build_sm_lp(rng.standard_normal(P), data, cfg)
+    v = rng.standard_normal(prog.n)
+
+    n_aux = 2 * N if norm is NormKind.LINF else 2 * N * P
+    bp, bm = v[:N], v[N:2 * N]
+    aux_p, aux_m = np.split(v[2 * N:2 * N + n_aux], 2)
+    qp, qm = (q.reshape(N, P) for q in np.split(v[2 * N + n_aux:], 2))
+    if norm is NormKind.LINF:  # one t per atom bounds every coordinate
+        aux_p, aux_m = aux_p[:, None], aux_m[:, None]
+    else:
+        aux_p, aux_m = aux_p.reshape(N, P), aux_m.reshape(N, P)
+    budget = aux_p.sum() + aux_m.sum() + kappa * bm.sum() - N * cfg.epsilon
+    expected = [[budget]]
+    for q, aux in ((qp, aux_p), (qm, aux_m)):  # norm epigraphs
+        expected += [(q - aux).ravel(), (-q - aux).ravel()]
+    for beta, q in ((bp, qp), (bm, qm)):  # support box
+        expected += [(q - beta[:, None] * X).ravel(),
+                     (beta[:, None] * (X - 1.0) - q).ravel()]
+    expected += [-bp, -bm]  # beta >= 0
+    np.testing.assert_allclose(prog.A_ineq @ v - prog.b_ineq, np.concatenate(expected),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(prog.A_eq @ v - prog.b_eq, bp + bm - 1.0,
+                               rtol=1e-12, atol=1e-12)
+
+    # box coefficients are stored even where they are 0; kappa only if set
+    NP = N * P
+    assert prog.A_ineq.nnz == n_aux + (kappa != 0.0) * N + 16 * NP + 2 * N
+    assert prog.A_eq.nnz == 2 * N
+
+
 def test_lp_requires_unit_box():
     data = make_data([[1.5]], [1])
     with pytest.raises(ValueError, match="normalize"):
@@ -452,6 +498,30 @@ def test_client_qp_layout():
         data, ClientConfig(epsilon=0.1, norm=NormKind.LINF)
     )
     assert (p_inf.n, p_inf.m, p_inf.k) == (8, 14, 0)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+@pytest.mark.parametrize("norm", [NormKind.L1, NormKind.LINF])
+def test_epigraph_rows_are_the_written_out_constraints(norm, kappa):
+    data, rng = edge_shard(32)
+    X, y, N, P = data.X, data.y, data.n, data.p
+    prog = build_risk_epigraph_qp(data, ClientConfig(epsilon=0.07, kappa=kappa, norm=norm))
+    v = rng.standard_normal(prog.n)
+
+    w, lam, s = v[:P], v[P], v[-N:]
+    margins = y * (X @ w)
+    expected = [1.0 - margins - s, 1.0 + margins - kappa * lam - s, -s]
+    if norm is NormKind.LINF:  # +-w_p <= u_p, then sum(u) <= lam
+        u = v[P + 1:2 * P + 1]
+        expected += [np.column_stack([w - u, -w - u]).ravel(), [u.sum() - lam]]
+    else:  # +-w_p <= lam
+        expected += [np.column_stack([w - lam, -w - lam]).ravel()]
+    np.testing.assert_allclose(prog.A_ineq @ v - prog.b_ineq, np.concatenate(expected),
+                               rtol=1e-12, atol=1e-12)
+
+    # zero y_i x_ip are left out, -kappa on lam is stored even when 0
+    dual_norm_nnz = 4 * P + (P + 1 if norm is NormKind.LINF else 0)
+    assert prog.A_ineq.nnz == 2 * np.count_nonzero(X) + 4 * N + dual_norm_nnz
 
 
 def test_central_qp_matches_dual_at_optimum():
