@@ -76,14 +76,16 @@ class FedBaselineConfig:
             raise ValueError(f"prox_mu must be nonnegative, got {self.prox_mu}")
 
 
-def l2_hinge_subgradient(w, X, y, c):
-    """Subgradient of mean hinge + c||w||^2 over the given rows. At the
-    hinge kink (margin exactly 1) the zero branch is taken."""
-    margins = y * (X @ w)
+def l2_hinge_subgradient(w, yX, c):
+    """Subgradient of mean hinge + c||w||^2 over the given rows of
+    yX = y[:, None] * X (labels folded into the features, so the margins
+    are yX @ w). At the hinge kink (margin exactly 1) the zero branch is
+    taken."""
+    margins = yX @ w
     active = margins < 1.0
     grad = 2.0 * c * w
     if active.any():
-        grad = grad - (y[active, None] * X[active]).sum(axis=0) / y.size
+        grad = grad - yX[active].sum(axis=0) / len(yX)
     return grad
 
 
@@ -114,6 +116,8 @@ def train_fed_l2_svm(client_data, cfg, seed, trace=None):
     n_total = sum(d.n for d in client_data)
     weights = np.array([d.n / n_total for d in client_data])
     penalties = [1.0 / (10.0 * d.n) for d in client_data]
+    # y = +-1, so folding the labels into the features is exact
+    signed = [d.y[:, None] * d.X for d in client_data]
 
     w = np.zeros(p)
     for t in range(1, cfg.T + 1):
@@ -130,9 +134,7 @@ def train_fed_l2_svm(client_data, cfg, seed, trace=None):
                     order = rng.permutation(data.n)
                 for start in range(0, data.n, batch):
                     idx = order[start:start + batch]
-                    grad = l2_hinge_subgradient(
-                        w_g, data.X[idx], data.y[idx], penalties[g]
-                    )
+                    grad = l2_hinge_subgradient(w_g, signed[g][idx], penalties[g])
                     if prox_mu > 0.0:
                         grad = grad + prox_mu * (w_g - w)
                     w_g = w_g - step * grad

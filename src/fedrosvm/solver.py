@@ -7,15 +7,18 @@ Solves
 
 with free variables, via a primal-dual path-following interior-point method
 with Mehrotra predictor-corrector steps. Two linear-algebra backends sit
-behind the same iteration:
+behind the same iteration; each also supplies the products A x, A'z and Q x
+that the iteration needs:
 
 * a dense Schur-complement path used when the program has no equality rows,
-  a diagonal Q, and the inequality columns split into a large set whose
+  a diagonal Q, and the inequality columns split into a large set S whose
   normal-matrix block is diagonal (each constraint row touches at most one
   such column) plus a small dense remainder. The epigraph-style programs
   built elsewhere in this package (hinge epigraphs s_n coupled only to a
-  P+1-dimensional model block) all have this shape, and the per-iteration
-  cost collapses to a (P+1)-sized factorization;
+  P+1-dimensional model block) all have this shape. The S block is stored
+  as one (column, coefficient) pair per row, so an iteration needs only
+  numpy gathers, `np.bincount` and dense products, plus one (P+1)-sized
+  Cholesky factorization and two solves through direct LAPACK calls;
 * a sparse augmented-KKT path (scipy splu) for everything else.
 
 The reduction is exact; backend choice affects speed and floating-point
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -34,6 +38,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "ConvexProgram",
@@ -49,6 +54,12 @@ log = logging.getLogger(__name__)
 # Diagonal regularization of every Newton system; keeps the KKT matrix
 # quasi-definite when Q is singular or the constraints are degenerate.
 REGULARIZATION = 1e-10
+
+# A warm-started solve whose KKT residual has not fallen WARM_STALL_DROP-fold
+# over the last WARM_STALL_WINDOW iterations gives up, so the caller can
+# retry cold instead of running to the iteration cap.
+WARM_STALL_WINDOW = 10
+WARM_STALL_DROP = 10.0
 
 
 def _as_sparse(a, shape):
@@ -179,52 +190,82 @@ def _schur_split(p: ConvexProgram):
 
 
 class _SchurBackend:
-    """Normal-equations Newton solve with diagonal elimination of the S block."""
+    """Normal-equations Newton solve with diagonal elimination of the S block.
+
+    Every inequality row touches at most one S column (`_schur_split`
+    guarantees it), so A_s is stored per row: `scol[i]` is the position in
+    S of row i's S column and `scoef[i]` its coefficient (0 for a row that
+    touches no S column). A_r, the few remaining columns, is kept dense with
+    its transpose. Every product inside an iteration is then a numpy
+    gather, `np.bincount` or dense matmul, and the (P+1)-sized Schur
+    complement is factored and solved by direct LAPACK calls (dpotrf and
+    dpotrs, the routines behind scipy's cho_factor and cho_solve).
+    """
 
     def __init__(self, p: ConvexProgram, split):
         s_idx, r_idx = split
         self.s_idx, self.r_idx = s_idx, r_idx
+        self.n, self.n_s, n_r = p.n, s_idx.size, r_idx.size
         A = p.A_ineq.tocsc()
-        self.A_s = A[:, s_idx].tocsr()
-        self.A_s2 = self.A_s.multiply(self.A_s).tocsr()
-        # transposes built once per program, not on every iteration
-        self.A_sT = self.A_s.T
-        self.A_s2T = self.A_s2.T
-        self.A_ineqT = p.A_ineq.T
-        self.A_r = np.asarray(A[:, r_idx].todense())
-        qdiag = p.Q.diagonal()
-        self.q_s = qdiag[s_idx]
-        self.q_r = qdiag[r_idx]
+        a_s = A[:, s_idx].tocoo()
+        a_s.sum_duplicates()
+        self.scol = np.zeros(p.m, dtype=np.intp)
+        self.scoef = np.zeros(p.m)
+        self.scol[a_s.row] = a_s.col
+        self.scoef[a_s.row] = a_s.data
+        self.scoef2 = self.scoef * self.scoef
+        self.col_of_row = s_idx[self.scol]  # A_s x = scoef * x[col_of_row]
+        self.A_r = A[:, r_idx].toarray()
+        self.A_rT = np.ascontiguousarray(self.A_r.T)
+        # flat (S position, r column) index of every A_r entry, for M_sr
+        self.sr_index = (self.scol[:, None] * n_r + np.arange(n_r)).ravel()
+        self.sr_size = self.n_s * n_r
+        self.qdiag = p.Q.diagonal()
+        self.q_s = self.qdiag[s_idx]
+        self.h_diag = np.diag(self.qdiag[r_idx] + REGULARIZATION)
+        self.dy = np.zeros(0)  # no equality rows
+
+    def a_dot(self, x: np.ndarray) -> np.ndarray:
+        return self.scoef * x[self.col_of_row] + self.A_r @ x[self.r_idx]
+
+    def at_dot(self, z: np.ndarray) -> np.ndarray:
+        out = np.bincount(self.col_of_row, self.scoef * z, minlength=self.n)
+        out[self.r_idx] = self.A_rT @ z
+        return out
+
+    def q_dot(self, x: np.ndarray) -> np.ndarray:
+        return self.qdiag * x
 
     def factor(self, w: np.ndarray):
-        self.d_s = self.q_s + (self.A_s2T @ w) + REGULARIZATION
+        # D_s = Q_ss + A_s' W A_s (diagonal), M_sr = A_s' W A_r,
+        # H = Q_rr + A_r' W A_r - M_sr' D_s^-1 M_sr
+        self.d_s = self.q_s + np.bincount(self.scol, self.scoef2 * w,
+                                          minlength=self.n_s) + REGULARIZATION
         arw = self.A_r * w[:, None]
-        self.m_sr = self.A_sT @ arw  # |S| x n_r dense
-        h = arw.T @ self.A_r + np.diag(self.q_r + REGULARIZATION)
+        self.m_sr = np.bincount(self.sr_index, (arw * self.scoef[:, None]).ravel(),
+                                minlength=self.sr_size).reshape(self.n_s, -1)
+        h = self.A_rT @ arw + self.h_diag
         h -= self.m_sr.T @ (self.m_sr / self.d_s[:, None])
         self.w = w
         if self.r_idx.size:
-            self.h_fac = scipy.linalg.cho_factor(h, check_finite=False)
+            self.h_fac, info = dpotrf(h, lower=False, clean=False)
+            if info > 0:
+                raise scipy.linalg.LinAlgError(
+                    f"{info}-th leading minor of the Schur complement is not positive definite")
 
     def solve(self, rhs_x: np.ndarray, g: np.ndarray, rhs_e: np.ndarray = None):
         # Newton rows:  (Q + A'WA) dx = rhs_x + A'W g ;  dz = W (A dx - g)
         wg = self.w * g
-        b = rhs_x.copy()
-        b[self.s_idx] += self.A_sT @ wg
-        b[self.r_idx] += self.A_r.T @ wg
-        b_s = b[self.s_idx]
-        b_r = b[self.r_idx] - self.m_sr.T @ (b_s / self.d_s)
-        if self.r_idx.size:
-            dx_r = scipy.linalg.cho_solve(self.h_fac, b_r, check_finite=False)
-        else:
-            dx_r = np.zeros(0)
+        b_s = rhs_x[self.s_idx] + np.bincount(self.scol, self.scoef * wg,
+                                              minlength=self.n_s)
+        b_r = rhs_x[self.r_idx] + self.A_rT @ wg - self.m_sr.T @ (b_s / self.d_s)
+        dx_r = dpotrs(self.h_fac, b_r, lower=False)[0] if self.r_idx.size else b_r
         dx_s = (b_s - self.m_sr @ dx_r) / self.d_s
-        dx = np.empty(len(self.s_idx) + len(self.r_idx))
+        dx = np.empty(self.n)
         dx[self.s_idx] = dx_s
         dx[self.r_idx] = dx_r
-        adx = self.A_s @ dx_s + self.A_r @ dx_r
-        dz = self.w * (adx - g)
-        return dx, dz, np.zeros(0)
+        dz = self.w * (self.scoef * dx_s[self.scol] + self.A_r @ dx_r - g)
+        return dx, dz, self.dy
 
 
 def _splu_kkt(kkt):
@@ -253,6 +294,15 @@ class _SparseBackend:
         self.reg_x = sp.identity(p.n) * REGULARIZATION
         self.reg_y = -sp.identity(p.k) * REGULARIZATION if p.k else None
 
+    def a_dot(self, x: np.ndarray) -> np.ndarray:
+        return self.p.A_ineq @ x
+
+    def at_dot(self, z: np.ndarray) -> np.ndarray:
+        return self.A_ineqT @ z
+
+    def q_dot(self, x: np.ndarray) -> np.ndarray:
+        return self.p.Q @ x
+
     def factor(self, w: np.ndarray):
         p = self.p
         d = -sp.diags(1.0 / w + REGULARIZATION)
@@ -277,11 +327,12 @@ class _SparseBackend:
         return dx, dz, dy
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+def _max_step(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray) -> float:
+    """Largest alpha with s + alpha*ds >= 0 and z + alpha*dz >= 0 (inf when
+    no component decreases)."""
+    v, dv = np.concatenate((s, z)), np.concatenate((ds, dz))
     neg = dv < 0
-    if not neg.any():
-        return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    return -float((v[neg] / dv[neg]).max(initial=-np.inf))
 
 
 def _solve_equality_only(p: ConvexProgram, cfg: SolverConfig) -> SolverSolution:
@@ -358,13 +409,14 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
     )
     scale_c = 1.0 + np.max(np.abs(p.c), initial=0.0)
 
-    if warm is not None and warm[0] is not None and len(warm[0]) == n:
+    warm_started = warm is not None and warm[0] is not None and len(warm[0]) == n
+    if warm_started:
         # re-center the previous optimum at a moderate complementarity level
         # so the first Newton steps can absorb the changed objective
         x = np.asarray(warm[0], dtype=float).copy()
         lift = np.sqrt(1e-4 * scale_b * scale_c)
         z = np.maximum(np.asarray(warm[1], dtype=float), lift)
-        s = np.maximum(p.b_ineq - p.A_ineq @ x, lift)
+        s = np.maximum(p.b_ineq - backend.a_dot(x), lift)
         y = np.zeros(k)
     else:
         # centered cold start: one Newton solve at (x, s, z) = (0, 1, 1)
@@ -373,8 +425,8 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
         z = np.ones(m)
         y = np.zeros(k)
         backend.factor(z / s)
-        r_d = p.Q @ x + p.c + backend.A_ineqT @ z + (p.A_eq.T @ y if k else 0.0)
-        r_p = p.A_ineq @ x + s - p.b_ineq
+        r_d = backend.q_dot(x) + p.c + backend.at_dot(z) + (p.A_eq.T @ y if k else 0.0)
+        r_p = backend.a_dot(x) + s - p.b_ineq
         r_e = p.A_eq @ x - p.b_eq if k else np.zeros(0)
         dx, dz, dy = backend.solve(-r_d, -r_p + s - 1.0 / z, -r_e)
         ds = (-s * z + 1.0 - s * dz) / z
@@ -391,46 +443,62 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
     mu0 = (s @ z) / m
     stall = 0
     kkt_resid = np.inf
+    trail = []  # KKT residuals of a warm-started solve, for the stall exit
+    no_eq = np.zeros(0)
     for it in range(1, cfg.max_iterations + 1):
-        qx = p.Q @ x
-        r_d = qx + p.c + backend.A_ineqT @ z + (p.A_eq.T @ y if k else 0.0)
-        r_p = p.A_ineq @ x + s - p.b_ineq
-        r_e = p.A_eq @ x - p.b_eq if k else np.zeros(0)
+        qx = backend.q_dot(x)
+        r_d = qx + p.c + backend.at_dot(z)
+        if k:
+            r_d += p.A_eq.T @ y
+        r_p = backend.a_dot(x) + s - p.b_ineq
+        r_e = p.A_eq @ x - p.b_eq if k else no_eq
         mu = (s @ z) / m
         obj = float(0.5 * (x @ qx) + p.c @ x)
 
-        rd_rel = np.max(np.abs(r_d)) / (scale_c + np.max(np.abs(qx), initial=0.0))
-        rp_rel = max(np.max(np.abs(r_p), initial=0.0), np.max(np.abs(r_e), initial=0.0)) / scale_b
+        rd_rel = np.abs(r_d).max() / (scale_c + np.abs(qx).max())
+        rp_rel = np.abs(r_p).max()
+        if k:
+            rp_rel = max(rp_rel, np.abs(r_e).max())
+        rp_rel /= scale_b
         gap_rel = mu / (1.0 + abs(obj))
         kkt_resid = max(rd_rel, rp_rel, gap_rel)
         if kkt_resid <= cfg.eps2:
             return SolverSolution(x, obj, SolverStatus.OPTIMAL, float(kkt_resid), it - 1, "",
                                   z_star=z, y_star=y)
-        if not np.isfinite(kkt_resid) or mu > 1e10 * (1.0 + mu0) or np.max(np.abs(x)) > 1e13:
+        x_max = np.abs(x).max()
+        if not math.isfinite(kkt_resid) or mu > 1e10 * (1.0 + mu0) or x_max > 1e13:
             return SolverSolution(
                 x, obj, SolverStatus.NUMERICAL_FAILURE, float(kkt_resid), it - 1,
                 "iterates diverging: problem is likely infeasible or unbounded "
-                f"(mu={mu:.2e}, |x|={np.max(np.abs(x)):.2e})", z_star=z, y_star=y)
+                f"(mu={mu:.2e}, |x|={x_max:.2e})", z_star=z, y_star=y)
+        if warm_started:
+            trail.append(kkt_resid)
+            if len(trail) > WARM_STALL_WINDOW and \
+                    kkt_resid * WARM_STALL_DROP > trail[-1 - WARM_STALL_WINDOW]:
+                return SolverSolution(x, obj, SolverStatus.NUMERICAL_FAILURE,
+                                      float(kkt_resid), it - 1, "warm start stalled",
+                                      z_star=z, y_star=y)
 
         backend.factor(z / s)
+        minus_r_d, minus_r_e, sz = -r_d, -r_e, s * z
 
         # predictor (affine scaling) direction
-        rc = -s * z
+        rc = -sz
         g_aff = -r_p - rc / z
-        dx_a, dz_a, dy_a = backend.solve(-r_d, g_aff, -r_e)
+        dx_a, dz_a, dy_a = backend.solve(minus_r_d, g_aff, minus_r_e)
         ds_a = (rc - s * dz_a) / z
-        alpha_a = min(1.0, _max_step(s, ds_a), _max_step(z, dz_a))
+        alpha_a = min(1.0, _max_step(s, ds_a, z, dz_a))
         mu_aff = ((s + alpha_a * ds_a) @ (z + alpha_a * dz_a)) / m
         sigma = min(max((mu_aff / mu) ** 3, 1e-10), 1.0 - 1e-10)
 
         # corrector
-        rc = sigma * mu - s * z - ds_a * dz_a
+        rc = sigma * mu - sz - ds_a * dz_a
         g = -r_p - rc / z
-        dx, dz, dy = backend.solve(-r_d, g, -r_e)
+        dx, dz, dy = backend.solve(minus_r_d, g, minus_r_e)
         ds = (rc - s * dz) / z
 
         eta = 0.99995 if gap_rel < 1e-3 else 0.995
-        alpha = min(1.0, eta * _max_step(s, ds), eta * _max_step(z, dz))
+        alpha = min(1.0, eta * _max_step(s, ds, z, dz))
         if alpha < 1e-10:
             stall += 1
             if stall >= 3:
@@ -442,7 +510,8 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
         x = x + alpha * dx
         s = s + alpha * ds
         z = z + alpha * dz
-        y = y + alpha * dy
+        if k:
+            y = y + alpha * dy
 
     return SolverSolution(x, p.objective(x), SolverStatus.MAX_ITERATIONS, float(kkt_resid),
                           cfg.max_iterations, "iteration cap reached", z_star=z, y_star=y)

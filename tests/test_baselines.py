@@ -98,7 +98,7 @@ def test_hinge_subgradient_hand_values():
     w = np.array([0.5, 0.5])
     # margins: 0.5 (active), -0.5 (active), 1.0 (kink, inactive)
     expected = 2.0 * 0.1 * w + (-(X[0]) + X[1]) / 3.0
-    got = l2_hinge_subgradient(w, X, y, c=0.1)
+    got = l2_hinge_subgradient(w, y[:, None] * X, c=0.1)
     assert np.allclose(got, expected)
 
 
@@ -106,7 +106,19 @@ def test_hinge_subgradient_all_inactive_is_pure_ridge():
     X = np.array([[1.0, 0.0]])
     y = np.array([1.0])
     w = np.array([3.0, 0.0])
-    assert np.allclose(l2_hinge_subgradient(w, X, y, c=0.25), 0.5 * w)
+    assert np.allclose(l2_hinge_subgradient(w, y[:, None] * X, c=0.25), 0.5 * w)
+
+
+def test_hinge_subgradient_on_folded_labels_is_exact():
+    # y = +-1, so y[:, None] * X gives bit for bit the unfolded rule
+    rng = np.random.default_rng(12)
+    X = rng.random((40, 3))
+    y = np.where(rng.random(40) < 0.5, 1, -1)
+    w = rng.standard_normal(3)
+    active = y * (X @ w) < 1.0
+    unfolded = 2.0 * 0.1 * w - (y[active, None] * X[active]).sum(axis=0) / y.size
+    assert 0 < active.sum() < 40
+    assert np.array_equal(l2_hinge_subgradient(w, y[:, None] * X, c=0.1), unfolded)
 
 
 # -------------------------------------------------------- federated family
@@ -132,7 +144,7 @@ def test_single_client_fedsgd_equals_plain_subgradient_descent():
     c = 1.0 / (10.0 * data.n)
     w = np.zeros(data.p)
     for t in range(1, cfg.T + 1):
-        w = w - (cfg.gamma0 / t) * l2_hinge_subgradient(w, data.X, data.y, c)
+        w = w - (cfg.gamma0 / t) * l2_hinge_subgradient(w, data.y[:, None] * data.X, c)
         assert np.array_equal(trace[t - 1], w)
 
 

@@ -2,8 +2,10 @@
 server/client federation across separate OS processes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -132,9 +134,14 @@ def test_help_and_missing_subcommand_exit_codes(capsys):
 def serve_over_tcp(cfg_path):
     """Run `serve` and both `client` subcommands as separate processes and
     return the server's JSON report."""
+    # the children import fedrosvm from this checkout's src/, whatever the
+    # parent's PYTHONPATH
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     server = subprocess.Popen(
         [sys.executable, "-m", "fedrosvm.cli", "serve", "-c", cfg_path, "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
     try:
         banner = server.stdout.readline()
@@ -145,7 +152,7 @@ def serve_over_tcp(cfg_path):
             subprocess.Popen(
                 [sys.executable, "-m", "fedrosvm.cli", "client", "-c", cfg_path,
                  "--address", address, "--client-id", str(g)],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
             )
             for g in range(2)
         ]

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from fedrosvm import robust
+from fedrosvm import robust, solver
 from fedrosvm.core import DatasetView, NormKind, dual_norm, hinge_losses
 from fedrosvm.robust import (
     ClientConfig,
@@ -679,6 +679,53 @@ def test_admm_warm_to_cold_retry_is_logged(monkeypatch, caplog):
     assert calls == [True, False]
     assert "client 3" in caplog.text
     assert "iteration cap reached" in caplog.text
+
+
+# One client shard and two consecutive ADMM anchors (rho = 0.01) on which
+# the warm-started proximal QP cycles at a KKT residual near 1e-5 while a
+# cold start solves it in 8 iterations; taken from a synthetic federation
+# (N = 40, G = 2, round 13) and rounded to 3 decimals.
+STALL_X = [[0.652, 0.163], [0.68, 0.065], [0.43, 0.438], [0.681, 0.169],
+           [0.845, 0.418], [0.516, 0.414], [1.0, 0.0], [0.337, 0.874],
+           [0.074, 1.0], [0.0, 0.31], [0.265, 0.747], [0.483, 0.89],
+           [0.544, 0.748], [0.742, 0.605]]
+STALL_Y = [1] * 7 + [-1] * 7
+STALL_ANCHORS = ([4.228, -6.589], [4.006, -6.768])
+
+
+def test_stalled_warm_start_gives_up_early_and_retries_cold(monkeypatch, caplog):
+    data = make_data(STALL_X, STALL_Y)
+    cfg = ClientConfig(epsilon=1.0 / 140.0, kappa=1.0, rho=0.01)
+    client = ClientModel(w_g=np.zeros(2), mu_g=np.zeros(2))
+    cache = {}
+    admm_client_step(np.array(STALL_ANCHORS[0]), client, data, cfg, cache=cache)
+    warm_point = cache["warm"]
+    real_solve = robust.solve
+    calls = []
+
+    def recording(prog, warm=None):
+        sol = real_solve(prog, warm=warm)
+        calls.append((warm is not None, sol))
+        return sol
+
+    monkeypatch.setattr(robust, "solve", recording)
+    with caplog.at_level(logging.WARNING, logger="fedrosvm.robust"):
+        step = admm_client_step(np.array(STALL_ANCHORS[1]), client, data, cfg,
+                                cache=cache, client_id=1)
+    (was_warm, stalled), (retry_warm, cold) = calls
+    assert was_warm and not retry_warm
+    assert stalled.status is not SolverStatus.OPTIMAL
+    assert stalled.message == "warm start stalled"
+    assert stalled.iterations < 20
+    assert cold.status is SolverStatus.OPTIMAL
+    np.testing.assert_array_equal(step.w_g, cold.x_star[:2])
+    assert "client 1" in caplog.text and "warm start stalled" in caplog.text
+
+    # without the stall exit the same warm start runs to the iteration cap
+    monkeypatch.setattr(solver, "WARM_STALL_WINDOW", 10**9)
+    capped = real_solve(cache["program"], warm=warm_point)
+    assert capped.status is SolverStatus.MAX_ITERATIONS
+    assert capped.iterations == SolverConfig().max_iterations
 
 
 def test_client_qp_requires_anchor_with_rho():

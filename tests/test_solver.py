@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 
 from fedrosvm import solver
+from fedrosvm.core import DatasetView, NormKind
+from fedrosvm.robust import ClientConfig, build_risk_epigraph_qp
 from fedrosvm.solver import (
     ConvexProgram,
     SolverConfig,
@@ -36,6 +38,45 @@ def epigraph_program(rng):
     q[:n_r] = 1.0
     c = np.concatenate([rng.normal(size=n_r) * 0.1, np.full(n_s, 1.0 / n_s)])
     return ConvexProgram(n=n, Q=np.diag(q), c=c, A_ineq=np.vstack(rows), b_ineq=rhs)
+
+
+def epigraph_variants():
+    """Risk epigraphs on random shards: both norms, kappa in {0, 1} and
+    (rho, tau) in {(0, 0), (0.7, 0), (0.7, 0.3)}."""
+    rng = np.random.default_rng(57)
+    for norm in (NormKind.L1, NormKind.LINF):
+        for kappa in (0.0, 1.0):
+            for rho, tau in ((0.0, 0.0), (0.7, 0.0), (0.7, 0.3)):
+                N, P = int(rng.integers(5, 40)), int(rng.integers(1, 5))
+                data = DatasetView(X=rng.random((N, P)),
+                                   y=np.where(rng.random(N) < 0.5, 1, -1))
+                cfg = ClientConfig(epsilon=0.05, kappa=kappa, norm=norm)
+                yield build_risk_epigraph_qp(data, cfg, rho=rho, tau=tau,
+                                             anchor=rng.standard_normal(P))
+
+
+def scaled_s_program():
+    """Schur-eligible QP whose S coefficients are not -1 and where some
+    rows touch no S column: 2 dense columns r, 4 eliminable columns s."""
+    A = np.array([
+        [0.5, -1.0, 2.5, 0.0, 0.0, 0.0],
+        [1.5, 0.3, 0.0, -0.3, 0.0, 0.0],
+        [-0.7, 2.0, 0.0, 0.0, 4.0, 0.0],
+        [0.2, 0.9, 0.0, 0.0, 0.0, -1.7],
+        [0.0, 0.0, -2.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, -0.5, 0.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # rows on r alone
+        [0.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    b = np.array([1.0, 0.5, 2.0, 0.3, 1.0, 1.0, 0.8, 0.6])
+    q = np.array([0.0, 0.4, 1.0, 0.0, 2.0, 0.5])
+    c = np.array([-1.0, 0.7, -0.4, 1.2, 0.3, 0.9])
+    return ConvexProgram(n=6, Q=np.diag(q), c=c, A_ineq=A, b_ineq=b)
+
+
+def schur_eligible_programs():
+    yield from epigraph_variants()
+    yield scaled_s_program()
 
 
 def random_box_lp(rng, n=None):
@@ -204,13 +245,38 @@ class TestDeterminismAndBackends:
         assert a.x_star.tobytes() == b.x_star.tobytes()
         assert a.objective == b.objective
 
+    def test_schur_backend_stores_one_s_entry_per_row(self):
+        p = scaled_s_program()
+        split = solver._schur_split(p)
+        assert [idx.tolist() for idx in split] == [[2, 3, 4, 5], [0, 1]]
+        backend = solver._SchurBackend(p, split)
+        assert backend.scol.tolist() == [0, 1, 2, 3, 0, 2, 0, 0]
+        assert backend.scoef.tolist() == [2.5, -0.3, 4.0, -1.7, -2.0, -0.5, 0.0, 0.0]
+
+    def test_schur_products_match_scipy(self):
+        rng = np.random.default_rng(5)
+        for i, p in enumerate(schur_eligible_programs()):
+            split = solver._schur_split(p)
+            assert split is not None, i
+            backend = solver._SchurBackend(p, split)
+            x, z = rng.standard_normal(p.n), rng.standard_normal(p.m)
+            for got, want in ((backend.a_dot(x), p.A_ineq @ x),
+                              (backend.at_dot(z), p.A_ineq.T @ z),
+                              (backend.q_dot(x), p.Q @ x)):
+                np.testing.assert_allclose(got, want, rtol=1e-13,
+                                           atol=1e-13 * np.abs(want).max(initial=1.0))
+
     def test_schur_and_sparse_backends_agree(self):
-        p = epigraph_program(np.random.default_rng(31))
-        fast = solve(p)
-        slow = solve(p, _force_sparse=True)
-        assert fast.status is SolverStatus.OPTIMAL
-        assert slow.status is SolverStatus.OPTIMAL
-        assert fast.objective == pytest.approx(slow.objective, rel=1e-7, abs=1e-8)
+        programs = [epigraph_program(np.random.default_rng(31)), *schur_eligible_programs()]
+        for i, p in enumerate(programs):
+            fast = solve(p)
+            assert isinstance(p._backend_cache[2], solver._SchurBackend), i
+            slow = solve(p, _force_sparse=True)
+            assert fast.status is SolverStatus.OPTIMAL, (i, fast.message)
+            assert slow.status is SolverStatus.OPTIMAL, (i, slow.message)
+            assert fast.objective == pytest.approx(slow.objective, rel=1e-7, abs=1e-8), i
+            np.testing.assert_allclose(fast.x_star, slow.x_star, rtol=1e-7, atol=1e-7,
+                                       err_msg=str(i))
 
     def test_schur_failure_falls_back_loudly(self, monkeypatch, caplog):
         def broken(self, w):
