@@ -42,17 +42,17 @@ for kappa in (0.5, 2.0):
     print(f"  worst-case risk: {dist.risk(w):.6f} (atoms)  {dual_value:.6f} (dual)")
     print(f"  optimal dual multiplier: {lam:.4f}")
 
-    # Each empirical point splits into a kept-label atom (mass beta+) and a
-    # flipped-label atom (mass beta-). Movement spends the feature norm,
-    # a flip spends kappa.
+    # Each empirical point splits into a kept-label atom (row i, mass beta+)
+    # and a flipped-label atom (row n + i, mass beta-). Movement spends the
+    # feature norm, a flip spends kappa. A dropped atom has mass 0 and sits
+    # at its own sample, so it shows no movement.
+    n = dist.n
+    kept, flipped = dist.mass[:n], dist.mass[n:]
+    moved = np.abs(dist.z[:n] - X).sum(axis=1)
     print("   i  y_i   beta+  beta-   moved by   flip?")
-    for i in range(dist.n):
-        shift = 0.0
-        if dist.has_plus[i]:
-            shift = float(np.abs(dist.z_plus[i] - X[i]).sum())
-        print(f"  {i:2d}  {int(y[i]):+d}   {dist.beta_plus[i]:5.2f}  "
-              f"{dist.beta_minus[i]:5.2f}   {shift:8.4f}   "
-              f"{'yes' if dist.has_minus[i] and dist.beta_minus[i] > 1e-9 else 'no'}")
+    for i in range(n):
+        print(f"  {i:2d}  {int(y[i]):+d}   {kept[i]:5.2f}  {flipped[i]:5.2f}   "
+              f"{moved[i]:8.4f}   {'yes' if flipped[i] > 0.0 else 'no'}")
 
     spent = dist.transport_spent(data, cfg)
     print(f"  budget spent: {spent:.6f} of {cfg.epsilon}")

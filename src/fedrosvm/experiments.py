@@ -170,6 +170,8 @@ class ExperimentConfig:
                 raise ConfigError(f"grid for {knob!r} is empty")
         if self.model != "central_dr" and "T" not in self.grid:
             raise ConfigError("federated models need a 'T' list in the grid")
+        if any(int(t) < 1 for t in self.grid.get("T", [])):
+            raise ConfigError("round counts in the 'T' grid must be >= 1")
         merged = dict(DEFAULT_FIXED)
         merged.update(self.fixed)
         self.fixed = merged
@@ -230,24 +232,26 @@ def pool(shards):
                        y=np.concatenate([s.y for s in shards]))
 
 
+def _radius(cfg, params, n):
+    """Wasserstein radius of a client (or of the pooled data) with n
+    samples: a gridded epsilon first, then the fixed one; a null epsilon
+    means the heuristic 1/(beta*n), with beta gridded or fixed."""
+    eps = params["epsilon"] if "epsilon" in params else cfg.fixed["epsilon"]
+    if eps is None:
+        eps = radius_heuristic(n, params.get("beta", cfg.fixed["beta"]))
+    return eps
+
+
 def _client_configs(cfg, params, shards):
     G = len(shards)
     kappa = params.get("kappa", cfg.fixed["kappa"])
-    beta = params.get("beta", cfg.fixed["beta"])
     norm = NORMS[cfg.fixed["norm"]]
     tau = 0.0
     if cfg.model == "admm_sc":
         tau = cfg.fixed["tau_factor"] * params["rho"]
-    out = []
-    for s in shards:
-        eps = cfg.fixed["epsilon"]
-        if params.get("epsilon") is not None:
-            eps = params["epsilon"]
-        if eps is None:
-            eps = radius_heuristic(s.n, beta)
-        out.append(ClientConfig(epsilon=eps, kappa=kappa, alpha=1.0 / G,
-                                norm=norm, tau=tau))
-    return out
+    return [ClientConfig(epsilon=_radius(cfg, params, s.n), kappa=kappa,
+                         alpha=1.0 / G, norm=norm, tau=tau)
+            for s in shards]
 
 
 def federation_config(cfg, params, shards, T):
@@ -286,60 +290,54 @@ def train_model(cfg, params, shards, seed):
     """Train the configured model at one grid point. Returns the model and
     a per-round telemetry list (empty for non-federated models and the
     l2 baselines)."""
-    name = cfg.model
-    if name in MODEL_ALGORITHMS:
-        fed = federation_config(cfg, params, shards, int(params["T"]))
-        result = run_federation(fed, shards)
-        model = kept_model(name, result)
-        rounds = [
-            {"t": tr.t, "objective": tr.global_objective,
-             "consensus_residual": tr.consensus_residual, "wall_time": tr.wall_time}
-            for tr in result.traces
-        ]
-        return model, rounds
-    if name == "central_dr":
-        pooled = pool(shards)
-        eps = params.get("epsilon", cfg.fixed["epsilon"])
-        if eps is None:
-            eps = radius_heuristic(pooled.n, cfg.fixed["beta"])
-        central = CentralDrConfig(
-            epsilon=eps, kappa=params.get("kappa", cfg.fixed["kappa"]),
-            norm=NORMS[cfg.fixed["norm"]],
-        )
-        return train_central_dr_svm(pooled, central), []
-    base = baseline_config(cfg, params, int(params["T"]))
-    return train_fed_l2_svm(shards, base, seed), []
+    T = None if cfg.model == "central_dr" else int(params["T"])
+    models, rounds = _snapshots_over_t(cfg, params, shards, [T], seed)
+    return models[T], rounds
 
 
 def _snapshots_over_t(cfg, params, shards, t_grid, seed):
     """Train once at max(t_grid) and read off the model at every requested
     round count. Round prefixes are unaffected by later rounds, so each
-    snapshot equals a fresh run at that T."""
+    snapshot equals a fresh run at that T. Returns ({T: model}, per-round
+    telemetry of the run); the central model takes t_grid = [None]."""
     name = cfg.model
+    if name == "central_dr":
+        pooled = pool(shards)
+        central = CentralDrConfig(
+            epsilon=_radius(cfg, params, pooled.n),
+            kappa=params.get("kappa", cfg.fixed["kappa"]),
+            norm=NORMS[cfg.fixed["norm"]],
+        )
+        return {None: train_central_dr_svm(pooled, central)}, []
     t_max = max(t_grid)
-    if name in MODEL_ALGORITHMS:
-        result = run_federation(federation_config(cfg, params, shards, t_max), shards)
-        out = {}
-        if name == "sm":
-            best_w, best_obj = None, math.inf
-            wanted = set(t_grid)
-            for tr in result.traces:
-                if tr.global_objective < best_obj:
-                    best_obj, best_w = tr.global_objective, tr.w_after
-                if tr.t in wanted:
-                    out[tr.t] = GlobalModel(w=best_w.copy())
-        else:
-            for tr in result.traces:
-                if tr.t in t_grid:
-                    out[tr.t] = GlobalModel(w=tr.w_after.copy())
-        return out
-    # l2 baselines: snapshot the averaged iterate trace
-    trace = []
-    train_fed_l2_svm(shards, baseline_config(cfg, params, t_max), seed, trace=trace)
-    return {t: GlobalModel(w=trace[t - 1]) for t in t_grid}
+    if name not in MODEL_ALGORITHMS:
+        # l2 baselines: snapshot the averaged iterate trace
+        trace = []
+        train_fed_l2_svm(shards, baseline_config(cfg, params, t_max), seed, trace=trace)
+        return {t: GlobalModel(w=trace[t - 1]) for t in t_grid}, []
+    result = run_federation(federation_config(cfg, params, shards, t_max), shards)
+    rounds = [
+        {"t": tr.t, "objective": tr.global_objective,
+         "consensus_residual": tr.consensus_residual, "wall_time": tr.wall_time}
+        for tr in result.traces
+    ]
+    # sm keeps the best-objective iterate so far, the ADMM variants the last
+    out = {}
+    best_w, best_obj = None, math.inf
+    for tr in result.traces:
+        if name != "sm" or tr.global_objective < best_obj:
+            best_obj, best_w = tr.global_objective, tr.w_after
+        if tr.t in t_grid:
+            out[tr.t] = GlobalModel(w=best_w.copy())
+    return out, rounds
 
 
 # ----------------------------------------------------------- cross-validation
+
+
+# Redraws of the fold assignment allowed before a single-class validation
+# fold is accepted.
+FOLD_REDRAWS = 20
 
 
 def _stratified_fold_labels(y, folds, rng):
@@ -352,11 +350,12 @@ def _stratified_fold_labels(y, folds, rng):
     return assignment
 
 
-def build_folds(shards, folds, seed, max_attempts=20):
+def build_folds(shards, folds, seed):
     """Per-client fold assignments. If some fold's pooled validation view
-    ends up single-class, all assignments are redrawn with the next seed;
-    the number of redraws is reported (and kept at the last attempt if the
-    data cannot satisfy the condition, e.g. one minority sample total)."""
+    ends up single-class, all assignments are redrawn with the next seed, at
+    most FOLD_REDRAWS times; the number of redraws is reported (and the last
+    draw kept if the data cannot satisfy the condition, e.g. one minority
+    sample total)."""
     attempt = 0
     while True:
         assignments = [
@@ -373,7 +372,7 @@ def build_folds(shards, folds, seed, max_attempts=20):
             if val_labels.size == 0 or np.unique(val_labels).size < 2:
                 ok = False
                 break
-        if ok or attempt >= max_attempts:
+        if ok or attempt >= FOLD_REDRAWS:
             return assignments, attempt
         attempt += 1
 
@@ -394,7 +393,8 @@ def cross_validate(cfg, shards, seed):
     Returns (chosen params, report)."""
     assignments, resamples = build_folds(shards, cfg.cv_folds, seed)
     points = grid_points(cfg.grid)
-    t_grid = sorted(int(t) for t in cfg.grid["T"]) if "T" in cfg.grid else None
+    # the central model has no rounds: it is scored once, at T = None
+    t_grid = [None] if cfg.model == "central_dr" else sorted(int(t) for t in cfg.grid["T"])
 
     # scores[(point index, T)] -> list of fold F1
     scores = {}
@@ -409,17 +409,13 @@ def cross_validate(cfg, shards, seed):
                 val_parts.append(s.subset(held))
         val = pool(val_parts)
         for i, point in enumerate(points):
-            if t_grid is None:
-                model, _ = train_model(cfg, point, train_shards, seed)
-                scores.setdefault((i, None), []).append(evaluate(model, val).f1)
-            else:
-                snaps = _snapshots_over_t(cfg, point, train_shards, t_grid, seed)
-                for t, model in snaps.items():
-                    scores.setdefault((i, t), []).append(evaluate(model, val).f1)
+            snaps, _ = _snapshots_over_t(cfg, point, train_shards, t_grid, seed)
+            for t, model in snaps.items():
+                scores.setdefault((i, t), []).append(evaluate(model, val).f1)
 
     table = []
     for i, point in enumerate(points):
-        for t in (t_grid if t_grid is not None else [None]):
+        for t in t_grid:
             fold_f1 = scores[(i, t)]
             full = dict(point) if t is None else {**point, "T": t}
             table.append({"params": full, "mean_f1": float(np.mean(fold_f1)),

@@ -12,9 +12,10 @@ Conventions used throughout (and relied on by the tests):
 
 * the adversary moves mass from the empirical point (x_i, y_i) to two atoms,
   one keeping the label and one flipping it;
-* the kept-label atom carries mass beta_plus_i and sits at
-  z_plus_i = x_i - q_plus_i / beta_plus_i, the flipped atom carries
-  beta_minus_i and sits at z_minus_i = x_i - q_minus_i / beta_minus_i;
+* the 2N atoms are stacked: row i < N is sample i with its label kept,
+  row N + i is sample i with its label flipped. Atom k carries mass beta_k
+  and sits at z_k = x_i - q_k / beta_k with label y_i (kept) or -y_i
+  (flipped); a dropped atom has mass 0 and sits at its own sample;
 * transport is paid as ||z - x|| (feature norm from the config) plus kappa
   per unit of flipped mass, and the average over samples must stay within
   epsilon.
@@ -31,17 +32,12 @@ silently change the geometry. We refuse instead.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .core import (
-    NormKind,
-    dual_norm,
-    feature_norm,
-    hinge_losses,
-)
+from .core import NormKind, dual_norm, hinge_losses
 from .solver import ConvexProgram, SolverStatus, solve
 
 log = logging.getLogger(__name__)
@@ -54,6 +50,13 @@ MASS_DROP_TOL = 1e-9
 # subgradient. At the kink we take the active endpoint of the subdifferential
 # interval, which keeps runs reproducible.
 KINK_TOL = 1e-10
+
+# Slack `WorstCaseDistribution.validate` grants the solver: on per-sample
+# mass and negative atom mass, on the unit-box support, and on the average
+# transport budget.
+VALID_MASS_TOL = 1e-7
+VALID_SUPPORT_TOL = 1e-7
+VALID_BUDGET_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,8 @@ def _csr(entries, shape):
 def _sm_lp_layout(N, P, norm):
     """Column layout of the worst-case LP after the two beta blocks and
     the aux block at column 2N (one t per atom, or one u per coordinate):
-    (n_aux, off_qp, off_qm, n)."""
+    (n_aux, off_qp, off_qm, n). The q+ and q- blocks are adjacent, so
+    columns off_qp:n read row-major as one (2N, P) block of stacked atoms."""
     NP = N * P
     n_aux = 2 * N if norm is NormKind.LINF else 2 * NP
     off_qp = 2 * N + n_aux
@@ -227,165 +231,110 @@ def build_sm_lp(w, data, cfg):
 
 @dataclass
 class WorstCaseDistribution:
-    """Extremal distribution: two atoms per sample, one per label sign.
+    """Extremal distribution: 2N labeled atoms, two per sample.
 
-    Atoms with mass below the drop tolerance are removed and their mass is
-    folded into the surviving sibling atom, so per-sample mass always sums
-    to one. Rows of z_plus / z_minus are only meaningful where the
-    corresponding mask is set.
+    The atoms are stacked as in the module conventions: row i < N is
+    sample i with its label kept, row N + i is sample i with its label
+    flipped. Atoms whose LP mass falls below the drop tolerance get mass 0
+    and sit at their own sample; the surviving sibling then carries the
+    sample's whole unit of mass, so mass[:N] + mass[N:] is always one.
     """
 
-    y: np.ndarray  # original labels, shape (N,)
-    beta_plus: np.ndarray  # kept-label mass, shape (N,)
-    beta_minus: np.ndarray  # flipped-label mass, shape (N,)
-    z_plus: np.ndarray  # kept-label atom locations, shape (N, P)
-    z_minus: np.ndarray  # flipped-label atom locations, shape (N, P)
-    has_plus: np.ndarray = field(default=None)
-    has_minus: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.has_plus is None:
-            self.has_plus = self.beta_plus > 0.0
-        if self.has_minus is None:
-            self.has_minus = self.beta_minus > 0.0
+    z: np.ndarray  # atom locations, shape (2N, P)
+    label: np.ndarray  # atom labels, y then -y, shape (2N,)
+    mass: np.ndarray  # atom masses, shape (2N,)
 
     @property
     def n(self):
-        return self.y.shape[0]
+        return self.label.shape[0] // 2
 
     def risk(self, w):
         """Expected hinge loss of w under this distribution (true hinges,
         not the LP surrogate)."""
-        total = 0.0
-        if self.has_plus.any():
-            lp = hinge_losses(w, self.z_plus[self.has_plus], self.y[self.has_plus])
-            total += float(self.beta_plus[self.has_plus] @ lp)
-        if self.has_minus.any():
-            lm = hinge_losses(w, self.z_minus[self.has_minus], -self.y[self.has_minus])
-            total += float(self.beta_minus[self.has_minus] @ lm)
-        return total / self.n
+        return float(self.mass @ hinge_losses(w, self.z, self.label)) / self.n
 
     def transport_spent(self, data, cfg):
         """Average transport cost from the empirical points, feature moves
         plus kappa per unit of flipped mass."""
-        spent = 0.0
-        for i in range(self.n):
-            if self.has_plus[i]:
-                spent += self.beta_plus[i] * feature_norm(
-                    self.z_plus[i] - data.X[i], cfg.norm
-                )
-            if self.has_minus[i]:
-                spent += self.beta_minus[i] * (
-                    feature_norm(self.z_minus[i] - data.X[i], cfg.norm) + cfg.kappa
-                )
-        return spent / self.n
+        move = np.abs(self.z - np.vstack([data.X, data.X]))
+        if cfg.norm is NormKind.L1:
+            cost = move.sum(axis=1)
+        else:
+            cost = move.max(axis=1, initial=0.0)
+        cost[self.n:] += cfg.kappa
+        return float(self.mass @ cost) / self.n
 
-    def validate(self, data, cfg, mass_tol=1e-7, support_tol=1e-7, budget_tol=1e-6):
+    def validate(self, data, cfg):
         """Return a list of violation messages (empty when the distribution
         is a certified member of the ambiguity ball)."""
+        N = self.n
         problems = []
-        mass = self.beta_plus + self.beta_minus
-        worst = float(np.max(np.abs(mass - 1.0))) if self.n else 0.0
-        if worst > mass_tol:
+        per_sample = self.mass[:N] + self.mass[N:]
+        worst = float(np.max(np.abs(per_sample - 1.0))) if N else 0.0
+        if worst > VALID_MASS_TOL:
             problems.append(f"per-sample mass deviates from 1 by {worst:.3e}")
-        if (self.beta_plus < -mass_tol).any() or (self.beta_minus < -mass_tol).any():
+        if (self.mass < -VALID_MASS_TOL).any():
             problems.append("negative atom mass")
-        for mask, z, tag in (
-            (self.has_plus, self.z_plus, "kept"),
-            (self.has_minus, self.z_minus, "flipped"),
-        ):
-            if mask.any():
-                zz = z[mask]
-                if zz.min() < -support_tol or zz.max() > 1.0 + support_tol:
-                    problems.append(f"{tag}-label atom escapes the unit box")
+        outside = (self.z < -VALID_SUPPORT_TOL) | (self.z > 1.0 + VALID_SUPPORT_TOL)
+        escaped = (self.mass > 0.0) & outside.any(axis=1)
+        for tag, half in zip(("kept", "flipped"), escaped.reshape(2, N)):
+            if half.any():
+                problems.append(f"{tag}-label atom escapes the unit box")
         spent = self.transport_spent(data, cfg)
-        if spent > cfg.epsilon + budget_tol:
+        if spent > cfg.epsilon + VALID_BUDGET_TOL:
             problems.append(
                 f"transport budget exceeded: {spent:.6g} > {cfg.epsilon:.6g}"
             )
         return problems
 
 
-def extract_worst_case(solution, data, cfg, drop_tol=MASS_DROP_TOL):
+def extract_worst_case(solution, data, cfg):
     """Recover the extremal distribution from a solved worst-case LP.
 
-    Atom locations are x_i - q_i / beta_i per label sign. Where beta is
-    (numerically) zero the atom is dropped and its residual mass is handed
-    to the sibling so each sample still carries unit mass. Both masses
-    vanishing would contradict the mass-conservation constraint, so that
-    case is reported as a solver failure.
+    The beta block and the two adjacent q blocks give one mass and one
+    transport vector per stacked atom, and the atom sits at x - q / beta.
+    Where beta is (numerically) zero the atom is dropped and its sibling
+    gets the sample's whole unit of mass. Both masses vanishing would
+    contradict the mass-conservation constraint, so that case is reported
+    as a solver failure.
     """
     if solution.status is not SolverStatus.OPTIMAL:
         raise ValueError(f"cannot extract from a non-optimal solve: {solution.message}")
     N, P = data.n, data.p
-    _, off_qp, off_qm, n = _sm_lp_layout(N, P, cfg.norm)
+    _, off_qp, _, n = _sm_lp_layout(N, P, cfg.norm)
     x = solution.x_star
-    bp = x[:N].copy()
-    bm = x[N:2 * N].copy()
-    qp = x[off_qp:off_qm].reshape(N, P).copy()
-    qm = x[off_qm:n].reshape(N, P).copy()
+    beta = x[:2 * N]
+    q = x[off_qp:n].reshape(2 * N, P)
 
-    has_p = bp > drop_tol
-    has_m = bm > drop_tol
-    if not (has_p | has_m).all():
+    has = beta > MASS_DROP_TOL
+    sibling = np.roll(has, N)
+    if not (has | sibling).all():
         raise RuntimeError(
             "both atom masses vanished for some sample; the solver output "
             "violates mass conservation"
         )
-    # fold dropped slivers into the surviving sibling
-    bp_eff = np.where(has_p, bp, 0.0)
-    bm_eff = np.where(has_m, bm, 0.0)
-    bp_eff = np.where(has_p & ~has_m, 1.0 - bm_eff, bp_eff)
-    bm_eff = np.where(has_m & ~has_p, 1.0 - bp_eff, bm_eff)
+    mass = np.where(has & ~sibling, 1.0, np.where(has, beta, 0.0))
 
-    z_p = data.X.copy()
-    z_m = data.X.copy()
-    np.divide(qp, bp[:, None], out=qp, where=has_p[:, None])
-    np.divide(qm, bm[:, None], out=qm, where=has_m[:, None])
-    z_p[has_p] -= qp[has_p]
-    z_m[has_m] -= qm[has_m]
+    z = np.vstack([data.X, data.X])
+    z[has] -= q[has] / beta[has, None]
     # the LP box keeps beta*z inside [0,1]*beta; after dividing, clip the
     # solver's last-digit noise so downstream support checks stay clean
-    np.clip(z_p, 0.0, 1.0, out=z_p)
-    np.clip(z_m, 0.0, 1.0, out=z_m)
-
-    return WorstCaseDistribution(
-        y=data.y.copy(),
-        beta_plus=bp_eff,
-        beta_minus=bm_eff,
-        z_plus=z_p,
-        z_minus=z_m,
-        has_plus=has_p,
-        has_minus=has_m,
-    )
+    np.clip(z, 0.0, 1.0, out=z)
+    return WorstCaseDistribution(z=z, label=np.concatenate([data.y, -data.y]), mass=mass)
 
 
-def sm_subgradient(w, dist, kink_tol=KINK_TOL):
+def sm_subgradient(w, dist):
     """Subgradient of the worst-case risk at w, built from the extremal
     distribution's active hinges.
 
-    Each atom contributes -beta*y*z (kept label) or +beta*y*z (flipped)
-    when its hinge residual exceeds -kink_tol; at an exact kink this takes
-    the active endpoint of the subdifferential interval. Averaged over
-    samples. Only valid at the w the distribution was extracted for.
+    Each atom whose hinge residual 1 - label<w, z> is at least -KINK_TOL
+    contributes -mass*label*z; at an exact kink this takes the active
+    endpoint of the subdifferential interval. Averaged over samples. Only
+    valid at the w the distribution was extracted for.
     """
     w = np.asarray(w, dtype=float)
-    v = np.zeros_like(w)
-    if dist.has_plus.any():
-        mask = dist.has_plus
-        r = 1.0 - dist.y[mask] * (dist.z_plus[mask] @ w)
-        act = r >= -kink_tol
-        if act.any():
-            coef = -dist.beta_plus[mask][act] * dist.y[mask][act]
-            v += coef @ dist.z_plus[mask][act]
-    if dist.has_minus.any():
-        mask = dist.has_minus
-        r = 1.0 + dist.y[mask] * (dist.z_minus[mask] @ w)
-        act = r >= -kink_tol
-        if act.any():
-            coef = dist.beta_minus[mask][act] * dist.y[mask][act]
-            v += coef @ dist.z_minus[mask][act]
-    return v / dist.n
+    active = 1.0 - dist.label * (dist.z @ w) >= -KINK_TOL
+    return -(dist.mass * dist.label * active) @ dist.z / dist.n
 
 
 def worst_case_risk_dual(w, data, cfg):

@@ -15,6 +15,7 @@ from fedrosvm.experiments import (
     cross_validate,
     emit_results,
     exit_code_for,
+    federation_config,
     grid_points,
     load_model,
     load_result,
@@ -169,10 +170,38 @@ def test_round_snapshots_match_fresh_runs():
                               ("sm", {"gamma0": 0.5}),
                               ("fedavg", {"gamma0": 0.5})):
         cfg.model = model_name
-        snaps = _snapshots_over_t(cfg, point, shards, [2, 4], seed=6)
+        snaps, _ = _snapshots_over_t(cfg, point, shards, [2, 4], seed=6)
         for t in (2, 4):
             fresh, _ = train_model(cfg, {**point, "T": t}, shards, seed=6)
             assert np.array_equal(snaps[t].w, fresh.w), (model_name, t)
+
+
+def test_central_model_reads_gridded_beta_and_null_epsilon():
+    cfg = ExperimentConfig.from_dict(base_config(
+        model="central_dr", grid={"kappa": [1.0]}, fixed={"epsilon": 0.05}))
+    shards, _, _ = prepare_repetition(cfg, 0)
+    n = sum(s.n for s in shards)
+    models = {}
+    for beta in (0.01, 100.0):
+        # a gridded null epsilon selects the heuristic over the fixed 0.05
+        models[beta], _ = train_model(cfg, {"epsilon": None, "beta": beta}, shards, 0)
+        explicit, _ = train_model(cfg, {"epsilon": 1.0 / (beta * n)}, shards, 0)
+        assert np.array_equal(models[beta].w, explicit.w), beta
+    assert not np.array_equal(models[0.01].w, models[100.0].w)
+
+
+def test_federated_radius_follows_the_same_rule():
+    cfg = ExperimentConfig.from_dict(base_config(fixed={"epsilon": 0.05}))
+    shards, _, _ = prepare_repetition(cfg, 0)
+    fixed = federation_config(cfg, {"rho": 1e-2}, shards, 1)
+    assert [c.epsilon for c in fixed.clients] == [0.05] * len(shards)
+    heuristic = federation_config(cfg, {"rho": 1e-2, "epsilon": None, "beta": 4.0}, shards, 1)
+    assert [c.epsilon for c in heuristic.clients] == [1.0 / (4.0 * s.n) for s in shards]
+
+
+def test_round_counts_must_be_positive():
+    with pytest.raises(ConfigError, match="'T' grid"):
+        ExperimentConfig.from_dict(base_config(grid={"rho": [1e-2], "T": [0, 5]}))
 
 
 # ------------------------------------------------------------- experiments

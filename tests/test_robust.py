@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from fedrosvm import robust, solver
-from fedrosvm.core import DatasetView, NormKind, dual_norm, hinge_losses
+from fedrosvm.core import DatasetView, NormKind, dual_norm, feature_norm, hinge_losses
 from fedrosvm.robust import (
     ClientConfig,
     ClientModel,
@@ -186,9 +186,10 @@ def test_hand_instance_worst_case():
 
     dist = extract_worst_case(sol, data, cfg)
     assert dist.validate(data, cfg) == []
-    assert dist.beta_minus[0] == pytest.approx(0.0, abs=1e-6)
-    assert dist.beta_plus[0] == pytest.approx(1.0, abs=1e-6)
-    assert dist.z_plus[0, 0] == pytest.approx(0.4, abs=1e-6)
+    # stacked atoms: row 0 keeps the label, row 1 flips it
+    assert dist.mass[1] == pytest.approx(0.0, abs=1e-6)
+    assert dist.mass[0] == pytest.approx(1.0, abs=1e-6)
+    assert dist.z[0, 0] == pytest.approx(0.4, abs=1e-6)
     assert dist.risk(w) == pytest.approx(0.6, abs=1e-6)
     assert dist.transport_spent(data, cfg) == pytest.approx(0.1, abs=1e-6)
 
@@ -218,9 +219,10 @@ def test_tiny_radius_collapses_to_empirical():
     assert sol.objective == pytest.approx(float(margins.mean()), abs=1e-6)
 
     dist = extract_worst_case(sol, data, cfg)
-    assert np.max(dist.beta_minus) <= 1e-6
-    np.testing.assert_allclose(dist.z_plus[dist.has_plus], data.X[dist.has_plus],
-                               atol=1e-6)
+    N = data.n
+    assert np.max(dist.mass[N:]) <= 1e-6
+    kept = dist.mass[:N] > 0.0
+    np.testing.assert_allclose(dist.z[:N][kept], data.X[kept], atol=1e-6)
     empirical = float(hinge_losses(w, data.X, data.y).mean())
     assert dist.risk(w) == pytest.approx(empirical, abs=1e-6)
 
@@ -233,7 +235,7 @@ def test_large_kappa_forbids_flips():
     sol = solve(build_sm_lp(w, data, cfg))
     assert sol.status is SolverStatus.OPTIMAL
     dist = extract_worst_case(sol, data, cfg)
-    assert np.max(dist.beta_minus) <= 1e-6
+    assert np.max(dist.mass[data.n:]) <= 1e-6
 
 
 def test_extract_rejects_non_optimal():
@@ -252,6 +254,114 @@ def test_extract_rejects_non_optimal():
     )
     with pytest.raises(ValueError, match="non-optimal"):
         extract_worst_case(bad, data, cfg)
+
+
+# ------------------------------------------- stacked atoms, built by hand
+
+
+TWO_SAMPLES = make_data([[0.2, 0.5], [0.6, 0.3]], [1, -1])
+
+
+def stacked(z, mass):
+    """Two-sample distribution; rows 0, 1 keep the labels, rows 2, 3 flip
+    them."""
+    return WorstCaseDistribution(z=np.asarray(z, dtype=float),
+                                 label=np.array([1, -1, -1, 1]),
+                                 mass=np.asarray(mass, dtype=float))
+
+
+def test_transport_spent_matches_per_sample_sum():
+    # sample 0 keeps its label and moves by (-0.1, +0.2); its flipped atom
+    # is dropped. Sample 1 keeps 0.7 of its mass, moved by (+0.1, -0.2),
+    # and flips 0.3, moved by (0, +0.1).
+    d = stacked([[0.1, 0.7], [0.7, 0.1], [0.2, 0.5], [0.6, 0.4]],
+                [1.0, 0.7, 0.0, 0.3])
+    kappa = 0.5
+    l1 = ClientConfig(epsilon=1.0, kappa=kappa, norm=NormKind.L1)
+    # per sample: 1.0*0.3, then 0.7*0.3 + 0.3*(0.1 + kappa); averaged over 2
+    assert d.transport_spent(TWO_SAMPLES, l1) == pytest.approx(
+        (1.0 * 0.3 + 0.7 * 0.3 + 0.3 * (0.1 + kappa)) / 2, abs=1e-15)
+    linf = ClientConfig(epsilon=1.0, kappa=kappa, norm=NormKind.LINF)
+    assert d.transport_spent(TWO_SAMPLES, linf) == pytest.approx(
+        (1.0 * 0.2 + 0.7 * 0.2 + 0.3 * (0.1 + kappa)) / 2, abs=1e-15)
+
+
+def test_validate_reports_each_violation_alone():
+    cfg = ClientConfig(epsilon=0.5, kappa=1.0, norm=NormKind.L1)
+    X = TWO_SAMPLES.X
+    # valid: atoms at their samples, sample 1 flips 0.25 (spends 0.125); the
+    # dropped atom outside the box carries no mass and is not checked
+    base_z = np.vstack([X, [[5.0, 5.0]], X[1:]])
+    base_mass = np.array([1.0, 0.75, 0.0, 0.25])
+    assert stacked(base_z, base_mass).validate(TWO_SAMPLES, cfg) == []
+
+    kept_out, flipped_out = base_z.copy(), base_z.copy()
+    kept_out[0] = [-0.125, 0.5]
+    flipped_out[3] = [0.6, 1.125]
+    cases = [
+        (base_z, [1.0, 0.75, 0.0, 0.5], "per-sample mass deviates from 1 by 2.500e-01"),
+        (base_z, [1.25, 0.75, -0.25, 0.25], "negative atom mass"),
+        (kept_out, base_mass, "kept-label atom escapes the unit box"),
+        (flipped_out, base_mass, "flipped-label atom escapes the unit box"),
+    ]
+    for z, mass, message in cases:
+        assert stacked(z, mass).validate(TWO_SAMPLES, cfg) == [message]
+
+    tight = ClientConfig(epsilon=0.1, kappa=1.0, norm=NormKind.L1)
+    assert stacked(base_z, base_mass).validate(TWO_SAMPLES, tight) == [
+        "transport budget exceeded: 0.125 > 0.1"
+    ]
+
+
+def per_sample_reference(sol, data, cfg, w):
+    """The extraction and the four distribution functionals written out
+    one sample at a time, reading the LP columns as build_sm_lp lays them
+    out: (z, mass, risk, transport, subgradient)."""
+    X, y, N, P = data.X, data.y, data.n, data.p
+    x = sol.x_star
+    off_q = 2 * N + (2 * N if cfg.norm is NormKind.LINF else 2 * N * P)
+    z, mass = np.empty((2 * N, P)), np.empty(2 * N)
+    risk = spent = 0.0
+    v = np.zeros(P)
+    for i in range(N):
+        for k, sibling, label, flip in ((i, N + i, y[i], 0.0), (N + i, i, -y[i], cfg.kappa)):
+            beta = x[k]
+            q = x[off_q + k * P:off_q + (k + 1) * P]
+            if beta > robust.MASS_DROP_TOL:
+                mass[k] = 1.0 if x[sibling] <= robust.MASS_DROP_TOL else beta
+                z[k] = np.clip(X[i] - q / beta, 0.0, 1.0)
+            else:
+                mass[k], z[k] = 0.0, X[i]
+            r = 1.0 - label * (z[k] @ w)
+            risk += mass[k] * max(0.0, r)
+            spent += mass[k] * (feature_norm(z[k] - X[i], cfg.norm) + flip)
+            if r >= -robust.KINK_TOL:
+                v -= mass[k] * label * z[k]
+    return z, mass, risk / N, spent / N, v / N
+
+
+def test_stacked_atoms_match_per_sample_reference():
+    # atoms and masses are the same floating-point operations as the
+    # per-sample reference, so they must agree bit for bit; the sums only
+    # change order, which moves them by a few ulps
+    checked = 0
+    for seed in range(12):
+        data, rng = edge_shard(200 + seed, n=6, p=3)
+        w = rng.standard_normal(data.p) * rng.uniform(0.5, 3.0)
+        cfg = ClientConfig(epsilon=float(rng.choice([1e-2, 1e-1, 0.5])),
+                           kappa=(0.0, 0.5, 1.0)[seed % 3],
+                           norm=(NormKind.L1, NormKind.LINF)[seed % 2])
+        sol = solve(build_sm_lp(w, data, cfg))
+        assert sol.status is SolverStatus.OPTIMAL
+        dist = extract_worst_case(sol, data, cfg)
+        z, mass, risk, spent, v = per_sample_reference(sol, data, cfg, w)
+        assert dist.z.tobytes() == z.tobytes() and dist.mass.tobytes() == mass.tobytes()
+        assert np.array_equal(dist.label, np.concatenate([data.y, -data.y]))
+        assert dist.risk(w) == pytest.approx(risk, rel=1e-14, abs=1e-15)
+        assert dist.transport_spent(data, cfg) == pytest.approx(spent, rel=1e-14, abs=1e-15)
+        np.testing.assert_allclose(sm_subgradient(w, dist), v, rtol=1e-14, atol=1e-15)
+        checked += int((mass == 0.0).sum() > 0)
+    assert checked >= 6  # most instances drop at least one atom
 
 
 # -------------------------------------------------------------- dual form
@@ -373,22 +483,14 @@ def test_strong_duality_seeded():
 
 
 def one_atom_dist(z, y, flipped=False):
+    """One sample whose whole mass sits on one atom at z; the dropped
+    sibling has mass 0 and sits at the origin."""
     z = np.asarray([z], dtype=float)
-    keep = np.zeros((1, z.shape[1]))
-    if flipped:
-        return WorstCaseDistribution(
-            y=np.array([y]),
-            beta_plus=np.zeros(1),
-            beta_minus=np.ones(1),
-            z_plus=keep,
-            z_minus=z,
-        )
+    rows = [np.zeros_like(z), z] if flipped else [z, np.zeros_like(z)]
     return WorstCaseDistribution(
-        y=np.array([y]),
-        beta_plus=np.ones(1),
-        beta_minus=np.zeros(1),
-        z_plus=z,
-        z_minus=keep,
+        z=np.vstack(rows),
+        label=np.array([y, -y]),
+        mass=np.array([0.0, 1.0]) if flipped else np.array([1.0, 0.0]),
     )
 
 
@@ -407,11 +509,9 @@ def test_subgradient_hand_cases():
 
 def test_subgradient_mixed_masses():
     d = WorstCaseDistribution(
-        y=np.array([1, -1]),
-        beta_plus=np.array([0.75, 1.0]),
-        beta_minus=np.array([0.25, 0.0]),
-        z_plus=np.array([[0.4], [0.2]]),
-        z_minus=np.array([[0.9], [0.0]]),
+        z=np.array([[0.4], [0.2], [0.9], [0.0]]),
+        label=np.array([1, -1, -1, 1]),
+        mass=np.array([0.75, 1.0, 0.25, 0.0]),
     )
     # at w=0 every hinge is active (r = 1): kept atoms give -beta*y*z,
     # flipped give +beta*y*z, averaged over the two samples.
@@ -467,9 +567,7 @@ def test_subgradient_finite_difference():
         dist = extract_worst_case(sol, data, cfg)
         if abs(dist.risk(w) - f_w) > 1e-7 * (1.0 + abs(f_w)):
             continue
-        r_plus = 1.0 - dist.y * (dist.z_plus @ w)
-        r_minus = 1.0 + dist.y * (dist.z_minus @ w)
-        resid = np.concatenate([r_plus[dist.has_plus], r_minus[dist.has_minus]])
+        resid = (1.0 - dist.label * (dist.z @ w))[dist.mass > 0.0]
         if np.min(np.abs(resid)) < 1e-4:
             continue  # too close to a kink for clean differences
         v = sm_subgradient(w, dist)
