@@ -10,7 +10,10 @@ base seed fully determine every reported number except wall times.
 The round-count grid is nested rather than crossed: federated training at
 the largest T in the grid yields snapshots at every smaller T along the
 way (round prefixes are unaffected by later rounds), which keeps grid
-search affordable.
+search affordable. The l2 baselines go one step further: their grid
+points differ only in the step size, so cross-validation trains every
+fold and every step size in one stacked run (baselines.train_fed_l2_stack),
+with the same iterates as one run per fold and point.
 """
 
 import csv
@@ -28,6 +31,7 @@ from .baselines import (
     FedBaselineConfig,
     FedVariant,
     train_central_dr_svm,
+    train_fed_l2_stack,
     train_fed_l2_svm,
 )
 from .core import DatasetView, GlobalModel, NormKind, evaluate
@@ -72,6 +76,18 @@ DEFAULT_GRIDS = {
     "fedsgd": {"gamma0": [1e-3, 1e-2, 1e-1, 1e0], "T": [5, 10, 20, 60, 100, 140, 180, 220]},
     "fedavg": {"gamma0": [1e-3, 1e-2, 1e-1, 1e0], "T": [5, 10, 20, 60, 100, 140, 180, 220]},
     "fedprox": {"gamma0": [1e-3, 1e-2, 1e-1, 1e0], "T": [5, 10, 20, 60, 100, 140, 180, 220]},
+}
+
+# the grid keys each model reads; T is the nested round grid
+_FEDERATED_KNOBS = ("T", "kappa", "epsilon", "beta")
+TUNABLE = {
+    "sm": {"gamma0", *_FEDERATED_KNOBS},
+    "admm": {"rho", *_FEDERATED_KNOBS},
+    "admm_sc": {"rho", *_FEDERATED_KNOBS},
+    "central_dr": {"epsilon", "beta", "kappa"},
+    "fedsgd": {"gamma0", "T"},
+    "fedavg": {"gamma0", "T"},
+    "fedprox": {"gamma0", "T"},
 }
 
 DEFAULT_FIXED = {
@@ -166,12 +182,21 @@ class ExperimentConfig:
         if self.grid == {}:
             self.grid = {k: list(v) for k, v in DEFAULT_GRIDS[self.model].items()}
         for knob, values in self.grid.items():
+            if knob not in TUNABLE[self.model]:
+                raise ConfigError(
+                    f"grid key {knob!r} is not tuned by model {self.model!r}; "
+                    f"it tunes {sorted(TUNABLE[self.model])}")
             if not values:
                 raise ConfigError(f"grid for {knob!r} is empty")
         if self.model != "central_dr" and "T" not in self.grid:
             raise ConfigError("federated models need a 'T' list in the grid")
         if any(int(t) < 1 for t in self.grid.get("T", [])):
             raise ConfigError("round counts in the 'T' grid must be >= 1")
+        for key in self.fixed:
+            if key not in DEFAULT_FIXED:
+                raise ConfigError(
+                    f"unknown fixed key {key!r} for model {self.model!r}; "
+                    f"known keys are {sorted(DEFAULT_FIXED)}")
         merged = dict(DEFAULT_FIXED)
         merged.update(self.fixed)
         self.fixed = merged
@@ -290,16 +315,40 @@ def train_model(cfg, params, shards, seed):
     """Train the configured model at one grid point. Returns the model and
     a per-round telemetry list (empty for non-federated models and the
     l2 baselines)."""
+    if cfg.model in FED_BASELINE_VARIANTS:
+        # a lone run goes through the public one-run view of the stacked
+        # trainer, the name perfbench's traced run times
+        return train_fed_l2_svm(shards, baseline_config(cfg, params, int(params["T"])), seed), []
     T = None if cfg.model == "central_dr" else int(params["T"])
-    models, rounds = _snapshots_over_t(cfg, params, shards, [T], seed)
+    models, rounds = _snapshots_over_t(cfg, [params], [shards], [T], seed)[0][0]
     return models[T], rounds
 
 
-def _snapshots_over_t(cfg, params, shards, t_grid, seed):
-    """Train once at max(t_grid) and read off the model at every requested
-    round count. Round prefixes are unaffected by later rounds, so each
-    snapshot equals a fresh run at that T. Returns ({T: model}, per-round
-    telemetry of the run); the central model takes t_grid = [None]."""
+def _snapshots_over_t(cfg, points, folds, t_grid, seed):
+    """Train every grid point on every fold (a list of client shards) once,
+    at max(t_grid), and read off the model at every requested round count.
+    Round prefixes are unaffected by later rounds, so each snapshot equals
+    a fresh run at that T. Returns runs[k][i] = ({T: model}, per-round
+    telemetry) for fold k and point i; the central model takes
+    t_grid = [None].
+
+    The l2 baselines train all folds and points in one stacked run: their
+    points differ only in gamma0 (validate() rejects any other grid key),
+    so every fold and step size advance together, bit for bit as separate
+    runs would."""
+    if cfg.model in FED_BASELINE_VARIANTS:
+        gamma0s = [float(point.get("gamma0", 1.0)) for point in points]
+        iterates = train_fed_l2_stack(
+            folds, baseline_config(cfg, {}, max(t_grid)), seed, gamma0s)
+        return [[({t: GlobalModel(w=run[t - 1].copy()) for t in t_grid}, [])
+                 for run in fold] for fold in iterates]
+    return [[_snapshots_of_one_run(cfg, point, shards, t_grid)
+             for point in points] for shards in folds]
+
+
+def _snapshots_of_one_run(cfg, params, shards, t_grid):
+    """A federated (or the central) model at one grid point on one set of
+    shards: ({T: model}, per-round telemetry)."""
     name = cfg.model
     if name == "central_dr":
         pooled = pool(shards)
@@ -309,13 +358,7 @@ def _snapshots_over_t(cfg, params, shards, t_grid, seed):
             norm=NORMS[cfg.fixed["norm"]],
         )
         return {None: train_central_dr_svm(pooled, central)}, []
-    t_max = max(t_grid)
-    if name not in MODEL_ALGORITHMS:
-        # l2 baselines: snapshot the averaged iterate trace
-        trace = []
-        train_fed_l2_svm(shards, baseline_config(cfg, params, t_max), seed, trace=trace)
-        return {t: GlobalModel(w=trace[t - 1]) for t in t_grid}, []
-    result = run_federation(federation_config(cfg, params, shards, t_max), shards)
+    result = run_federation(federation_config(cfg, params, shards, max(t_grid)), shards)
     rounds = [
         {"t": tr.t, "objective": tr.global_objective,
          "consensus_residual": tr.consensus_residual, "wall_time": tr.wall_time}
@@ -396,8 +439,7 @@ def cross_validate(cfg, shards, seed):
     # the central model has no rounds: it is scored once, at T = None
     t_grid = [None] if cfg.model == "central_dr" else sorted(int(t) for t in cfg.grid["T"])
 
-    # scores[(point index, T)] -> list of fold F1
-    scores = {}
+    train_folds, val_folds = [], []
     for k in range(cfg.cv_folds):
         train_shards, val_parts = [], []
         for s, a in zip(shards, assignments):
@@ -407,9 +449,14 @@ def cross_validate(cfg, shards, seed):
             held = np.flatnonzero(a == k)
             if held.size > 0:
                 val_parts.append(s.subset(held))
-        val = pool(val_parts)
-        for i, point in enumerate(points):
-            snaps, _ = _snapshots_over_t(cfg, point, train_shards, t_grid, seed)
+        train_folds.append(train_shards)
+        val_folds.append(pool(val_parts))
+    runs = _snapshots_over_t(cfg, points, train_folds, t_grid, seed)
+
+    # scores[(point index, T)] -> list of fold F1
+    scores = {}
+    for fold_runs, val in zip(runs, val_folds):
+        for i, (snaps, _) in enumerate(fold_runs):
             for t, model in snaps.items():
                 scores.setdefault((i, t), []).append(evaluate(model, val).f1)
 

@@ -1,5 +1,7 @@
 """Pooled robust solve and the federated l2-SVM family."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fedrosvm.baselines import (
     FedVariant,
     l2_hinge_subgradient,
     train_central_dr_svm,
+    train_fed_l2_stack,
     train_fed_l2_svm,
 )
 from fedrosvm.core import DatasetView, NormKind, evaluate
@@ -214,3 +217,98 @@ def test_fed_rejects_mismatched_dimensions():
     cfg = FedBaselineConfig(variant=FedVariant.FEDAVG)
     with pytest.raises(ValueError, match="feature dimension"):
         train_fed_l2_svm(shards, cfg, seed=0)
+
+
+# ------------------------------------------------------- stacked training
+
+
+def reference_run(client_data, cfg, seed):
+    """The per-run loop the stacked trainer must reproduce: every client
+    takes its minibatch steps with l2_hinge_subgradient, one batch at a
+    time. Returns the global iterate after every round."""
+    if cfg.variant is FedVariant.FEDSGD:
+        epochs, fraction = 1, 1.0
+    else:
+        epochs, fraction = cfg.local_epochs, cfg.batch_fraction
+    prox_mu = cfg.prox_mu if cfg.variant is FedVariant.FEDPROX else 0.0
+    n_total = sum(d.n for d in client_data)
+    w = np.zeros(client_data[0].p)
+    iterates = []
+    for t in range(1, cfg.T + 1):
+        step = cfg.gamma0 / t
+        aggregated = np.zeros_like(w)
+        for g, data in enumerate(client_data):
+            batch = max(1, int(round(fraction * data.n)))
+            rng = np.random.default_rng([seed, g, t])
+            signed = data.y[:, None] * data.X
+            w_g = w.copy()
+            for _ in range(epochs):
+                order = np.arange(data.n) if batch >= data.n else rng.permutation(data.n)
+                for start in range(0, data.n, batch):
+                    rows = signed[order[start:start + batch]]
+                    grad = l2_hinge_subgradient(w_g, rows, 1.0 / (10.0 * data.n))
+                    if prox_mu > 0.0:
+                        grad = grad + prox_mu * (w_g - w)
+                    w_g = w_g - step * grad
+            aggregated += (data.n / n_total) * w_g
+        w = aggregated
+        iterates.append(w.copy())
+    return np.array(iterates)
+
+
+# client counts differ between folds; at batch_fraction 0.2 the sizes 13,
+# 9, 6 and 41 end on a one-row batch, 37 on a two-row one, and 12, 30 and
+# 14 split evenly; full batches of 30 or more rows sum pairwise at P = 1
+STACK_FOLDS = ((13, 9, 37), (12, 30), (14, 6, 9), (41,))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("variant", list(FedVariant))
+def test_stacked_runs_equal_separate_runs_bit_for_bit(variant, p):
+    folds = [[make_data(100 * f + g, n, p) for g, n in enumerate(sizes)]
+             for f, sizes in enumerate(STACK_FOLDS)]
+    for gamma0s, fraction in (([0.7], 0.2), ([1e-2, 0.3, 1.0, 4.0], 0.2),
+                              ([0.05, 2.0], 0.6)):
+        cfg = FedBaselineConfig(variant=variant, T=6, local_epochs=3,
+                                batch_fraction=fraction, prox_mu=0.8)
+        iterates = train_fed_l2_stack(folds, cfg, 11, gamma0s)
+        assert iterates.shape == (len(folds), len(gamma0s), cfg.T, p)
+        for f, clients in enumerate(folds):
+            for k, gamma0 in enumerate(gamma0s):
+                ref = reference_run(clients, replace(cfg, gamma0=gamma0), 11)
+                if p == 1:
+                    # numpy sums one active column pairwise, the stack row
+                    # by row: a few ulps apart (3e-15 relative measured);
+                    # the lone run is the stack's one-run view all the same
+                    np.testing.assert_allclose(iterates[f, k], ref, rtol=1e-13, atol=0)
+                    trace = []
+                    train_fed_l2_svm(clients, replace(cfg, gamma0=gamma0), 11, trace=trace)
+                    assert np.array_equal(iterates[f, k], np.array(trace)), (f, gamma0)
+                else:
+                    assert np.array_equal(iterates[f, k], ref), (f, gamma0)
+
+
+def test_one_run_view_equals_the_reference_loop():
+    shards = [make_data(20, 13, 3), make_data(21, 9, 3)]
+    cfg = FedBaselineConfig(variant=FedVariant.FEDPROX, gamma0=0.6, T=5,
+                            batch_fraction=0.2, prox_mu=0.5)
+    trace = []
+    model = train_fed_l2_svm(shards, cfg, seed=3, trace=trace)
+    ref = reference_run(shards, cfg, 3)
+    assert np.array_equal(np.array(trace), ref)
+    assert np.array_equal(model.w, ref[-1])
+
+
+@pytest.mark.parametrize("gamma0", [0.0, -0.1, np.inf, np.nan])
+def test_stack_rejects_a_step_size_that_is_not_positive_and_finite(gamma0):
+    cfg = FedBaselineConfig(variant=FedVariant.FEDAVG)
+    with pytest.raises(ValueError, match="gamma0 must be positive"):
+        train_fed_l2_stack([[make_data(25, 8, 2)]], cfg, 0, [0.1, gamma0])
+
+
+def test_stack_rejects_empty_folds_and_mixed_dimensions():
+    cfg = FedBaselineConfig(variant=FedVariant.FEDAVG)
+    with pytest.raises(ValueError, match="at least one client"):
+        train_fed_l2_stack([[make_data(22, 8, 2)], []], cfg, 0, [1.0])
+    with pytest.raises(ValueError, match="feature dimension"):
+        train_fed_l2_stack([[make_data(23, 8, 2)], [make_data(24, 8, 3)]], cfg, 0, [1.0])

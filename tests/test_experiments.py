@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from fedrosvm.core import DatasetView
+from fedrosvm.baselines import train_fed_l2_svm
+from fedrosvm.core import DatasetView, evaluate
 from fedrosvm.experiments import (
+    DEFAULT_GRIDS,
     ConfigError,
     ExperimentConfig,
     RunResult,
     _snapshots_over_t,
+    baseline_config,
     build_folds,
     cross_validate,
     emit_results,
@@ -19,6 +22,7 @@ from fedrosvm.experiments import (
     grid_points,
     load_model,
     load_result,
+    pool,
     prepare_repetition,
     run_experiment,
     save_model,
@@ -170,7 +174,7 @@ def test_round_snapshots_match_fresh_runs():
                               ("sm", {"gamma0": 0.5}),
                               ("fedavg", {"gamma0": 0.5})):
         cfg.model = model_name
-        snaps, _ = _snapshots_over_t(cfg, point, shards, [2, 4], seed=6)
+        snaps, _ = _snapshots_over_t(cfg, [point], [shards], [2, 4], seed=6)[0][0]
         for t in (2, 4):
             fresh, _ = train_model(cfg, {**point, "T": t}, shards, seed=6)
             assert np.array_equal(snaps[t].w, fresh.w), (model_name, t)
@@ -312,3 +316,80 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.w, model.w)
     assert np.array_equal(loaded_stats.mins, stats.mins)
     assert np.array_equal(loaded_stats.maxs, stats.maxs)
+
+
+def test_stacked_cv_report_equals_one_run_per_fold_and_point():
+    rng = np.random.default_rng(7)
+
+    def shard(n):
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        return DatasetView(X=rng.uniform(size=(n, 3)), y=y)
+
+    # the one-sample client has no training rows in the fold that holds it
+    shards = [shard(23), shard(1), shard(16)]
+    cfg = ExperimentConfig.from_dict(base_config(
+        model="fedavg", grid={"gamma0": [0.05, 0.5, 2.0], "T": [2, 5, 9]}, cv_folds=3))
+    chosen, report = cross_validate(cfg, shards, seed=8)
+
+    assignments, _ = build_folds(shards, cfg.cv_folds, 8)
+    fold_f1 = {}
+    clients_per_fold = []
+    for k in range(cfg.cv_folds):
+        train = [s.subset(np.flatnonzero(a != k)) for s, a in zip(shards, assignments)]
+        train = [s for s in train if s.n > 0]
+        clients_per_fold.append(len(train))
+        val = pool([s.subset(np.flatnonzero(a == k)) for s, a in zip(shards, assignments)])
+        for i, point in enumerate(grid_points(cfg.grid)):
+            trace = []
+            train_fed_l2_svm(train, baseline_config(cfg, point, 9), 8, trace=trace)
+            for t in (2, 5, 9):
+                f1 = evaluate(GlobalModel(w=trace[t - 1]), val).f1
+                fold_f1.setdefault((i, t), []).append(float(f1))
+    assert sorted(set(clients_per_fold)) == [2, 3]
+
+    table = [{"params": {"gamma0": g, "T": t}, "mean_f1": float(np.mean(fold_f1[(i, t)])),
+              "fold_f1": fold_f1[(i, t)]}
+             for i, g in enumerate(cfg.grid["gamma0"]) for t in (2, 5, 9)]
+    assert report["table"] == table
+    best = max(range(len(table)), key=lambda j: table[j]["mean_f1"])
+    assert report["chosen_index"] == best
+    assert chosen == table[best]["params"]
+
+
+def test_every_default_grid_validates():
+    for model, grid in DEFAULT_GRIDS.items():
+        cfg = ExperimentConfig.from_dict(base_config(model=model, grid={}))
+        assert cfg.grid == grid
+
+
+def test_grid_key_the_fed_baselines_never_read_is_rejected():
+    with pytest.raises(ConfigError, match="'local_epochs' is not tuned by model 'fedavg'"):
+        ExperimentConfig.from_dict(base_config(
+            model="fedavg", grid={"local_epochs": [1, 5], "gamma0": [0.1], "T": [5]}))
+
+
+def test_grid_key_sm_never_reads_is_rejected():
+    with pytest.raises(ConfigError, match="'rho' is not tuned by model 'sm'"):
+        ExperimentConfig.from_dict(base_config(
+            model="sm", grid={"rho": [1e-2, 1e-1], "gamma0": [1.0], "T": [5]}))
+
+
+def test_round_grid_for_the_central_model_is_rejected():
+    with pytest.raises(ConfigError, match="'T' is not tuned by model 'central_dr'"):
+        ExperimentConfig.from_dict(base_config(
+            model="central_dr", grid={"kappa": [1.0], "T": [5, 10]}))
+
+
+def test_unknown_fixed_key_is_rejected():
+    with pytest.raises(ConfigError, match="unknown fixed key 'local_epoch' for model 'fedavg'"):
+        ExperimentConfig.from_dict(base_config(
+            model="fedavg", grid={"gamma0": [0.1], "T": [5]}, fixed={"local_epoch": 1}))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1])
+def test_cv_rejects_a_step_size_grid_point_that_is_not_positive(bad):
+    cfg = ExperimentConfig.from_dict(base_config(
+        model="fedavg", grid={"gamma0": [bad, 0.1], "T": [5]}))
+    shards, _, _ = prepare_repetition(cfg, 2)
+    with pytest.raises(ValueError, match="gamma0 must be positive"):
+        cross_validate(cfg, shards, seed=2)
