@@ -68,8 +68,8 @@ class FedBaselineConfig:
     prox_mu: float = 1.0
 
     def __post_init__(self):
-        if self.gamma0 <= 0.0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
+        if not (self.gamma0 > 0.0 and np.isfinite(self.gamma0)):
+            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if self.local_epochs < 1:
@@ -78,8 +78,8 @@ class FedBaselineConfig:
             raise ValueError(
                 f"batch_fraction must be in (0, 1], got {self.batch_fraction}"
             )
-        if self.prox_mu < 0.0:
-            raise ValueError(f"prox_mu must be nonnegative, got {self.prox_mu}")
+        if not (self.prox_mu >= 0.0 and np.isfinite(self.prox_mu)):
+            raise ValueError(f"prox_mu must be nonnegative and finite, got {self.prox_mu}")
 
 
 def l2_hinge_subgradient(w, yX, c):

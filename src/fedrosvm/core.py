@@ -1,29 +1,24 @@
-"""Shared primitives: samples, models, norms, losses, and evaluation metrics.
+"""Shared primitives: datasets, models, norms, losses, and evaluation metrics.
 
 Everything downstream (worst-case construction, federation, baselines) is built
-on the small vocabulary defined here: a labeled sample (x, y) with y in {-1,+1},
-a linear model w, a transportation cost over feature space plus a label-flip
-price kappa, and the hinge loss max{0, 1 - y<w,x>}.
+on the small vocabulary defined here: a dataset of rows x with labels y in
+{-1, +1}, a linear model w, the feature-space norm of the transportation cost
+with its dual, and the hinge loss max{0, 1 - y<w,x>} evaluated over whole rows.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NormKind",
-    "LabeledSample",
     "DatasetView",
     "GlobalModel",
-    "TransportCostSpec",
     "Metrics",
-    "hinge_loss",
     "hinge_losses",
-    "transport_cost",
-    "feature_norm",
     "dual_norm",
     "evaluate",
 ]
@@ -34,21 +29,6 @@ class NormKind(enum.Enum):
 
     L1 = "l1"
     LINF = "linf"
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One observation: feature vector ``x`` and label ``y`` in {-1, +1}."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.x.ndim != 1:
-            raise ValueError("sample features must be a 1-d vector")
-        if self.y not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.y!r}")
 
 
 @dataclass
@@ -86,9 +66,6 @@ class DatasetView:
     def p(self) -> int:
         return self.X.shape[1]
 
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(self.X[i], int(self.y[i]))
-
     def subset(self, idx) -> "DatasetView":
         idx = np.asarray(idx)
         return DatasetView(self.X[idx].copy(), self.y[idx].copy())
@@ -110,18 +87,6 @@ class GlobalModel:
         return np.where(scores >= 0.0, 1, -1)
 
 
-@dataclass(frozen=True)
-class TransportCostSpec:
-    """Ground cost: ||x - x'|| under ``norm`` plus ``kappa`` per label flip."""
-
-    norm: NormKind = NormKind.L1
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-
-
 @dataclass
 class Metrics:
     """Binary classification metrics with +1 as the positive class.
@@ -140,26 +105,10 @@ class Metrics:
         self.confusion = np.asarray(self.confusion, dtype=int)
 
 
-def hinge_loss(w: np.ndarray, sample: LabeledSample) -> float:
-    """Hinge loss max{0, 1 - y<w, x>} of a linear model at one sample."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != sample.x.shape:
-        raise ValueError(f"dimension mismatch: w has shape {w.shape}, x has {sample.x.shape}")
-    return float(max(0.0, 1.0 - sample.y * float(w @ sample.x)))
-
-
 def hinge_losses(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vectorized hinge losses over rows of X."""
     margins = y * (np.asarray(X, dtype=float) @ np.asarray(w, dtype=float))
     return np.maximum(0.0, 1.0 - margins)
-
-
-def feature_norm(v: np.ndarray, norm: NormKind) -> float:
-    """||v|| under the transportation cost's feature norm."""
-    v = np.asarray(v, dtype=float)
-    if norm is NormKind.L1:
-        return float(np.abs(v).sum())
-    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def dual_norm(v: np.ndarray, norm: NormKind) -> float:
@@ -168,14 +117,6 @@ def dual_norm(v: np.ndarray, norm: NormKind) -> float:
     if norm is NormKind.L1:
         return float(np.abs(v).max()) if v.size else 0.0
     return float(np.abs(v).sum())
-
-
-def transport_cost(a: LabeledSample, b: LabeledSample, spec: TransportCostSpec) -> float:
-    """Ground transportation cost between two labeled samples."""
-    if a.x.shape != b.x.shape:
-        raise ValueError("dimension mismatch between samples")
-    flip = spec.kappa if a.y != b.y else 0.0
-    return feature_norm(a.x - b.x, spec.norm) + flip
 
 
 def evaluate(model: GlobalModel, data: DatasetView) -> Metrics:

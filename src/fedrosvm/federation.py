@@ -22,9 +22,10 @@ bit-identical models on the same inputs.
 The model starts at zeros and every ADMM multiplier at ones.
 
 ADMM bookkeeping: multipliers live at the clients (the wire only ever
-carries w_g), and the server maintains its own mirror by applying the same
-deterministic update rule, which is what lets it form the Prop.-5-style
-weighted sum without extra traffic.
+carries w_g), and the server keeps its own mirror of them by calling the
+clients' update rule (`robust.multiplier_step`) on the same w_g and w, so the
+mirror equals every client's multipliers bit for bit. That is what lets it
+form the Prop.-5-style weighted sum without extra traffic.
 """
 
 import socket
@@ -42,6 +43,7 @@ from .robust import (
     admm_multiplier_update,
     build_sm_lp,
     extract_worst_case,
+    multiplier_step,
     sm_subgradient,
     worst_case_risk_dual,
 )
@@ -88,10 +90,10 @@ class FederationConfig:
             raise ValueError("at least one client is required")
         if self.T < 0:
             raise ValueError(f"T must be nonnegative, got {self.T}")
-        if self.gamma0 <= 0.0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not (self.gamma0 > 0.0 and np.isfinite(self.gamma0)):
+            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
+        if not (self.rho > 0.0 and np.isfinite(self.rho)):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         self.clients = [replace(c, rho=self.rho) for c in self.clients]
         total = sum(c.alpha for c in self.clients)
         if abs(total - 1.0) > 1e-12:
@@ -485,8 +487,7 @@ def run_federation(cfg, client_data, transport=None):
                     float(np.linalg.norm(iterates[g] - w)) for g in range(G)
                 )
                 transport.broadcast(Broadcast(t=t, w=w))
-                for g in range(G):
-                    server_mu[g] += iterates[g] - w
+                server_mu = [multiplier_step(server_mu[g], iterates[g], w) for g in range(G)]
             objective = global_objective(w, client_data, cfg.clients)
             traces.append(RoundTrace(
                 t=t, w_after=w.copy(), global_objective=objective,

@@ -85,10 +85,10 @@ class ClientConfig:
             raise ValueError(f"kappa must be nonnegative and finite, got {self.kappa}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.tau < 0.0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not (self.tau >= 0.0 and np.isfinite(self.tau)):
+            raise ValueError(f"tau must be nonnegative and finite, got {self.tau}")
+        if not (self.rho > 0.0 and np.isfinite(self.rho)):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
 
 @dataclass
@@ -377,7 +377,7 @@ def build_risk_epigraph_qp(data, cfg, rho=0.0, tau=0.0, anchor=None):
 
     With rho = tau = 0 this is the plain robust SVM (an LP, used by the
     central baseline); with rho > 0 and anchor = w_global - mu it is the
-    ADMM proximal step (see build_admm_qp). The program objective omits the
+    ADMM proximal step (see admm_client_step). The program objective omits the
     constant (rho/2)||anchor||^2.
 
     Column order: [w (P)] [lam] [u (P), L-inf norm only] [s (N)]. Keeping
@@ -435,37 +435,27 @@ def build_risk_epigraph_qp(data, cfg, rho=0.0, tau=0.0, anchor=None):
     return ConvexProgram(n=n, c=c, Q=Q, A_ineq=_csr(entries, (m, n)), b_ineq=b)
 
 
-def build_admm_qp(w_global, client, data, cfg):
-    """Proximal QP for one ADMM round: the worst-case risk epigraph plus
-    (rho/2)||w_g - w_global + mu_g||^2 and the tau*||w_g||^2 boost of the
-    strongly convex variant (tau = 0 recovers the plain step)."""
-    anchor = np.asarray(w_global, dtype=float) - client.mu_g
-    return build_risk_epigraph_qp(
-        data, cfg, rho=cfg.rho, tau=cfg.tau, anchor=anchor
-    )
-
-
-def admm_client_step(w_global, client, data, cfg, cache=None, client_id=None):
+def admm_client_step(w_global, client, data, cfg, cache, client_id=None):
     """One client proximal step: solve the local QP anchored at
     w_global - mu_g and return a ClientModel with w_g updated and mu_g
     untouched.
 
-    When `cache` (a dict) is supplied, the assembled program and the last
-    primal-dual point are kept in it, so repeated rounds reuse the solver's
-    factorization backend and warm-start. Only the linear term changes
-    between rounds, which the solver's program-structure contract allows.
+    `cache` is a dict owned by the client, empty before its first round.
+    It keeps the assembled program and the last primal-dual point, so
+    repeated rounds reuse the solver's factorization backend and
+    warm-start. Only the linear term changes between rounds, which the
+    solver's program-structure contract allows.
     """
     anchor = np.asarray(w_global, dtype=float) - client.mu_g
     P = data.p
-    if cache is not None and "program" in cache:
-        prog = cache["program"]
-        prog.c[:P] = -cfg.rho * anchor
-        warm = cache.get("warm")
+    prog = cache.get("program")
+    if prog is None:
+        prog = cache["program"] = build_risk_epigraph_qp(
+            data, cfg, rho=cfg.rho, tau=cfg.tau, anchor=anchor
+        )
     else:
-        prog = build_admm_qp(w_global, client, data, cfg)
-        warm = None
-        if cache is not None:
-            cache["program"] = prog
+        prog.c[:P] = -cfg.rho * anchor
+    warm = cache.get("warm")
     sol = solve(prog, warm=warm)
     who = "client" if client_id is None else f"client {client_id}"
     if sol.status is not SolverStatus.OPTIMAL and warm is not None:
@@ -476,15 +466,20 @@ def admm_client_step(w_global, client, data, cfg, cache=None, client_id=None):
         sol = solve(prog)
     if sol.status is not SolverStatus.OPTIMAL:
         raise RuntimeError(f"{who}: proximal QP failed to converge: {sol.message}")
-    if cache is not None:
-        cache["warm"] = (sol.x_star, sol.z_star)
+    cache["warm"] = (sol.x_star, sol.z_star)
     return ClientModel(w_g=sol.x_star[:P].copy(), mu_g=client.mu_g)
+
+
+def multiplier_step(mu_g, w_g, w_global):
+    """The scaled dual ascent rule mu_g + w_g - w, summed left to right.
+    The client and the server's mirror of its multipliers both apply it,
+    so the two stay equal bit for bit."""
+    return (mu_g + w_g) - np.asarray(w_global, dtype=float)
 
 
 def admm_multiplier_update(client, w_global):
     """Scaled dual ascent after the broadcast: mu_g <- mu_g + w_g - w."""
-    w_global = np.asarray(w_global, dtype=float)
-    return ClientModel(w_g=client.w_g, mu_g=client.mu_g + client.w_g - w_global)
+    return ClientModel(w_g=client.w_g, mu_g=multiplier_step(client.mu_g, client.w_g, w_global))
 
 
 def wasserstein_radius(eta, N, a=2.0, c1=1.0, c2=1.0, c3=1.0, P=1):

@@ -167,7 +167,7 @@ def _schur_split(p: ConvexProgram):
     low-degree epigraph columns win over the few dense model columns.
     Returns (S_idx, rest_idx) or None when the reduction is not worthwhile.
     """
-    if p.k > 0 or p.m == 0:
+    if p.k > 0:
         return None
     qoff = p.Q - sp.diags(p.Q.diagonal())
     if qoff.nnz:
@@ -335,58 +335,32 @@ def _max_step(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray) -> f
     return -float((v[neg] / dv[neg]).max(initial=-np.inf))
 
 
-def _solve_equality_only(p: ConvexProgram, cfg: SolverConfig) -> SolverSolution:
-    if p.k == 0:
-        kkt = (p.Q + sp.identity(p.n) * REGULARIZATION).tocsc()
-        try:
-            x = spla.splu(kkt).solve(-p.c)
-        except RuntimeError as e:
-            return SolverSolution(np.full(p.n, np.nan), np.nan, SolverStatus.NUMERICAL_FAILURE,
-                                  np.inf, 0, f"factorization failed: {e}")
-        resid = np.max(np.abs(p.Q @ x + p.c)) / (1.0 + np.max(np.abs(p.c), initial=0.0))
-        if not np.isfinite(x).all() or resid > max(cfg.eps2, 1e-7):
-            return SolverSolution(x, p.objective(x), SolverStatus.NUMERICAL_FAILURE, float(resid),
-                                  0, "stationarity unattainable; objective likely unbounded below")
-        return SolverSolution(x, p.objective(x), SolverStatus.OPTIMAL, float(resid), 0, "")
-    kkt = sp.bmat(
-        [[p.Q + sp.identity(p.n) * REGULARIZATION, p.A_eq.T],
-         [p.A_eq, -sp.identity(p.k) * REGULARIZATION]],
-        format="csc",
-    )
-    sol = spla.splu(kkt).solve(np.concatenate([-p.c, p.b_eq]))
-    x, y = sol[: p.n], sol[p.n :]
-    rd = np.max(np.abs(p.Q @ x + p.c + p.A_eq.T @ y)) / (1.0 + np.max(np.abs(p.c), initial=0.0))
-    re = np.max(np.abs(p.A_eq @ x - p.b_eq)) / (1.0 + np.max(np.abs(p.b_eq), initial=0.0))
-    resid = max(rd, re)
-    status = SolverStatus.OPTIMAL if resid <= max(cfg.eps2, 1e-7) else SolverStatus.NUMERICAL_FAILURE
-    msg = "" if status is SolverStatus.OPTIMAL else "equality-constrained solve did not certify"
-    return SolverSolution(x, p.objective(x), status, float(resid), 0, msg, y_star=y)
-
-
-def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None,
-          _force_sparse: bool = False) -> SolverSolution:
+def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None) -> SolverSolution:
     """Solve a ConvexProgram; never raises on solvable-but-hard instances.
 
     Returns status OPTIMAL only when scaled primal, dual, and complementarity
     residuals are all below cfg.eps2. Infeasible or unbounded inputs surface
     as NUMERICAL_FAILURE with a diagnostic message, never as silent garbage.
+    A program without inequality rows is rejected with a ValueError: the
+    interior-point iteration needs at least one.
 
     ``warm`` is an optional (x0, z0) pair from a related earlier solve; it
     only changes the starting point, never the answer.
     """
     cfg = cfg or SolverConfig()
     if p.m == 0:
-        return _solve_equality_only(p, cfg)
+        raise ValueError("the program has no inequality rows; the interior-point "
+                         "method needs at least one")
 
     # constraint structure is immutable after the first solve (only c may be
     # swapped between repeated solves), so the backend can be reused
     cached = getattr(p, "_backend_cache", None)
-    if cached is not None and cached[0] == _force_sparse:
-        split, backend = cached[1], cached[2]
+    if cached is not None:
+        split, backend = cached
     else:
-        split = None if _force_sparse else _schur_split(p)
+        split = _schur_split(p)
         backend = _SchurBackend(p, split) if split else _SparseBackend(p)
-        p._backend_cache = (_force_sparse, split, backend)
+        p._backend_cache = (split, backend)
     try:
         return _ip_loop(p, cfg, backend, warm)
     except (scipy.linalg.LinAlgError, RuntimeError, np.linalg.LinAlgError) as e:

@@ -138,6 +138,13 @@ def test_fed_config_validation():
         FedBaselineConfig(variant=FedVariant.FEDAVG, gamma0=0.0)
 
 
+@pytest.mark.parametrize("knob", ["gamma0", "prox_mu"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_fed_config_rejects_a_non_finite_knob(knob, value):
+    with pytest.raises(ValueError, match=f"{knob} must be .* finite"):
+        FedBaselineConfig(variant=FedVariant.FEDPROX, **{knob: value})
+
+
 def test_single_client_fedsgd_equals_plain_subgradient_descent():
     data = make_data(7, 16, 3)
     cfg = FedBaselineConfig(variant=FedVariant.FEDSGD, gamma0=0.5, T=8)

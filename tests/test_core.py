@@ -7,36 +7,34 @@ from hypothesis import given, strategies as st
 from fedrosvm.core import (
     DatasetView,
     GlobalModel,
-    LabeledSample,
     NormKind,
-    TransportCostSpec,
     dual_norm,
     evaluate,
-    feature_norm,
-    hinge_loss,
     hinge_losses,
-    transport_cost,
 )
+from fedrosvm.robust import ClientConfig, WorstCaseDistribution
+
+
+def hinge_at(w, x, y):
+    """hinge_losses at a single row."""
+    return hinge_losses(np.asarray(w, dtype=float), np.atleast_2d(x), np.array([y]))[0]
 
 
 class TestHingeLoss:
     def test_zero_weights_give_unit_loss(self):
         # loss at w = 0 is exactly 1 for any sample
-        s = LabeledSample([0.3, 0.9], +1)
-        assert hinge_loss(np.zeros(2), s) == 1.0
+        assert hinge_at(np.zeros(2), [0.3, 0.9], +1) == 1.0
 
     def test_large_margin_gives_zero(self):
-        s = LabeledSample([3.0], +1)
-        assert hinge_loss(np.array([1.0]), s) == 0.0
+        assert hinge_at([1.0], [3.0], +1) == 0.0
 
     def test_hand_computed_value(self):
         # 1 - <(1,1), (0.25,0.25)> = 0.5
-        s = LabeledSample([0.25, 0.25], +1)
-        assert hinge_loss(np.array([1.0, 1.0]), s) == pytest.approx(0.5)
+        assert hinge_at([1.0, 1.0], [0.25, 0.25], +1) == pytest.approx(0.5)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension"):
-            hinge_loss(np.zeros(3), LabeledSample([1.0, 2.0], -1))
+            hinge_at(np.zeros(3), [1.0, 2.0], -1)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -45,46 +43,58 @@ class TestHingeLoss:
         w = rng.normal(size=3)
         batch = hinge_losses(w, X, y)
         for i in range(40):
-            assert batch[i] == pytest.approx(hinge_loss(w, LabeledSample(X[i], int(y[i]))))
+            assert batch[i] == pytest.approx(max(0.0, 1.0 - y[i] * float(w @ X[i])))
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             p = rng.integers(1, 6)
-            s = LabeledSample(rng.normal(size=p), int(rng.choice([-1, 1])))
-            assert hinge_loss(rng.normal(size=p) * 10, s) >= 0.0
+            X = rng.normal(size=(4, p))
+            y = rng.choice([-1, 1], size=4)
+            assert (hinge_losses(rng.normal(size=p) * 10, X, y) >= 0.0).all()
+
+
+def one_move(x, y, z, flipped, norm=NormKind.L1, kappa=1.0):
+    """Transport spent moving the single sample (x, y) to an atom at z,
+    with its label kept or flipped: the ground cost between the two."""
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    mass = np.array([0.0, 1.0]) if flipped else np.array([1.0, 0.0])
+    atoms = np.vstack([x, x])
+    atoms[int(flipped)] = z
+    dist = WorstCaseDistribution(z=atoms, label=np.array([y, -y]), mass=mass)
+    cfg = ClientConfig(epsilon=1.0, kappa=kappa, norm=norm)
+    return dist.transport_spent(DatasetView([x], [y]), cfg)
 
 
 class TestTransportCost:
+    """The ground cost ||x - z|| plus kappa per label flip, read through
+    `WorstCaseDistribution.transport_spent` on one sample."""
+
     def test_identical_points_cost_zero(self):
-        a = LabeledSample([0.1, 0.2], +1)
-        assert transport_cost(a, a, TransportCostSpec(NormKind.L1, 1.0)) == 0.0
+        assert one_move([0.1, 0.2], +1, [0.1, 0.2], flipped=False) == 0.0
 
     def test_label_flip_costs_kappa(self):
-        a = LabeledSample([0.5, 0.5], +1)
-        b = LabeledSample([0.5, 0.5], -1)
-        assert transport_cost(a, b, TransportCostSpec(NormKind.L1, 0.5)) == 0.5
+        assert one_move([0.5, 0.5], +1, [0.5, 0.5], flipped=True, kappa=0.5) == 0.5
 
     def test_l1_hand_value(self):
-        a = LabeledSample([0.0, 0.0], +1)
-        b = LabeledSample([0.3, 0.4], +1)
-        assert transport_cost(a, b, TransportCostSpec(NormKind.L1, 1.0)) == pytest.approx(0.7)
+        assert one_move([0.0, 0.0], +1, [0.3, 0.4], flipped=False) == pytest.approx(0.7)
 
     def test_symmetry_and_identity(self):
         rng = np.random.default_rng(3)
-        spec = TransportCostSpec(NormKind.LINF, 0.7)
         for _ in range(100):
-            a = LabeledSample(rng.uniform(0, 1, 3), int(rng.choice([-1, 1])))
-            b = LabeledSample(rng.uniform(0, 1, 3), int(rng.choice([-1, 1])))
-            ab = transport_cost(a, b, spec)
-            assert ab == pytest.approx(transport_cost(b, a, spec))
+            a, b = rng.uniform(0, 1, 3), rng.uniform(0, 1, 3)
+            y, flipped = int(rng.choice([-1, 1])), bool(rng.integers(2))
+            ab = one_move(a, y, b, flipped, NormKind.LINF, 0.7)
+            assert ab == pytest.approx(one_move(b, -y if flipped else y, a, flipped,
+                                                NormKind.LINF, 0.7))
             assert ab >= 0.0
             if ab == 0.0:
-                assert a.y == b.y and np.allclose(a.x, b.x)
+                assert not flipped and np.allclose(a, b)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
-            TransportCostSpec(NormKind.L1, -0.1)
+            ClientConfig(epsilon=1.0, kappa=-0.1)
 
 
 class TestDualNorm:
@@ -105,7 +115,8 @@ class TestDualNorm:
         n = min(len(u), len(v))
         u = np.array(u[:n])
         v = np.array(v[:n])
-        assert abs(u @ v) <= feature_norm(u, norm) * dual_norm(v, norm) + 1e-9
+        u_norm = np.abs(u).sum() if norm is NormKind.L1 else np.abs(u).max()
+        assert abs(u @ v) <= u_norm * dual_norm(v, norm) + 1e-9
 
 
 class TestEvaluate:

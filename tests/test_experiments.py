@@ -1,6 +1,7 @@
 """Experiment driver: config schema, CV mechanics, pipelines, emission."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -271,6 +272,16 @@ def test_repetition_failures_are_recorded_and_run_continues():
     assert all("error" in r for r in result.repetitions)
     assert result.aggregates["mean_f1"] is None
     assert exit_code_for(result) == 2
+
+
+def test_a_nan_knob_in_a_config_file_is_named_in_the_failure():
+    # json.loads accepts the NaN literal, so a config file can carry one
+    doc = json.loads(json.dumps(base_config()).replace("0.01", "NaN"))
+    assert math.isnan(doc["grid"]["rho"][0])
+    result = run_experiment(ExperimentConfig.from_dict(doc))
+    (rep,) = result.repetitions
+    assert not rep["ok"]
+    assert "rho must be positive and finite, got nan" in rep["error"]
 
 
 def test_exit_code_thresholds():

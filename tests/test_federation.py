@@ -6,10 +6,13 @@ import threading
 import numpy as np
 import pytest
 
+from fedrosvm import federation
 from fedrosvm.core import DatasetView, NormKind
 from fedrosvm.federation import (
     Algorithm,
+    FederatedClient,
     FederationConfig,
+    InProcessTransport,
     admm_server_update,
     check_barrier,
     global_objective,
@@ -145,6 +148,13 @@ def test_config_applies_federation_rho_to_every_client():
     assert [c.rho for c in clients] == [1.0, 3.0]
 
 
+@pytest.mark.parametrize("knob", ["gamma0", "rho"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_a_non_finite_knob(knob, value):
+    with pytest.raises(ValueError, match=f"{knob} must be positive and finite"):
+        FederationConfig(clients=[ClientConfig(epsilon=0.1)], T=1, **{knob: value})
+
+
 def test_zero_rounds_returns_initial_model():
     cfg = FederationConfig(clients=toy_cfg(1), T=0)
     res = run_federation(cfg, make_shards(0, 1, 6, 2))
@@ -232,6 +242,28 @@ def test_strongly_convex_run_reaches_consensus():
     # residual settles: the tail is no worse than the early rounds
     early = max(tr.consensus_residual for tr in res.traces[:10])
     assert res.traces[-1].consensus_residual <= early
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.ADMM, Algorithm.ADMM_SC])
+def test_server_multiplier_mirror_equals_every_client_bit_for_bit(monkeypatch, algorithm):
+    # the server aggregates with its mirror of the multipliers; at every
+    # round's aggregation the mirror must hold exactly what each client holds
+    G, T = 3, 25
+    shards = make_shards(24, G, 10, 2)
+    cfg = FederationConfig(clients=toy_cfg(G, tau=0.0 if algorithm is Algorithm.ADMM else 1.0),
+                           T=T, algorithm=algorithm, rho=0.05)
+    clients = [FederatedClient(g, shards[g], cfg.clients[g], algorithm) for g in range(G)]
+    compared = []
+
+    def checking(pairs):
+        for client, (_, _, mu) in zip(clients, pairs):
+            compared.append(client.state.mu_g.tobytes() == np.asarray(mu).tobytes())
+        return admm_server_update(pairs)
+
+    monkeypatch.setattr(federation, "admm_server_update", checking)
+    run_federation(cfg, shards, transport=InProcessTransport(clients))
+    assert len(compared) == G * T
+    assert all(compared), f"{compared.count(False)} of {G * T} client-rounds differ"
 
 
 def test_strongly_convex_warns_above_penalty_bound():

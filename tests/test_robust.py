@@ -19,13 +19,12 @@ import numpy as np
 import pytest
 
 from fedrosvm import robust, solver
-from fedrosvm.core import DatasetView, NormKind, dual_norm, feature_norm, hinge_losses
+from fedrosvm.core import DatasetView, NormKind, dual_norm, hinge_losses
 from fedrosvm.robust import (
     ClientConfig,
     ClientModel,
     admm_client_step,
     admm_multiplier_update,
-    build_admm_qp,
     build_risk_epigraph_qp,
     build_sm_lp,
     extract_worst_case,
@@ -80,6 +79,13 @@ def test_client_config_validation():
         ClientConfig(epsilon=0.1, tau=-1.0)
     with pytest.raises(ValueError):
         ClientConfig(epsilon=0.1, rho=0.0)
+
+
+@pytest.mark.parametrize("knob", ["rho", "tau"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_client_config_rejects_a_non_finite_knob(knob, value):
+    with pytest.raises(ValueError, match=f"{knob} must be .* finite"):
+        ClientConfig(epsilon=0.1, **{knob: value})
 
 
 def test_client_model_validation():
@@ -334,7 +340,8 @@ def per_sample_reference(sol, data, cfg, w):
                 mass[k], z[k] = 0.0, X[i]
             r = 1.0 - label * (z[k] @ w)
             risk += mass[k] * max(0.0, r)
-            spent += mass[k] * (feature_norm(z[k] - X[i], cfg.norm) + flip)
+            move = np.abs(z[k] - X[i])
+            spent += mass[k] * ((move.sum() if cfg.norm is NormKind.L1 else move.max()) + flip)
             if r >= -robust.KINK_TOL:
                 v -= mass[k] * label * z[k]
     return z, mass, risk / N, spent / N, v / N
@@ -665,7 +672,7 @@ def test_admm_qp_objective_identity():
     anchor = w_global - mu
     for tau in (0.0, 2.5):
         cfg = ClientConfig(epsilon=0.07, kappa=0.4, rho=1.3, tau=tau)
-        prog = build_admm_qp(w_global, client, data, cfg)
+        prog = build_risk_epigraph_qp(data, cfg, rho=cfg.rho, tau=tau, anchor=anchor)
         for _ in range(5):
             x = rng.standard_normal(prog.n)
             w_part = x[:3]
@@ -689,7 +696,8 @@ def test_admm_qp_objective_monotone_in_tau():
     prev = -np.inf
     for tau in (0.0, 0.5, 2.0, 8.0):
         cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=1.0, tau=tau)
-        sol = solve(build_admm_qp(w_global, client, data, cfg))
+        sol = solve(build_risk_epigraph_qp(data, cfg, rho=cfg.rho, tau=tau,
+                                           anchor=w_global - client.mu_g))
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.objective >= prev - 1e-9
         prev = sol.objective
@@ -701,7 +709,7 @@ def test_admm_prox_dominates_with_large_rho():
     w_global = np.array([0.3, -0.7])
     client = ClientModel(w_g=np.zeros(2), mu_g=np.zeros(2))
     cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=1e6)
-    updated = admm_client_step(w_global, client, data, cfg)
+    updated = admm_client_step(w_global, client, data, cfg, {})
     assert np.max(np.abs(updated.w_g - w_global)) <= 1e-3
     np.testing.assert_array_equal(updated.mu_g, client.mu_g)
 
@@ -711,7 +719,7 @@ def test_admm_huge_radius_zeroes_client_w():
     data, _ = random_instance(rng, 6, 2)
     client = ClientModel(w_g=np.zeros(2), mu_g=np.zeros(2))
     cfg = ClientConfig(epsilon=1e3, kappa=0.5, rho=1.0)
-    updated = admm_client_step(np.zeros(2), client, data, cfg)
+    updated = admm_client_step(np.zeros(2), client, data, cfg, {})
     assert np.max(np.abs(updated.w_g)) <= 1e-4
 
 
@@ -727,10 +735,10 @@ def test_admm_client_step_cache_reuse():
     # fresh build to solver accuracy
     w_next = np.array([0.1, -0.2, 0.5])
     upd_cached = admm_client_step(w_next, client, data, cfg, cache=cache)
-    upd_fresh = admm_client_step(w_next, client, data, cfg)
+    upd_fresh = admm_client_step(w_next, client, data, cfg, {})
     np.testing.assert_allclose(upd_cached.w_g, upd_fresh.w_g, atol=1e-5)
-    # same inputs, no cache: bitwise repeatable
-    upd_again = admm_client_step(w_next, client, data, cfg)
+    # same inputs, fresh cache: bitwise repeatable
+    upd_again = admm_client_step(w_next, client, data, cfg, {})
     np.testing.assert_array_equal(upd_fresh.w_g, upd_again.w_g)
 
 
@@ -746,7 +754,7 @@ def test_admm_client_step_cache_survives_anchor_drift():
     for k in range(6):
         w_global = rng.standard_normal(3) * (3.0 ** k)
         upd_cached = admm_client_step(w_global, client, data, cfg, cache=cache)
-        upd_fresh = admm_client_step(w_global, client, data, cfg)
+        upd_fresh = admm_client_step(w_global, client, data, cfg, {})
         # iterate norms grow with the anchor here, so compare at solver
         # accuracy relative to scale
         np.testing.assert_allclose(upd_cached.w_g, upd_fresh.w_g,

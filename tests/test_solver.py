@@ -107,7 +107,8 @@ class TestHandExamples:
         assert sol.objective == pytest.approx(1.0, abs=1e-6)
 
     def test_unconstrained_quadratic(self):
-        p = ConvexProgram(n=1, Q=[[1.0]], c=[-1.0])
+        # the one inequality row stays inactive at the minimizer
+        p = ConvexProgram(n=1, Q=[[1.0]], c=[-1.0], A_ineq=[[1.0]], b_ineq=[10.0])
         sol = solve(p)
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.x_star[0] == pytest.approx(1.0)
@@ -128,7 +129,8 @@ class TestHandExamples:
         assert sol.objective == pytest.approx(-1.0, abs=1e-7)
 
     def test_equality_constrained_qp(self):
-        p = ConvexProgram(n=2, Q=np.eye(2), A_eq=[[1.0, 1.0]], b_eq=[1.0])
+        p = ConvexProgram(n=2, Q=np.eye(2), A_ineq=[[1.0, 0.0]], b_ineq=[10.0],
+                          A_eq=[[1.0, 1.0]], b_eq=[1.0])
         sol = solve(p)
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.x_star == pytest.approx([0.5, 0.5], abs=1e-7)
@@ -223,9 +225,15 @@ class TestStatusHonesty:
         assert sol.status is not SolverStatus.OPTIMAL
 
     def test_unbounded_unconstrained_lp(self):
-        p = ConvexProgram(n=2, c=[1.0, 0.0])
+        # the only row bounds x1 from above, so min x1 has no bottom
+        p = ConvexProgram(n=2, c=[1.0, 0.0], A_ineq=[[1.0, 0.0]], b_ineq=[1.0])
         sol = solve(p)
         assert sol.status is SolverStatus.NUMERICAL_FAILURE
+
+    def test_program_without_inequality_rows_is_rejected(self):
+        p = ConvexProgram(n=2, Q=np.eye(2), A_eq=[[1.0, 1.0]], b_eq=[1.0])
+        with pytest.raises(ValueError, match="no inequality rows"):
+            solve(p)
 
     def test_optimal_report_is_within_tolerance(self):
         rng = np.random.default_rng(4)
@@ -270,8 +278,8 @@ class TestDeterminismAndBackends:
         programs = [epigraph_program(np.random.default_rng(31)), *schur_eligible_programs()]
         for i, p in enumerate(programs):
             fast = solve(p)
-            assert isinstance(p._backend_cache[2], solver._SchurBackend), i
-            slow = solve(p, _force_sparse=True)
+            assert isinstance(p._backend_cache[1], solver._SchurBackend), i
+            slow = solver._ip_loop(p, SolverConfig(), solver._SparseBackend(p))
             assert fast.status is SolverStatus.OPTIMAL, (i, fast.message)
             assert slow.status is SolverStatus.OPTIMAL, (i, slow.message)
             assert fast.objective == pytest.approx(slow.objective, rel=1e-7, abs=1e-8), i
@@ -288,7 +296,8 @@ class TestDeterminismAndBackends:
             sol = solve(p)
         assert sol.status is SolverStatus.OPTIMAL
         assert "leading minor not positive definite" in caplog.text
-        assert sol.objective == solve(p, _force_sparse=True).objective
+        sparse = solver._ip_loop(p, SolverConfig(), solver._SparseBackend(p))
+        assert sol.objective == sparse.objective
 
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
