@@ -10,7 +10,7 @@ label noise up to a point.
 
 import numpy as np
 
-from fedrosvm.baselines import CentralDrConfig, train_central_dr_svm
+from fedrosvm.baselines import train_central_dr_svm
 from fedrosvm.core import NormKind, evaluate
 from fedrosvm.data import (
     SyntheticSpec,
@@ -40,12 +40,9 @@ print(f"flipped {int(flip.sum())} of {train.n} training labels")
 print()
 print("  epsilon   worst-case risk    ||w||_1    test F1")
 for eps in (1e-4, 1e-3, 1e-2, 3e-2, 1e-1, 3e-1):
-    model = train_central_dr_svm(
-        train, CentralDrConfig(epsilon=eps, kappa=0.5, norm=NormKind.L1)
-    )
-    risk, _ = worst_case_risk_dual(
-        model.w, train, ClientConfig(epsilon=eps, kappa=0.5, norm=NormKind.L1)
-    )
+    cfg = ClientConfig(epsilon=eps, kappa=0.5, norm=NormKind.L1)
+    model = train_central_dr_svm(train, cfg)
+    risk, _ = worst_case_risk_dual(model.w, train, cfg)
     norm1 = float(np.abs(model.w).sum())
     # past some radius, hedging everything beats classifying anything and
     # the optimal weights collapse to numerical dust

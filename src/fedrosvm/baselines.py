@@ -24,29 +24,20 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GlobalModel, NormKind
+from .core import GlobalModel
 from .robust import ClientConfig, build_risk_epigraph_qp
 from .solver import SolverStatus, solve
 
 
-@dataclass(frozen=True)
-class CentralDrConfig:
-    epsilon: float
-    kappa: float = 1.0
-    norm: NormKind = NormKind.L1
-
-    def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+# The pooled model is one client holding all the data, with the same knobs
+CentralDrConfig = ClientConfig
 
 
 def train_central_dr_svm(data, cfg):
     """Solve the pooled robust hinge program (epigraph form, no proximal
-    term) and return the optimal weights."""
-    ccfg = ClientConfig(epsilon=cfg.epsilon, kappa=cfg.kappa, norm=cfg.norm)
-    sol = solve(build_risk_epigraph_qp(data, ccfg))
+    term) and return the optimal weights. `cfg` gives epsilon, kappa and
+    norm; the program reads no other field."""
+    sol = solve(build_risk_epigraph_qp(data, cfg))
     if sol.status is not SolverStatus.OPTIMAL:
         raise RuntimeError(f"central robust solve failed: {sol.message}")
     return GlobalModel(w=sol.x_star[: data.p].copy())

@@ -172,7 +172,7 @@ class PartitionPlan:
     @staticmethod
     def _check_fractions(fractions, name):
         arr = np.asarray(fractions, dtype=float)
-        if (arr <= 0.0).any():
+        if not (arr > 0.0).all():  # NaN fails this too
             raise ValueError(f"{name} must be positive")
         if abs(arr.sum() - 1.0) > 1e-9:
             raise ValueError(f"{name} must sum to 1, got {arr.sum()!r}")
@@ -300,8 +300,8 @@ class SyntheticSpec:
             raise ValueError(f"need N >= 2G, got N={self.N}, G={self.G}")
         if self.P < 1:
             raise ValueError(f"P must be >= 1, got {self.P}")
-        if self.class_sep <= 0.0:
-            raise ValueError(f"class_sep must be positive, got {self.class_sep}")
+        if not (self.class_sep > 0.0 and np.isfinite(self.class_sep)):
+            raise ValueError(f"class_sep must be positive and finite, got {self.class_sep}")
 
 
 def generate_synthetic(spec):

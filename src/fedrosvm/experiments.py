@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import (
-    CentralDrConfig,
     FedBaselineConfig,
     FedVariant,
     train_central_dr_svm,
@@ -352,7 +351,7 @@ def _snapshots_of_one_run(cfg, params, shards, t_grid):
     name = cfg.model
     if name == "central_dr":
         pooled = pool(shards)
-        central = CentralDrConfig(
+        central = ClientConfig(
             epsilon=_radius(cfg, params, pooled.n),
             kappa=params.get("kappa", cfg.fixed["kappa"]),
             norm=NORMS[cfg.fixed["norm"]],

@@ -13,11 +13,12 @@ server message. Two interchangeable transports drive it: an in-process one
 the server's own thread, and a TCP one speaking the length-prefixed frame
 format from `wire`, where `run_client` wraps the same object in a socket
 loop and the server reads one reply per connection, in connection order,
-on its own thread. Neither transport starts a thread. The rounds are
-synchronous, so the order of the client steps within a round changes no
-result; both transports deliver the same message sequence to every client
-and the server reduces results in client order, so the two produce
-bit-identical models on the same inputs.
+on its own thread. Neither transport starts a thread or checks a reply:
+`run_federation` checks each round's replies once, in `check_barrier`.
+The rounds are synchronous, so the order of the client steps within a
+round changes no result; both transports deliver the same message
+sequence to every client and the server reduces results in client order,
+so the two produce bit-identical models on the same inputs.
 
 The model starts at zeros and every ADMM multiplier at ones.
 
@@ -49,7 +50,6 @@ from .robust import (
 )
 from .solver import SolverStatus, solve
 from .wire import (
-    DEFAULT_FRAME_CAP,
     AdmmResult,
     Broadcast,
     ProtocolError,
@@ -193,14 +193,21 @@ def global_objective(w, client_data, client_cfgs):
 # --------------------------------------------------------------- transports
 
 
-def check_barrier(replies, G):
+# Seconds a client waits for the server to accept its connection.
+CONNECT_TIMEOUT = 60.0
+
+
+def check_barrier(replies, G, expected):
     """One round's barrier: take replies until every client id in [0, G)
-    has answered exactly once, and return them keyed by client id. A
-    duplicate or out-of-range id aborts the round, and so does running
-    out of replies early."""
+    has answered exactly once with an `expected` message, and return them
+    keyed by client id. A reply of another type, a duplicate or
+    out-of-range id, or running out of replies early aborts the round."""
+    kind = "SM" if expected is SmResult else "ADMM"
     results = {}
     for msg in replies:
-        g = msg.g
+        g = getattr(msg, "g", None)
+        if not isinstance(msg, expected):
+            raise RuntimeError(f"client {g} sent {type(msg).__name__} in an {kind} round")
         if g in results:
             raise RuntimeError(f"barrier violation: duplicate result from client {g}")
         if not (0 <= g < G):
@@ -214,7 +221,7 @@ def check_barrier(replies, G):
 class InProcessTransport:
     """Delivers messages by calling the client objects directly, in client
     order, on the server's thread. `broadcast` only records a message;
-    `collect` hands every recorded message to every client and gathers
+    `collect` hands every recorded message to every client and returns
     the replies, so the client work happens inside the barrier."""
 
     def __init__(self, clients):
@@ -242,10 +249,33 @@ class InProcessTransport:
                     ) from exc
                 if reply is not None:
                     replies.append(reply)
-        return check_barrier(replies, G)
+        return replies
 
     def close(self):
         self._pending = []
+
+
+class _SocketChannel:
+    """One end of a TCP connection, server or client side: a blocking
+    socket with Nagle's algorithm off (a Broadcast and the next RoundStart
+    go out back to back) that moves one frame per message."""
+
+    def __init__(self, sock):
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+
+    def send(self, msg):
+        write_frame(self._sock, msg)
+
+    def recv(self):
+        return read_frame(self._sock)
+
+    def close(self):
+        try:
+            self._sock.close()
+        except OSError:
+            pass
 
 
 class TcpServerTransport:
@@ -255,12 +285,10 @@ class TcpServerTransport:
     thread; a lost connection or a malformed frame aborts the run and names
     the peer."""
 
-    def __init__(self, host="127.0.0.1", port=0, frame_cap=DEFAULT_FRAME_CAP,
-                 accept_timeout=60.0):
+    def __init__(self, host="127.0.0.1", port=0, accept_timeout=60.0):
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(accept_timeout)
-        self._frame_cap = frame_cap
-        self._conns = []
+        self._peers = []
 
     @property
     def address(self):
@@ -274,22 +302,20 @@ class TcpServerTransport:
                 raise RuntimeError(
                     f"only {i} of {G} clients connected before the accept timeout"
                 )
-            # a Broadcast and the next RoundStart go out back to back
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conns.append((conn, peer))
+            self._peers.append((_SocketChannel(conn), peer))
 
     def broadcast(self, msg):
-        for conn, peer in self._conns:
+        for channel, peer in self._peers:
             try:
-                write_frame(conn, msg, self._frame_cap)
+                channel.send(msg)
             except OSError as exc:
                 raise RuntimeError(
                     f"federation aborted: connection from {peer} lost"
                 ) from exc
 
-    def _read(self, conn, peer):
+    def _read(self, channel, peer):
         try:
-            return read_frame(conn, self._frame_cap)
+            return channel.recv()
         except OSError as exc:
             raise RuntimeError(
                 f"federation aborted: connection from {peer} lost"
@@ -300,47 +326,19 @@ class TcpServerTransport:
             ) from exc
 
     def collect(self, G):
-        return check_barrier([self._read(conn, peer) for conn, peer in self._conns], G)
+        return [self._read(channel, peer) for channel, peer in self._peers]
 
     def close(self):
-        for conn, _ in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        for channel, _ in self._peers:
+            channel.close()
         self._listener.close()
 
 
-class _SocketChannel:
-    """Client endpoint of the TCP transport."""
-
-    def __init__(self, sock, frame_cap=DEFAULT_FRAME_CAP):
-        self._sock = sock
-        self._frame_cap = frame_cap
-
-    def send(self, msg):
-        write_frame(self._sock, msg, self._frame_cap)
-
-    def recv(self):
-        return read_frame(self._sock, self._frame_cap)
-
-    def close(self):
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+transport_tcp_serve = TcpServerTransport
 
 
-def transport_tcp_serve(host="127.0.0.1", port=0, frame_cap=DEFAULT_FRAME_CAP,
-                        accept_timeout=60.0):
-    return TcpServerTransport(host, port, frame_cap, accept_timeout)
-
-
-def transport_tcp_connect(address, frame_cap=DEFAULT_FRAME_CAP, timeout=60.0):
-    sock = socket.create_connection(address, timeout=timeout)
-    sock.settimeout(None)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return _SocketChannel(sock, frame_cap)
+def transport_tcp_connect(address):
+    return _SocketChannel(socket.create_connection(address, timeout=CONNECT_TIMEOUT))
 
 
 # ------------------------------------------------------------- client side
@@ -443,20 +441,12 @@ def run_federation(cfg, client_data, transport=None):
                 RuntimeWarning,
             )
 
-    if cfg.T == 0:
-        model = GlobalModel(w=w)
-        return FederationResult(
-            w_last=model, w_best=model, best_round=0,
-            best_objective=None, traces=[],
-        )
-
     if transport is None:
         transport = InProcessTransport(
             FederatedClient(g, client_data[g], cfg.clients[g], cfg.algorithm)
             for g in range(G)
         )
-    kind, expected = (("SM", SmResult) if cfg.algorithm is Algorithm.SM
-                      else ("ADMM", AdmmResult))
+    expected = SmResult if cfg.algorithm is Algorithm.SM else AdmmResult
     server_mu = [np.ones(p) for _ in range(G)]
     traces = []
     try:
@@ -466,12 +456,7 @@ def run_federation(cfg, client_data, transport=None):
         for t in range(1, cfg.T + 1):
             started = time.perf_counter()
             transport.broadcast(RoundStart(t=t, w=w))
-            results = transport.collect(G)
-            for g in range(G):
-                if not isinstance(results[g], expected):
-                    raise RuntimeError(
-                        f"client {g} sent {type(results[g]).__name__} in an {kind} round"
-                    )
+            results = check_barrier(transport.collect(G), G, expected)
             if cfg.algorithm is Algorithm.SM:
                 w = sm_server_update(
                     w, [(cfg.clients[g].alpha, results[g].v) for g in range(G)],
@@ -501,7 +486,9 @@ def run_federation(cfg, client_data, transport=None):
             pass  # sockets may already be gone; shutdown is best-effort
         transport.close()
 
-    best = min(traces, key=lambda tr: tr.global_objective)
+    best = min(traces, key=lambda tr: tr.global_objective,
+               default=RoundTrace(t=0, w_after=w, global_objective=None,
+                                  consensus_residual=0.0, wall_time=0.0))
     return FederationResult(
         w_last=GlobalModel(w=w),
         w_best=GlobalModel(w=best.w_after.copy()),

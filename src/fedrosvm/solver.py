@@ -353,14 +353,21 @@ def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None) -> SolverSoluti
                          "method needs at least one")
 
     # constraint structure is immutable after the first solve (only c may be
-    # swapped between repeated solves), so the backend can be reused
+    # swapped between repeated solves), so the backend can be reused, and so
+    # can the columns that no row touches and Q leaves flat
     cached = getattr(p, "_backend_cache", None)
-    if cached is not None:
-        split, backend = cached
-    else:
+    if cached is None:
         split = _schur_split(p)
         backend = _SchurBackend(p, split) if split else _SparseBackend(p)
-        p._backend_cache = (split, backend)
+        free = np.flatnonzero((p.A_ineq.getnnz(axis=0) == 0) & (p.A_eq.getnnz(axis=0) == 0)
+                              & (p.Q.diagonal() == 0.0))
+        cached = p._backend_cache = (split, backend, free)
+    split, backend, free = cached
+    if free.size and p.c[free].any():
+        j = free[np.flatnonzero(p.c[free])[0]]
+        return SolverSolution(np.full(p.n, np.nan), np.nan, SolverStatus.NUMERICAL_FAILURE,
+                              np.inf, 0, f"column {j} is in no constraint row and has no "
+                              f"curvature, so its cost {p.c[j]:g} is unbounded below")
     try:
         return _ip_loop(p, cfg, backend, warm)
     except (scipy.linalg.LinAlgError, RuntimeError, np.linalg.LinAlgError) as e:

@@ -17,6 +17,7 @@ Message payloads:
 
 where `vec` is u32 count followed by count float64 values. Vectors must be
 finite: NaN or infinity anywhere is a protocol error on both ends.
+Every message but Shutdown is `tag | u32 field | vec`, one row of `_LAYOUT`.
 """
 
 import struct
@@ -26,13 +27,7 @@ import numpy as np
 
 # Upper bound on a single payload; a peer announcing more is assumed broken
 # or hostile and the connection is dropped.
-DEFAULT_FRAME_CAP = 1 << 20
-
-_TAG_ROUND_START = 0x01
-_TAG_SM_RESULT = 0x02
-_TAG_ADMM_RESULT = 0x03
-_TAG_BROADCAST = 0x04
-_TAG_SHUTDOWN = 0x05
+FRAME_CAP = 1 << 20
 
 
 class ProtocolError(Exception):
@@ -68,6 +63,17 @@ class Shutdown:
     pass
 
 
+# message type -> (tag, name of its u32 field, name of its vector field)
+_LAYOUT = {
+    RoundStart: (0x01, "t", "w"),
+    SmResult: (0x02, "g", "v"),
+    AdmmResult: (0x03, "g", "w_g"),
+    Broadcast: (0x04, "t", "w"),
+}
+_BY_TAG = {tag: (cls, field, vec) for cls, (tag, field, vec) in _LAYOUT.items()}
+_SHUTDOWN = b"\x05"
+
+
 def _check_u32(value, name):
     if not (0 <= int(value) <= 0xFFFFFFFF):
         raise ProtocolError(f"{name} out of uint32 range: {value}")
@@ -99,29 +105,15 @@ def _unpack_vec(payload, off):
 
 def encode_message(msg):
     """Serialize a protocol message to its payload bytes (no length prefix)."""
-    if isinstance(msg, RoundStart):
-        return (
-            struct.pack(">BI", _TAG_ROUND_START, _check_u32(msg.t, "t"))
-            + _pack_vec(msg.w)
-        )
-    if isinstance(msg, SmResult):
-        return (
-            struct.pack(">BI", _TAG_SM_RESULT, _check_u32(msg.g, "g"))
-            + _pack_vec(msg.v)
-        )
-    if isinstance(msg, AdmmResult):
-        return (
-            struct.pack(">BI", _TAG_ADMM_RESULT, _check_u32(msg.g, "g"))
-            + _pack_vec(msg.w_g)
-        )
-    if isinstance(msg, Broadcast):
-        return (
-            struct.pack(">BI", _TAG_BROADCAST, _check_u32(msg.t, "t"))
-            + _pack_vec(msg.w)
-        )
     if isinstance(msg, Shutdown):
-        return struct.pack(">B", _TAG_SHUTDOWN)
-    raise ProtocolError(f"unknown message type: {type(msg).__name__}")
+        return _SHUTDOWN
+    if type(msg) not in _LAYOUT:
+        raise ProtocolError(f"unknown message type: {type(msg).__name__}")
+    tag, field, vec = _LAYOUT[type(msg)]
+    return (
+        struct.pack(">BI", tag, _check_u32(getattr(msg, field), field))
+        + _pack_vec(getattr(msg, vec))
+    )
 
 
 def decode_message(payload):
@@ -132,34 +124,28 @@ def decode_message(payload):
     """
     if len(payload) < 1:
         raise ProtocolError("empty payload")
-    tag = payload[0]
-    if tag == _TAG_SHUTDOWN:
+    if payload[:1] == _SHUTDOWN:
         if len(payload) != 1:
             raise ProtocolError("trailing bytes after shutdown")
         return Shutdown()
     if len(payload) < 5:
         raise ProtocolError("truncated message header")
-    (field,) = struct.unpack_from(">I", payload, 1)
-    vec, end = _unpack_vec(payload, 5)
+    (value,) = struct.unpack_from(">I", payload, 1)
+    arr, end = _unpack_vec(payload, 5)
     if end != len(payload):
         raise ProtocolError("trailing bytes after message")
-    if tag == _TAG_ROUND_START:
-        return RoundStart(t=field, w=vec)
-    if tag == _TAG_SM_RESULT:
-        return SmResult(g=field, v=vec)
-    if tag == _TAG_ADMM_RESULT:
-        return AdmmResult(g=field, w_g=vec)
-    if tag == _TAG_BROADCAST:
-        return Broadcast(t=field, w=vec)
-    raise ProtocolError(f"unknown message tag 0x{tag:02x}")
+    if payload[0] not in _BY_TAG:
+        raise ProtocolError(f"unknown message tag 0x{payload[0]:02x}")
+    cls, field, vec = _BY_TAG[payload[0]]
+    return cls(**{field: value, vec: arr})
 
 
-def write_frame(sock, msg, frame_cap=DEFAULT_FRAME_CAP):
+def write_frame(sock, msg):
     """Encode msg and send it as one length-prefixed frame."""
     payload = encode_message(msg)
-    if len(payload) > frame_cap:
+    if len(payload) > FRAME_CAP:
         raise ProtocolError(
-            f"payload of {len(payload)} bytes exceeds the frame cap {frame_cap}"
+            f"payload of {len(payload)} bytes exceeds the frame cap {FRAME_CAP}"
         )
     sock.sendall(struct.pack(">I", len(payload)) + payload)
 
@@ -176,7 +162,7 @@ def _recv_exact(sock, count):
     return b"".join(chunks)
 
 
-def read_frame(sock, frame_cap=DEFAULT_FRAME_CAP):
+def read_frame(sock):
     """Read one length-prefixed frame and decode it.
 
     Raises ConnectionError on clean or mid-frame EOF and ProtocolError on
@@ -184,8 +170,8 @@ def read_frame(sock, frame_cap=DEFAULT_FRAME_CAP):
     """
     header = _recv_exact(sock, 4)
     (length,) = struct.unpack(">I", header)
-    if length > frame_cap:
+    if length > FRAME_CAP:
         raise ProtocolError(
-            f"announced frame of {length} bytes exceeds the cap {frame_cap}"
+            f"announced frame of {length} bytes exceeds the cap {FRAME_CAP}"
         )
     return decode_message(_recv_exact(sock, length))

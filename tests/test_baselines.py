@@ -55,6 +55,12 @@ def test_central_config_validation():
         CentralDrConfig(epsilon=0.1, kappa=-1.0)
 
 
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+def test_central_config_rejects_a_non_finite_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be nonnegative and finite"):
+        CentralDrConfig(epsilon=0.1, kappa=kappa)
+
+
 def test_central_objective_matches_exact_dual():
     data = make_data(3, 14, 3)
     for norm in (NormKind.L1, NormKind.LINF):

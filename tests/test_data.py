@@ -248,6 +248,15 @@ def test_plan_validation():
                       class_fractions=(0.5, 0.3, 0.2))
 
 
+@pytest.mark.parametrize("scheme, knob, shares", [
+    (PartitionScheme.CLIENT_IMBALANCE, "client_fractions", (float("nan"), 1.0)),
+    (PartitionScheme.CLASS_IMBALANCE, "class_fractions", (0.5, float("nan"))),
+])
+def test_plan_rejects_nan_fractions(scheme, knob, shares):
+    with pytest.raises(ValueError, match=f"{knob} must be positive"):
+        PartitionPlan(scheme=scheme, G=2, seed=0, **{knob: shares})
+
+
 def test_partition_infeasible_inputs():
     data = balanced_data(8, 4, p=2)
     with pytest.raises(ValueError):
@@ -295,6 +304,12 @@ def test_synthetic_spec_validation():
         SyntheticSpec(N=7, P=2, G=4)
     with pytest.raises(ValueError):
         SyntheticSpec(N=20, P=0, G=4)
+
+
+@pytest.mark.parametrize("class_sep", [float("nan"), float("inf")])
+def test_synthetic_spec_rejects_a_non_finite_class_sep(class_sep):
+    with pytest.raises(ValueError, match="class_sep must be positive and finite"):
+        SyntheticSpec(N=20, P=2, G=4, class_sep=class_sep)
 
 
 # -------------------------------------------------------------- train/test

@@ -1,6 +1,8 @@
 """Federated runtime: server updates, barriers, both transports."""
 
 import re
+import socket
+import struct
 import threading
 
 import numpy as np
@@ -25,7 +27,7 @@ from fedrosvm.federation import (
 )
 from fedrosvm.robust import ClientConfig, build_risk_epigraph_qp, worst_case_risk_dual
 from fedrosvm.solver import SolverStatus, solve
-from fedrosvm.wire import AdmmResult, ProtocolError, SmResult
+from fedrosvm.wire import FRAME_CAP, AdmmResult, ProtocolError, SmResult
 
 
 def make_shards(seed, G, n_per, p):
@@ -292,13 +294,21 @@ def test_client_failure_aborts_run_with_diagnostic():
 def test_duplicate_result_is_a_barrier_violation():
     replies = [SmResult(g=0, v=np.zeros(2)), SmResult(g=0, v=np.ones(2))]
     with pytest.raises(RuntimeError, match="duplicate result from client 0"):
-        check_barrier(replies, 2)
+        check_barrier(replies, 2, SmResult)
 
 
 def test_unknown_client_id_is_a_barrier_violation():
     replies = [SmResult(g=7, v=np.zeros(2))]
     with pytest.raises(RuntimeError, match="unknown client id 7"):
-        check_barrier(replies, 2)
+        check_barrier(replies, 2, SmResult)
+
+
+def test_wrong_reply_type_is_a_barrier_violation():
+    replies = [SmResult(g=0, v=np.zeros(2)), AdmmResult(g=1, w_g=np.zeros(2))]
+    with pytest.raises(RuntimeError, match="client 1 sent AdmmResult in an SM round"):
+        check_barrier(replies, 2, SmResult)
+    with pytest.raises(RuntimeError, match="client 0 sent SmResult in an ADMM round"):
+        check_barrier(replies, 2, AdmmResult)
 
 
 @pytest.mark.parametrize("algorithm", [Algorithm.SM, Algorithm.ADMM])
@@ -321,7 +331,7 @@ def test_wrong_result_type_for_round_is_rejected():
             pass
 
         def collect(self, G):
-            return {0: AdmmResult(g=0, w_g=np.zeros(2))}
+            return [AdmmResult(g=0, w_g=np.zeros(2))]
 
         def close(self):
             pass
@@ -476,17 +486,38 @@ def test_tcp_accept_timeout_releases_the_clients_that_connected():
     client.join(timeout=10.0)
     assert not client.is_alive()  # it got its Shutdown
     with pytest.raises(ConnectionRefusedError):
-        transport_tcp_connect(address, timeout=5.0)  # the listener is closed
+        transport_tcp_connect(address)  # the listener is closed
+
+
+def test_tcp_zero_rounds_shuts_the_clients_down():
+    shards = make_shards(47, 1, 6, 2)
+    cfg = FederationConfig(clients=toy_cfg(1), T=0)
+    server = transport_tcp_serve()
+    address = server.address
+    channel = transport_tcp_connect(address)
+    client = threading.Thread(
+        target=run_client, args=(channel, 0, shards[0], cfg.clients[0], Algorithm.SM),
+        daemon=True,
+    )
+    client.start()
+    result = run_federation(cfg, shards, transport=server)
+    client.join(timeout=10.0)
+    assert not client.is_alive()  # it got its Shutdown
+    assert result.traces == [] and result.best_round == 0
+    assert np.array_equal(result.w_best.w, [0.0, 0.0])
+    with pytest.raises(ConnectionRefusedError):
+        transport_tcp_connect(address)  # the listener is closed
 
 
 def test_tcp_server_rejects_oversized_inbound_frame():
-    server = transport_tcp_serve(frame_cap=32)
+    server = transport_tcp_serve()
     address = server.address
 
     def chatty():
-        ch = transport_tcp_connect(address, frame_cap=1 << 20)
-        ch.send(SmResult(g=0, v=np.zeros(64)))  # ~520 bytes, over the cap
-        ch.close()
+        # a raw length header announcing more than the cap; the client's own
+        # write_frame would refuse to send such a frame
+        with socket.create_connection(address) as sock:
+            sock.sendall(struct.pack(">I", FRAME_CAP + 1))
 
     th = threading.Thread(target=chatty)
     th.start()
@@ -503,9 +534,9 @@ def test_tcp_client_send_respects_frame_cap():
     caught = []
 
     def quiet():
-        ch = transport_tcp_connect(address, frame_cap=16)
+        ch = transport_tcp_connect(address)
         try:
-            ch.send(SmResult(g=0, v=np.zeros(8)))
+            ch.send(SmResult(g=0, v=np.zeros(1 << 17)))  # 9 bytes over the cap
         except ProtocolError as exc:
             caught.append(exc)
         ch.close()

@@ -230,6 +230,18 @@ class TestStatusHonesty:
         sol = solve(p)
         assert sol.status is SolverStatus.NUMERICAL_FAILURE
 
+    def test_costed_column_in_no_row_fails_before_iterating(self):
+        # x1 is in no row and has no curvature, so min x1 has no bottom
+        p = ConvexProgram(n=2, c=[1.0, 0.0], A_ineq=[[0.0, 1.0]], b_ineq=[1.0])
+        sol = solve(p)
+        assert sol.status is SolverStatus.NUMERICAL_FAILURE
+        assert sol.iterations == 0 and "column 0" in sol.message
+        # the column is found once per program; each solve reads its cost
+        p.c = np.array([0.0, -1.0])
+        assert solve(p).status is SolverStatus.OPTIMAL
+        p.c = np.array([-2.0, -1.0])
+        assert "column 0" in solve(p).message
+
     def test_program_without_inequality_rows_is_rejected(self):
         p = ConvexProgram(n=2, Q=np.eye(2), A_eq=[[1.0, 1.0]], b_eq=[1.0])
         with pytest.raises(ValueError, match="no inequality rows"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedrosvm.wire import (
+    FRAME_CAP,
     AdmmResult,
     Broadcast,
     ProtocolError,
@@ -133,14 +134,12 @@ def test_rejects_malformed_payloads():
 
 
 def test_frame_cap_enforced_both_directions():
-    big = RoundStart(t=1, w=np.zeros(100))
+    big = RoundStart(t=1, w=np.zeros(FRAME_CAP // 8))  # 9 bytes over the cap
     with pytest.raises(ProtocolError, match="cap"):
-        write_frame(LoopbackSocket(), big, frame_cap=64)
-    sock = LoopbackSocket()
-    write_frame(sock, big)
-    sock.rx = sock.tx
+        write_frame(LoopbackSocket(), big)
+    sock = LoopbackSocket(struct.pack(">I", FRAME_CAP + 1))
     with pytest.raises(ProtocolError, match="cap"):
-        read_frame(sock, frame_cap=64)
+        read_frame(sock)
 
 
 def test_read_frame_reports_connection_loss():
