@@ -26,13 +26,13 @@ from .data import apply_minmax, load_csv
 from .experiments import (
     ConfigError,
     ExperimentConfig,
-    MODEL_ALGORITHMS,
+    FEDERATED_MODELS,
     cross_validate,
     emit_results,
     exit_code_for,
     federation_config,
     grid_points,
-    kept_model,
+    kept_models,
     load_model,
     prepare_repetition,
     run_experiment,
@@ -60,7 +60,7 @@ def _single_point_params(cfg):
 
 
 def _federation_setup(cfg, rep):
-    if cfg.model not in MODEL_ALGORITHMS:
+    if cfg.model not in FEDERATED_MODELS:
         raise ConfigError(f"serve/client support sm/admm/admm_sc, not {cfg.model!r}")
     seed = cfg.base_seed + rep
     shards, test, stats = prepare_repetition(cfg, seed)
@@ -98,8 +98,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model, stats = load_model(args.model)
-    table = load_csv(args.csv, args.label_column, args.positive_label)
-    view = apply_minmax(table.view(), stats)
+    view = apply_minmax(load_csv(args.csv, args.label_column, args.positive_label), stats)
     metrics = evaluate(model, view)
     print(json.dumps({
         "f1": metrics.f1, "mccr": metrics.mccr, "n": metrics.n,
@@ -125,7 +124,7 @@ def cmd_serve(args):
     host, port = server.address
     print(f"serving on {host}:{port}, waiting for {fed.G} clients", flush=True)
     result = run_federation(fed, shards, transport=server)
-    model = kept_model(cfg.model, result)
+    model = kept_models(cfg.model, result.traces, [fed.T])[fed.T]
     metrics = evaluate(model, test)
     print(json.dumps({
         "model_w": [float(v) for v in model.w],

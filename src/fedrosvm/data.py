@@ -30,20 +30,9 @@ class UnknownLabelError(ValueError):
     pass
 
 
-@dataclass
-class RawTable:
-    X: np.ndarray
-    y: np.ndarray
-    feature_names: list
-    label_column: str
-    label_map: dict
-
-    def view(self):
-        return DatasetView(X=self.X, y=self.y)
-
-
 def load_csv(path, label_column, positive_label):
-    """Read a UTF-8 comma-separated file with a header row into a table.
+    """Read a UTF-8 comma-separated file with a header row into a dataset;
+    the feature columns keep the file's order, without the label column.
 
     Rows with the label value `positive_label` map to +1; the single
     remaining label value maps to -1. More than two distinct label values
@@ -63,9 +52,8 @@ def load_csv(path, label_column, positive_label):
     if not rows:
         raise CsvFormatError(f"{path}: header only, no data rows")
     label_idx = header.index(label_column)
-    feature_names = [name for i, name in enumerate(header) if i != label_idx]
 
-    X = np.empty((len(rows), len(feature_names)))
+    X = np.empty((len(rows), len(header) - 1))
     raw_labels = []
     for r, row in enumerate(rows):
         if len(row) != len(header):
@@ -96,8 +84,7 @@ def load_csv(path, label_column, positive_label):
     if others:
         label_map[others[0]] = -1
     y = np.array([label_map[v] for v in raw_labels])
-    return RawTable(X=X, y=y, feature_names=feature_names,
-                    label_column=label_column, label_map=label_map)
+    return DatasetView(X=X, y=y)
 
 
 # ------------------------------------------------------------ normalization

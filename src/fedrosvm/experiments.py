@@ -7,6 +7,13 @@ repetition i uses seed base_seed + i for its shuffle/split, normalization
 fit, partitioning/corruption, CV folds, and training, so a config and a
 base seed fully determine every reported number except wall times.
 
+Model names are the values of `federation.Algorithm` (sm, admm, admm_sc)
+and `baselines.FedVariant` (fedsgd, fedavg, fedprox), plus central_dr for
+the pooled robust model. Each per-model decision is made once: the client
+configs of every robust model (federated or pooled) in `_client_configs`,
+and the iterate a federated run keeps in `kept_models`, which `cli serve`
+reads too.
+
 The round-count grid is nested rather than crossed: federated training at
 the largest T in the grid yields snapshots at every smaller T along the
 way (round prefixes are unaffected by later rounds), which keeps grid
@@ -22,7 +29,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,28 +60,22 @@ class ConfigError(ValueError):
     pass
 
 
-MODEL_ALGORITHMS = {
-    "sm": Algorithm.SM,
-    "admm": Algorithm.ADMM,
-    "admm_sc": Algorithm.ADMM_SC,
-}
-FED_BASELINE_VARIANTS = {
-    "fedsgd": FedVariant.FEDSGD,
-    "fedavg": FedVariant.FEDAVG,
-    "fedprox": FedVariant.FEDPROX,
-}
-MODEL_NAMES = sorted(MODEL_ALGORITHMS) + sorted(FED_BASELINE_VARIANTS) + ["central_dr"]
+# model names are the enum values: the federated algorithms, the l2
+# baselines, and the pooled robust model
+FEDERATED_MODELS = sorted(a.value for a in Algorithm)
+L2_BASELINES = sorted(v.value for v in FedVariant)
+MODEL_NAMES = FEDERATED_MODELS + L2_BASELINES + ["central_dr"]
 NORMS = {"l1": NormKind.L1, "linf": NormKind.LINF}
 
+_ROUNDS = [5, 10, 20, 60, 100, 140, 180, 220]
+_DECADES = [1e-3, 1e-2, 1e-1, 1e0]  # the ADMM rho and the l2 baselines' gamma0
 DEFAULT_GRIDS = {
     "sm": {"gamma0": [1e0, 1e1, 1e2, 1e3], "T": [100, 140, 180, 220]},
-    "admm": {"rho": [1e-3, 1e-2, 1e-1, 1e0], "T": [5, 10, 20, 60, 100, 140, 180, 220]},
-    "admm_sc": {"rho": [1e-3, 1e-2, 1e-1, 1e0], "T": [5, 10, 20, 60, 100, 140, 180, 220]},
+    "admm": {"rho": _DECADES, "T": _ROUNDS},
+    "admm_sc": {"rho": _DECADES, "T": _ROUNDS},
     "central_dr": {"epsilon": [1e-5, 1e-4, 1e-3, 1e-2, 1e-1],
                    "kappa": [0.1, 0.25, 0.5, 0.75, 1.0]},
-    "fedsgd": {"gamma0": [1e-3, 1e-2, 1e-1, 1e0], "T": [5, 10, 20, 60, 100, 140, 180, 220]},
-    "fedavg": {"gamma0": [1e-3, 1e-2, 1e-1, 1e0], "T": [5, 10, 20, 60, 100, 140, 180, 220]},
-    "fedprox": {"gamma0": [1e-3, 1e-2, 1e-1, 1e0], "T": [5, 10, 20, 60, 100, 140, 180, 220]},
+    **{name: {"gamma0": _DECADES, "T": _ROUNDS} for name in L2_BASELINES},
 }
 
 # the grid keys each model reads; T is the nested round grid
@@ -84,9 +85,7 @@ TUNABLE = {
     "admm": {"rho", *_FEDERATED_KNOBS},
     "admm_sc": {"rho", *_FEDERATED_KNOBS},
     "central_dr": {"epsilon", "beta", "kappa"},
-    "fedsgd": {"gamma0", "T"},
-    "fedavg": {"gamma0", "T"},
-    "fedprox": {"gamma0", "T"},
+    **{name: {"gamma0", "T"} for name in L2_BASELINES},
 }
 
 DEFAULT_FIXED = {
@@ -120,9 +119,7 @@ class ExperimentConfig:
     def from_dict(cls, doc, raw_text=None):
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"name", "dataset", "partition", "model", "grid", "fixed",
-                 "cv_folds", "repetitions", "base_seed", "test_fraction", "output"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)} - {"raw_text"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("name", "dataset", "partition", "model"):
@@ -209,13 +206,9 @@ class ExperimentConfig:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
     def to_dict(self):
-        return {
-            "name": self.name, "dataset": self.dataset, "partition": self.partition,
-            "model": self.model, "grid": self.grid, "fixed": self.fixed,
-            "cv_folds": self.cv_folds, "repetitions": self.repetitions,
-            "base_seed": self.base_seed, "test_fraction": self.test_fraction,
-            "output": self.output,
-        }
+        doc = asdict(self)
+        del doc["raw_text"]
+        return doc
 
 
 # ----------------------------------------------------------------- pipeline
@@ -224,8 +217,7 @@ class ExperimentConfig:
 def build_dataset(cfg, seed):
     spec = cfg.dataset
     if spec["kind"] == "csv":
-        table = load_csv(spec["path"], spec["label_column"], spec["positive_label"])
-        return table.view()
+        return load_csv(spec["path"], spec["label_column"], spec["positive_label"])
     return generate_synthetic(SyntheticSpec(
         N=int(spec["N"]), P=int(spec["P"]), G=int(cfg.partition["G"]),
         class_sep=float(spec.get("class_sep", 2.4)), seed=seed,
@@ -278,14 +270,19 @@ def _client_configs(cfg, params, shards):
             for s in shards]
 
 
+def _gamma0(params):
+    """The step size of a grid point (sm and the l2 baselines)."""
+    return float(params.get("gamma0", 1.0))
+
+
 def federation_config(cfg, params, shards, T):
     """The FederationConfig of a federated model (sm/admm/admm_sc) at one
     grid point, run for T rounds."""
     return FederationConfig(
         clients=_client_configs(cfg, params, shards),
         T=T,
-        algorithm=MODEL_ALGORITHMS[cfg.model],
-        gamma0=float(params.get("gamma0", 1.0)),
+        algorithm=Algorithm(cfg.model),
+        gamma0=_gamma0(params),
         rho=float(params.get("rho", 1.0)),
     )
 
@@ -294,8 +291,8 @@ def baseline_config(cfg, params, T):
     """The FedBaselineConfig of an l2 baseline (fedsgd/fedavg/fedprox) at
     one grid point, run for T rounds."""
     return FedBaselineConfig(
-        variant=FED_BASELINE_VARIANTS[cfg.model],
-        gamma0=float(params.get("gamma0", 1.0)),
+        variant=FedVariant(cfg.model),
+        gamma0=_gamma0(params),
         T=T,
         local_epochs=int(cfg.fixed["local_epochs"]),
         batch_fraction=float(cfg.fixed["batch_fraction"]),
@@ -303,18 +300,26 @@ def baseline_config(cfg, params, T):
     )
 
 
-def kept_model(name, result):
-    """The model a federated run yields: the best-objective iterate for sm
-    (the subgradient method only guarantees the best value converges), the
-    last iterate for the ADMM variants."""
-    return result.w_best if name == "sm" else result.w_last
+def kept_models(name, traces, t_grid):
+    """{T: model} for every T in t_grid: what a federated run keeps after T
+    rounds. sm keeps the best-objective iterate so far (the subgradient
+    method only guarantees the best value converges), the first one on a
+    tie as run_federation's w_best does; the ADMM variants keep the last."""
+    out = {}
+    best_w, best_obj = None, math.inf
+    for tr in traces:
+        if name != Algorithm.SM.value or tr.global_objective < best_obj:
+            best_obj, best_w = tr.global_objective, tr.w_after
+        if tr.t in t_grid:
+            out[tr.t] = GlobalModel(w=best_w.copy())
+    return out
 
 
 def train_model(cfg, params, shards, seed):
     """Train the configured model at one grid point. Returns the model and
     a per-round telemetry list (empty for non-federated models and the
     l2 baselines)."""
-    if cfg.model in FED_BASELINE_VARIANTS:
+    if cfg.model in L2_BASELINES:
         # a lone run goes through the public one-run view of the stacked
         # trainer, the name perfbench's traced run times
         return train_fed_l2_svm(shards, baseline_config(cfg, params, int(params["T"])), seed), []
@@ -335,8 +340,8 @@ def _snapshots_over_t(cfg, points, folds, t_grid, seed):
     points differ only in gamma0 (validate() rejects any other grid key),
     so every fold and step size advance together, bit for bit as separate
     runs would."""
-    if cfg.model in FED_BASELINE_VARIANTS:
-        gamma0s = [float(point.get("gamma0", 1.0)) for point in points]
+    if cfg.model in L2_BASELINES:
+        gamma0s = [_gamma0(point) for point in points]
         iterates = train_fed_l2_stack(
             folds, baseline_config(cfg, {}, max(t_grid)), seed, gamma0s)
         return [[({t: GlobalModel(w=run[t - 1].copy()) for t in t_grid}, [])
@@ -348,14 +353,9 @@ def _snapshots_over_t(cfg, points, folds, t_grid, seed):
 def _snapshots_of_one_run(cfg, params, shards, t_grid):
     """A federated (or the central) model at one grid point on one set of
     shards: ({T: model}, per-round telemetry)."""
-    name = cfg.model
-    if name == "central_dr":
+    if cfg.model == "central_dr":
         pooled = pool(shards)
-        central = ClientConfig(
-            epsilon=_radius(cfg, params, pooled.n),
-            kappa=params.get("kappa", cfg.fixed["kappa"]),
-            norm=NORMS[cfg.fixed["norm"]],
-        )
+        central = _client_configs(cfg, params, [pooled])[0]
         return {None: train_central_dr_svm(pooled, central)}, []
     result = run_federation(federation_config(cfg, params, shards, max(t_grid)), shards)
     rounds = [
@@ -363,15 +363,7 @@ def _snapshots_of_one_run(cfg, params, shards, t_grid):
          "consensus_residual": tr.consensus_residual, "wall_time": tr.wall_time}
         for tr in result.traces
     ]
-    # sm keeps the best-objective iterate so far, the ADMM variants the last
-    out = {}
-    best_w, best_obj = None, math.inf
-    for tr in result.traces:
-        if name != "sm" or tr.global_objective < best_obj:
-            best_obj, best_w = tr.global_objective, tr.w_after
-        if tr.t in t_grid:
-            out[tr.t] = GlobalModel(w=best_w.copy())
-    return out, rounds
+    return kept_models(cfg.model, result.traces, t_grid), rounds
 
 
 # ----------------------------------------------------------- cross-validation
@@ -452,20 +444,14 @@ def cross_validate(cfg, shards, seed):
         val_folds.append(pool(val_parts))
     runs = _snapshots_over_t(cfg, points, train_folds, t_grid, seed)
 
-    # scores[(point index, T)] -> list of fold F1
-    scores = {}
-    for fold_runs, val in zip(runs, val_folds):
-        for i, (snaps, _) in enumerate(fold_runs):
-            for t, model in snaps.items():
-                scores.setdefault((i, t), []).append(evaluate(model, val).f1)
-
     table = []
     for i, point in enumerate(points):
         for t in t_grid:
-            fold_f1 = scores[(i, t)]
+            fold_f1 = [float(evaluate(fold_runs[i][0][t], val).f1)
+                       for fold_runs, val in zip(runs, val_folds)]
             full = dict(point) if t is None else {**point, "T": t}
             table.append({"params": full, "mean_f1": float(np.mean(fold_f1)),
-                          "fold_f1": [float(v) for v in fold_f1]})
+                          "fold_f1": fold_f1})
     best = max(range(len(table)), key=lambda j: table[j]["mean_f1"])
     # max() returns the first maximizer, which is the smaller grid index
     chosen = dict(table[best]["params"])
@@ -483,21 +469,8 @@ class RunResult:
     repetitions: list
     aggregates: dict
 
-    def to_dict(self):
-        return {"config": self.config, "config_text": self.config_text,
-                "repetitions": self.repetitions, "aggregates": self.aggregates}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(config=doc["config"], config_text=doc["config_text"],
-                   repetitions=doc["repetitions"], aggregates=doc["aggregates"])
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _aggregate(reps):
@@ -579,11 +552,6 @@ def emit_results(result, out_dir):
         with open(paths["config_echo"], "w", encoding="utf-8", newline="") as fh:
             fh.write(result.config_text)
     return paths
-
-
-def load_result(out_dir):
-    with open(os.path.join(out_dir, "result.json"), "r", encoding="utf-8") as fh:
-        return RunResult.from_json(fh.read())
 
 
 # ------------------------------------------------------------ model persistence

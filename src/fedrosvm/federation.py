@@ -195,6 +195,8 @@ def global_objective(w, client_data, client_cfgs):
 
 # Seconds a client waits for the server to accept its connection.
 CONNECT_TIMEOUT = 60.0
+# Seconds the server waits on a client's socket before it aborts the run.
+REPLY_TIMEOUT = 600.0
 
 
 def check_barrier(replies, G, expected):
@@ -256,12 +258,13 @@ class InProcessTransport:
 
 
 class _SocketChannel:
-    """One end of a TCP connection, server or client side: a blocking
-    socket with Nagle's algorithm off (a Broadcast and the next RoundStart
-    go out back to back) that moves one frame per message."""
+    """One end of a TCP connection, server or client side: a socket with
+    Nagle's algorithm off (a Broadcast and the next RoundStart go out back
+    to back) that moves one frame per message and waits at most `timeout`
+    seconds on it (None: forever)."""
 
-    def __init__(self, sock):
-        sock.settimeout(None)
+    def __init__(self, sock, timeout):
+        sock.settimeout(timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
 
@@ -282,8 +285,8 @@ class TcpServerTransport:
     """Server side of the TCP transport. Binds immediately; `start`
     accepts exactly G client connections before the first round. `collect`
     reads one frame from each connection, in accept order, on the server's
-    thread; a lost connection or a malformed frame aborts the run and names
-    the peer."""
+    thread; a lost connection, a malformed frame or a client silent for
+    REPLY_TIMEOUT seconds aborts the run and names the peer."""
 
     def __init__(self, host="127.0.0.1", port=0, accept_timeout=60.0):
         self._listener = socket.create_server((host, port))
@@ -302,7 +305,7 @@ class TcpServerTransport:
                 raise RuntimeError(
                     f"only {i} of {G} clients connected before the accept timeout"
                 )
-            self._peers.append((_SocketChannel(conn), peer))
+            self._peers.append((_SocketChannel(conn, REPLY_TIMEOUT), peer))
 
     def broadcast(self, msg):
         for channel, peer in self._peers:
@@ -316,6 +319,11 @@ class TcpServerTransport:
     def _read(self, channel, peer):
         try:
             return channel.recv()
+        except socket.timeout as exc:
+            raise RuntimeError(
+                f"federation aborted: client at {peer} sent no reply "
+                f"within {REPLY_TIMEOUT:g} s"
+            ) from exc
         except OSError as exc:
             raise RuntimeError(
                 f"federation aborted: connection from {peer} lost"
@@ -338,7 +346,7 @@ transport_tcp_serve = TcpServerTransport
 
 
 def transport_tcp_connect(address):
-    return _SocketChannel(socket.create_connection(address, timeout=CONNECT_TIMEOUT))
+    return _SocketChannel(socket.create_connection(address, timeout=CONNECT_TIMEOUT), None)
 
 
 # ------------------------------------------------------------- client side

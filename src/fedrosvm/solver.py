@@ -61,6 +61,11 @@ REGULARIZATION = 1e-10
 WARM_STALL_WINDOW = 10
 WARM_STALL_DROP = 10.0
 
+# An objective below -UNBOUNDED_OBJECTIVE * scale_b * scale_c (the scales of
+# the right-hand sides and the costs) marks the program as unbounded below.
+# The programs this package builds stay under 1e3 of that unit.
+UNBOUNDED_OBJECTIVE = 1e10
+
 
 def _as_sparse(a, shape):
     if a is None:
@@ -389,6 +394,7 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
         np.max(np.abs(p.b_ineq), initial=0.0), np.max(np.abs(p.b_eq), initial=0.0)
     )
     scale_c = 1.0 + np.max(np.abs(p.c), initial=0.0)
+    obj_floor = -UNBOUNDED_OBJECTIVE * scale_b * scale_c
 
     warm_started = warm is not None and warm[0] is not None and len(warm[0]) == n
     if warm_started:
@@ -452,6 +458,11 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
                 x, obj, SolverStatus.NUMERICAL_FAILURE, float(kkt_resid), it - 1,
                 "iterates diverging: problem is likely infeasible or unbounded "
                 f"(mu={mu:.2e}, |x|={x_max:.2e})", z_star=z, y_star=y)
+        if obj < obj_floor:
+            return SolverSolution(
+                x, obj, SolverStatus.NUMERICAL_FAILURE, float(kkt_resid), it - 1,
+                "objective falling without bound: problem looks unbounded "
+                f"(objective={obj:.2e}, |x|={x_max:.2e})", z_star=z, y_star=y)
         if warm_started:
             trail.append(kkt_resid)
             if len(trail) > WARM_STALL_WINDOW and \

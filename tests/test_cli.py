@@ -15,7 +15,6 @@ from fedrosvm.core import GlobalModel, evaluate
 from fedrosvm.data import MinMaxStats
 from fedrosvm.experiments import (
     ExperimentConfig,
-    load_result,
     prepare_repetition,
     save_model,
     train_model,
@@ -47,8 +46,8 @@ def test_train_writes_artifacts_and_exits_zero(tmp_path, capsys):
         assert (out_dir / name).is_file(), name
     captured = capsys.readouterr().out
     assert "mean_f1" in captured and "wrote" in captured
-    result = load_result(str(out_dir))
-    assert result.aggregates["failures"] == 0
+    result = json.loads((out_dir / "result.json").read_text())
+    assert result["aggregates"]["failures"] == 0
     # echo is byte-identical to the file the run was launched from
     assert (out_dir / "config_echo.json").read_text() == (tmp_path / "cfg.json").read_text()
 

@@ -564,3 +564,28 @@ def test_tcp_dropped_connection_names_the_peer():
         server.collect(1)
     th.join(timeout=10.0)
     server.close()
+
+
+def test_tcp_silent_client_aborts_the_run_at_the_reply_deadline(monkeypatch):
+    monkeypatch.setattr(federation, "REPLY_TIMEOUT", 0.5)
+    shards = make_shards(48, 1, 6, 2)
+    cfg = FederationConfig(clients=toy_cfg(1), T=3, algorithm=Algorithm.SM)
+    server = transport_tcp_serve()
+    silent = transport_tcp_connect(server.address)  # connects, never replies
+    errors = []
+
+    def run():
+        try:
+            run_federation(cfg, shards, transport=server)
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    try:
+        th.join(timeout=30.0)
+        assert not th.is_alive()
+    finally:
+        silent.close()  # lets a server without a deadline return too
+    assert len(errors) == 1
+    assert re.search(r"client at .* sent no reply within 0.5 s", str(errors[0]))

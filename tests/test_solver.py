@@ -230,6 +230,15 @@ class TestStatusHonesty:
         sol = solve(p)
         assert sol.status is SolverStatus.NUMERICAL_FAILURE
 
+    def test_unbounded_lp_with_a_shared_row_is_diagnosed_early(self):
+        # x1 + x2 <= 1 leaves x1 -> -inf feasible; the iterates run off
+        # along that ray without any residual or mu blowing up
+        p = ConvexProgram(n=2, c=[1.0, 0.0], A_ineq=[[1.0, 1.0]], b_ineq=[1.0])
+        sol = solve(p)
+        assert sol.status is SolverStatus.NUMERICAL_FAILURE
+        assert sol.iterations <= 20
+        assert "unbounded" in sol.message
+
     def test_costed_column_in_no_row_fails_before_iterating(self):
         # x1 is in no row and has no curvature, so min x1 has no bottom
         p = ConvexProgram(n=2, c=[1.0, 0.0], A_ineq=[[0.0, 1.0]], b_ineq=[1.0])
