@@ -9,6 +9,7 @@ training shards after splitting. Everything is seeded and reproducible.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,7 +37,8 @@ def load_csv(path, label_column, positive_label):
 
     Rows with the label value `positive_label` map to +1; the single
     remaining label value maps to -1. More than two distinct label values
-    is an error, as is a non-numeric feature cell or a ragged row.
+    is an error, as is a non-numeric or non-finite feature cell or a
+    ragged row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -72,6 +74,13 @@ def load_csv(path, label_column, positive_label):
                     f"{path}: row {r + 2}, column {header[i]!r}: "
                     f"cannot parse {cell!r} as a number"
                 ) from None
+            if not math.isfinite(X[r, j]):
+                # float() reads nan and inf, which would zero the feature
+                # in min-max scaling
+                raise NonNumericFeatureError(
+                    f"{path}: row {r + 2}, column {header[i]!r}: "
+                    f"{cell!r} is not a finite number"
+                )
             j += 1
 
     positive = str(positive_label)

@@ -20,7 +20,13 @@ way (round prefixes are unaffected by later rounds), which keeps grid
 search affordable. The l2 baselines go one step further: their grid
 points differ only in the step size, so cross-validation trains every
 fold and every step size in one stacked run (baselines.train_fed_l2_stack),
-with the same iterates as one run per fold and point.
+with the same iterates as one run per fold and point. ADMM and ADMM-SC
+cross-validation advances every (fold, grid point) federation in
+lockstep: each round solves all of their client QPs together in
+stacked interior-point solves (robust.admm_client_steps), then each
+federation makes its server update. Those models agree with one run_federation per
+fold and point to solver roundoff. The final fit at the chosen point, like
+every other lone run, goes through run_federation.
 """
 
 import csv
@@ -52,8 +58,21 @@ from .data import (
     partition,
     split_train_test,
 )
-from .federation import Algorithm, FederationConfig, run_federation
-from .robust import ClientConfig, radius_heuristic
+from .federation import (
+    Algorithm,
+    FederationConfig,
+    RoundTrace,
+    admm_server_update,
+    run_federation,
+    warn_above_rho_cap,
+)
+from .robust import (
+    ClientConfig,
+    ClientModel,
+    admm_client_steps,
+    admm_multiplier_update,
+    radius_heuristic,
+)
 
 
 class ConfigError(ValueError):
@@ -324,7 +343,7 @@ def train_model(cfg, params, shards, seed):
         # trainer, the name perfbench's traced run times
         return train_fed_l2_svm(shards, baseline_config(cfg, params, int(params["T"])), seed), []
     T = None if cfg.model == "central_dr" else int(params["T"])
-    models, rounds = _snapshots_over_t(cfg, [params], [shards], [T], seed)[0][0]
+    models, rounds = _snapshots_of_one_run(cfg, params, shards, [T])
     return models[T], rounds
 
 
@@ -339,15 +358,59 @@ def _snapshots_over_t(cfg, points, folds, t_grid, seed):
     The l2 baselines train all folds and points in one stacked run: their
     points differ only in gamma0 (validate() rejects any other grid key),
     so every fold and step size advance together, bit for bit as separate
-    runs would."""
+    runs would. The ADMM variants advance every run in lockstep too
+    (`_admm_lockstep`), to roundoff of separate runs and without telemetry."""
     if cfg.model in L2_BASELINES:
         gamma0s = [_gamma0(point) for point in points]
         iterates = train_fed_l2_stack(
             folds, baseline_config(cfg, {}, max(t_grid)), seed, gamma0s)
         return [[({t: GlobalModel(w=run[t - 1].copy()) for t in t_grid}, [])
                  for run in fold] for fold in iterates]
+    if cfg.model in (Algorithm.ADMM.value, Algorithm.ADMM_SC.value):
+        runs = _admm_lockstep([federation_config(cfg, point, shards, max(t_grid))
+                               for shards in folds for point in points],
+                              [shards for shards in folds for _ in points])
+        snapshots = [(kept_models(cfg.model, traces, t_grid), []) for traces in runs]
+        return [snapshots[k * len(points):(k + 1) * len(points)] for k in range(len(folds))]
     return [[_snapshots_of_one_run(cfg, point, shards, t_grid)
              for point in points] for shards in folds]
+
+
+def _admm_lockstep(feds, client_data):
+    """Run ADMM federations of one round count side by side, round by
+    round, and return each one's per-round traces (t and w_after; the
+    objective, the residual and the wall time are not measured and read
+    NaN).
+
+    Every round solves the client QPs of all federations together
+    (`robust.admm_client_steps`, one stack per dense-remainder width).
+    Then each federation aggregates with `admm_server_update` and folds
+    the new model into its clients' multipliers, in client order, as
+    `run_federation` does. With no wire between them, the server reads
+    the clients' own multipliers, which its mirror in `run_federation`
+    equals bit for bit. The models agree with `run_federation`'s to
+    solver roundoff. `run_federation` stays the wire runtime; this loop
+    has no transport and evaluates no objective."""
+    for fed in feds:
+        warn_above_rho_cap(fed)
+    w = [np.zeros(shards[0].p) for shards in client_data]
+    clients = [[ClientModel(w_g=np.zeros(s.p), mu_g=np.ones(s.p)) for s in shards]
+               for shards in client_data]
+    caches = [[{} for _ in shards] for shards in client_data]
+    traces = [[] for _ in feds]
+    for t in range(1, feds[0].T + 1):
+        stepped = iter(admm_client_steps([
+            (w[f], clients[f][g], data, fed.clients[g], caches[f][g], g)
+            for f, (fed, shards) in enumerate(zip(feds, client_data))
+            for g, data in enumerate(shards)]))
+        for f, fed in enumerate(feds):
+            states = [next(stepped) for _ in fed.clients]
+            w[f] = admm_server_update([(c.alpha, s.w_g, s.mu_g)
+                                       for c, s in zip(fed.clients, states)])
+            clients[f] = [admm_multiplier_update(s, w[f]) for s in states]
+            traces[f].append(RoundTrace(t=t, w_after=w[f].copy(), global_objective=math.nan,
+                                        consensus_residual=math.nan, wall_time=math.nan))
+    return traces
 
 
 def _snapshots_of_one_run(cfg, params, shards, t_grid):

@@ -181,6 +181,20 @@ def rho_upper_bound(alphas, taus):
     return float(min(cands))
 
 
+def warn_above_rho_cap(cfg):
+    """Warn (RuntimeWarning) when a strongly convex run's rho exceeds
+    `rho_upper_bound`; every runner of an ADMM-SC federation calls it once
+    per federation."""
+    if cfg.algorithm is Algorithm.ADMM_SC and cfg.G >= 2:
+        cap = rho_upper_bound(cfg.alphas, [c.tau for c in cfg.clients])
+        if cfg.rho > cap:
+            warnings.warn(
+                f"rho={cfg.rho:.6g} exceeds the convergence bound {cap:.6g}; "
+                "consensus is no longer guaranteed",
+                RuntimeWarning,
+            )
+
+
 def global_objective(w, client_data, client_cfgs):
     """Mixture objective sum alpha_g * worst-case risk of client g at w,
     evaluated through the exact dual."""
@@ -199,12 +213,13 @@ CONNECT_TIMEOUT = 60.0
 REPLY_TIMEOUT = 600.0
 
 
-def check_barrier(replies, G, expected):
+def check_barrier(replies, G, expected, p):
     """One round's barrier: take replies until every client id in [0, G)
-    has answered exactly once with an `expected` message, and return them
-    keyed by client id. A reply of another type, a duplicate or
-    out-of-range id, or running out of replies early aborts the round."""
-    kind = "SM" if expected is SmResult else "ADMM"
+    has answered exactly once with an `expected` message carrying a
+    length-p vector, and return them keyed by client id. A reply of
+    another type, a duplicate or out-of-range id, a vector of another
+    length, or running out of replies early aborts the round."""
+    kind, field = ("SM", "v") if expected is SmResult else ("ADMM", "w_g")
     results = {}
     for msg in replies:
         g = getattr(msg, "g", None)
@@ -214,6 +229,10 @@ def check_barrier(replies, G, expected):
             raise RuntimeError(f"barrier violation: duplicate result from client {g}")
         if not (0 <= g < G):
             raise RuntimeError(f"barrier violation: unknown client id {g}")
+        size = np.size(getattr(msg, field))
+        if size != p:
+            raise RuntimeError(f"client {g} sent a {field} of length {size}; "
+                               f"the model has length {p}")
         results[g] = msg
         if len(results) == G:
             return results
@@ -439,15 +458,7 @@ def run_federation(cfg, client_data, transport=None):
     p = dims.pop()
 
     w = np.zeros(p)
-
-    if cfg.algorithm is Algorithm.ADMM_SC and G >= 2:
-        cap = rho_upper_bound(cfg.alphas, [c.tau for c in cfg.clients])
-        if cfg.rho > cap:
-            warnings.warn(
-                f"rho={cfg.rho:.6g} exceeds the convergence bound {cap:.6g}; "
-                "consensus is no longer guaranteed",
-                RuntimeWarning,
-            )
+    warn_above_rho_cap(cfg)
 
     if transport is None:
         transport = InProcessTransport(
@@ -464,7 +475,7 @@ def run_federation(cfg, client_data, transport=None):
         for t in range(1, cfg.T + 1):
             started = time.perf_counter()
             transport.broadcast(RoundStart(t=t, w=w))
-            results = check_barrier(transport.collect(G), G, expected)
+            results = check_barrier(transport.collect(G), G, expected, p)
             if cfg.algorithm is Algorithm.SM:
                 w = sm_server_update(
                     w, [(cfg.clients[g].alpha, results[g].v) for g in range(G)],

@@ -5,8 +5,8 @@ worst-case distribution LP over a Wasserstein ball (with label flips priced
 at kappa), extraction of the extremal distribution from the LP solution, the
 subgradient of the worst-case risk used by the subgradient-method (SM)
 rounds, the closed dual form of the worst-case risk used as the objective
-oracle, the proximal QP solved inside ADMM rounds, and the
-measure-concentration radius rule.
+oracle, the proximal QP solved inside ADMM rounds (one client at a time,
+or many in one stacked solve), and the practical radius rule.
 
 Conventions used throughout (and relied on by the tests):
 
@@ -38,7 +38,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import NormKind, dual_norm, hinge_losses
-from .solver import ConvexProgram, SolverStatus, solve
+from .solver import ConvexProgram, SolverStatus, solve, solve_stack, stack_width
 
 log = logging.getLogger(__name__)
 
@@ -446,17 +446,62 @@ def admm_client_step(w_global, client, data, cfg, cache, client_id=None):
     warm-start. Only the linear term changes between rounds, which the
     solver's program-structure contract allows.
     """
+    prog = _proximal_program(w_global, client, data, cfg, cache)
+    warm = cache.get("warm")
+    return _proximal_result(solve(prog, warm=warm), prog, warm, data.p, client, cache,
+                            client_id)
+
+
+def admm_client_steps(steps):
+    """Many proximal steps, solved in stacks (`solver.solve_stack`).
+
+    `steps` holds one (w_global, client, data, cfg, cache, client_id) tuple
+    per step, the arguments of `admm_client_step`; the caches must be
+    distinct. Every step anchors, warm-starts, retries cold and fails as
+    `admm_client_step` does; only the solve of the first attempts is
+    shared. QPs with equally wide dense remainders share one stack; a QP
+    alone at its width, or one that does not split for the Schur backend
+    (P > 63 under the L1 norm, P > 32 under L-inf), is solved by `solve`.
+    A feature that is zero throughout a shard narrows that QP's
+    remainder by one. Returns the ClientModels in order."""
+    progs = [_proximal_program(w, client, data, cfg, cache)
+             for w, client, data, cfg, cache, _ in steps]
+    warms = [cache.get("warm") for _, _, _, _, cache, _ in steps]
+    sols = [None] * len(progs)
+    groups = {}
+    for i, prog in enumerate(progs):
+        groups.setdefault(stack_width(prog), []).append(i)
+    for width, ids in groups.items():
+        if width is None or len(ids) == 1:
+            for i in ids:
+                sols[i] = solve(progs[i], warm=warms[i])
+        else:
+            for i, sol in zip(ids, solve_stack([progs[i] for i in ids],
+                                               [warms[i] for i in ids])):
+                sols[i] = sol
+    return [_proximal_result(sol, prog, warm, data.p, client, cache, client_id)
+            for sol, prog, warm, (_, client, data, _, cache, client_id)
+            in zip(sols, progs, warms, steps)]
+
+
+def _proximal_program(w_global, client, data, cfg, cache):
+    """The client's proximal QP anchored at w_global - mu_g: built on the
+    first round, its linear term swapped on later ones."""
     anchor = np.asarray(w_global, dtype=float) - client.mu_g
-    P = data.p
     prog = cache.get("program")
     if prog is None:
         prog = cache["program"] = build_risk_epigraph_qp(
             data, cfg, rho=cfg.rho, tau=cfg.tau, anchor=anchor
         )
     else:
-        prog.c[:P] = -cfg.rho * anchor
-    warm = cache.get("warm")
-    sol = solve(prog, warm=warm)
+        prog.c[:data.p] = -cfg.rho * anchor
+    return prog
+
+
+def _proximal_result(sol, prog, warm, P, client, cache, client_id):
+    """Accept a proximal solve: retry a failed warm start cold, raise when
+    the QP still does not converge, and keep the solution as the next warm
+    start."""
     who = "client" if client_id is None else f"client {client_id}"
     if sol.status is not SolverStatus.OPTIMAL and warm is not None:
         # a stale warm point can stall the solver when the anchor jumps far
@@ -480,32 +525,6 @@ def multiplier_step(mu_g, w_g, w_global):
 def admm_multiplier_update(client, w_global):
     """Scaled dual ascent after the broadcast: mu_g <- mu_g + w_g - w."""
     return ClientModel(w_g=client.w_g, mu_g=multiplier_step(client.mu_g, client.w_g, w_global))
-
-
-def wasserstein_radius(eta, N, a=2.0, c1=1.0, c2=1.0, c3=1.0, P=1):
-    """Measure-concentration radius giving the local ball confidence
-    1 - eta with N samples in P dimensions.
-
-    Below the sample-count threshold log(c1/eta)/(c2*c3) the radius decays
-    like N^(-1/a); at or above it, like N^(-1/P). The constants c1, c2, c3
-    and the light-tail exponent a > 1 are distribution-dependent inputs.
-    """
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if P < 1:
-        raise ValueError("P must be at least 1")
-    if min(c1, c2, c3) <= 0.0:
-        raise ValueError("c1, c2, c3 must all be positive")
-    if a <= 1.0:
-        raise ValueError(f"the light-tail exponent a must exceed 1, got {a}")
-    if c1 < eta:
-        raise ValueError("c1 < eta makes the concentration bound vacuous")
-    ratio = np.log(c1 / eta) / (c2 * N)
-    if N < np.log(c1 / eta) / (c2 * c3):
-        return float(ratio ** (1.0 / a))
-    return float(ratio ** (1.0 / P))
 
 
 def radius_heuristic(n_samples, beta=10.0):

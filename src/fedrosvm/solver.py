@@ -24,6 +24,17 @@ that the iteration needs:
 The reduction is exact; backend choice affects speed and floating-point
 roundoff only. Identical inputs take identical paths, so results are
 deterministic within one build.
+
+`solve_stack` runs the same iteration over many Schur-eligible programs
+at once: their rows and S columns laid end to end, per-program
+reductions through `np.ufunc.reduceat`, and batched matmuls and solves
+over the small dense blocks of all programs. It pays off when many
+programs are solved together (every client QP of an ADMM
+cross-validation round). Every program in one stack has a dense
+remainder of the same width (`stack_width`), so the caller groups by
+width and sends a program that does not split to `solve`. On a single
+program its set-up and indexing make it several times slower than
+`solve`, which stays the single-program path.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -46,6 +58,8 @@ __all__ = [
     "SolverStatus",
     "SolverSolution",
     "solve",
+    "solve_stack",
+    "stack_width",
     "solve_lp_by_enumeration",
 ]
 
@@ -340,6 +354,32 @@ def _max_step(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray) -> f
     return -float((v[neg] / dv[neg]).max(initial=-np.inf))
 
 
+def _structure(p: ConvexProgram):
+    """(split, backend, free columns) of a program, built on first use.
+
+    Constraint structure is immutable after the first solve (only c may be
+    swapped between repeated solves), so the backend can be reused, and so
+    can the columns that no row touches and Q leaves flat."""
+    cached = getattr(p, "_backend_cache", None)
+    if cached is None:
+        split = _schur_split(p)
+        backend = _SchurBackend(p, split) if split else _SparseBackend(p)
+        free = np.flatnonzero((p.A_ineq.getnnz(axis=0) == 0) & (p.A_eq.getnnz(axis=0) == 0)
+                              & (p.Q.diagonal() == 0.0))
+        cached = p._backend_cache = (split, backend, free)
+    return cached
+
+
+def _free_cost(p: ConvexProgram, free):
+    """The failure of a program whose cost pulls on a free column, or None."""
+    if free.size and p.c[free].any():
+        j = free[np.flatnonzero(p.c[free])[0]]
+        return SolverSolution(np.full(p.n, np.nan), np.nan, SolverStatus.NUMERICAL_FAILURE,
+                              np.inf, 0, f"column {j} is in no constraint row and has no "
+                              f"curvature, so its cost {p.c[j]:g} is unbounded below")
+    return None
+
+
 def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None) -> SolverSolution:
     """Solve a ConvexProgram; never raises on solvable-but-hard instances.
 
@@ -356,23 +396,10 @@ def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None) -> SolverSoluti
     if p.m == 0:
         raise ValueError("the program has no inequality rows; the interior-point "
                          "method needs at least one")
-
-    # constraint structure is immutable after the first solve (only c may be
-    # swapped between repeated solves), so the backend can be reused, and so
-    # can the columns that no row touches and Q leaves flat
-    cached = getattr(p, "_backend_cache", None)
-    if cached is None:
-        split = _schur_split(p)
-        backend = _SchurBackend(p, split) if split else _SparseBackend(p)
-        free = np.flatnonzero((p.A_ineq.getnnz(axis=0) == 0) & (p.A_eq.getnnz(axis=0) == 0)
-                              & (p.Q.diagonal() == 0.0))
-        cached = p._backend_cache = (split, backend, free)
-    split, backend, free = cached
-    if free.size and p.c[free].any():
-        j = free[np.flatnonzero(p.c[free])[0]]
-        return SolverSolution(np.full(p.n, np.nan), np.nan, SolverStatus.NUMERICAL_FAILURE,
-                              np.inf, 0, f"column {j} is in no constraint row and has no "
-                              f"curvature, so its cost {p.c[j]:g} is unbounded below")
+    split, backend, free = _structure(p)
+    unbounded = _free_cost(p, free)
+    if unbounded is not None:
+        return unbounded
     try:
         return _ip_loop(p, cfg, backend, warm)
     except (scipy.linalg.LinAlgError, RuntimeError, np.linalg.LinAlgError) as e:
@@ -507,6 +534,380 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
 
     return SolverSolution(x, p.objective(x), SolverStatus.MAX_ITERATIONS, float(kkt_resid),
                           cfg.max_iterations, "iteration cap reached", z_star=z, y_star=y)
+
+
+# ---------------------------------------------------------------------------
+# many programs in one iteration
+
+
+class _Stack:
+    """The programs `solve_stack` is still iterating on, laid end to end.
+
+    Row arrays concatenate every program's inequality rows, S arrays their
+    eliminated columns; program arrays hold one value, or one row of the r
+    dense-remainder columns, per program. `row_start` and `s_start` are
+    each program's first row and first S column, the segment starts that
+    `np.ufunc.reduceat` takes. The dense blocks are held per program and
+    padded with zero rows to the longest program: A_r as (K, M, r), M_sr
+    as (K, N_s, r), so each product with them is one batched matmul;
+    `row_at` and `s_at` are the flat positions of every row and every S
+    column in that padding. A_s' W A_r goes through a CSR matrix whose
+    pattern is fixed while the stack is. As in `_SchurBackend`, memory per
+    iteration grows with rows x r. The layout of each program is its
+    `_SchurBackend`, built once per program and reused across calls."""
+
+    _ROWS = ("scol_local", "scoef", "scoef2", "b", "s", "z")
+    _COLS = ("q_s", "c_s", "x_s")
+    _PROGS = ("ids", "m", "n_s", "a_r", "a_rT", "q_r", "c_r", "x_r", "scale_b", "scale_c",
+              "obj_floor", "mu0", "warm", "stall", "done", "failed")
+
+    def __init__(self, programs, ids, r):
+        self.programs = [programs[i] for i in ids]
+        self.layout = [p._backend_cache[1] for p in self.programs]
+        lay = self.layout
+        self.r = r
+        self.ids = np.asarray(ids)
+        self.m = np.array([b.scol.size for b in lay])
+        self.n_s = np.array([b.n_s for b in lay])
+        self.m_max, self.s_max = int(self.m.max()), int(self.n_s.max())
+        self.scol_local = np.concatenate([b.scol for b in lay])
+        self.scoef = np.concatenate([b.scoef for b in lay])
+        self.scoef2 = np.concatenate([b.scoef2 for b in lay])
+        self.a_r = np.zeros((len(lay), self.m_max, r))
+        for k, b in enumerate(lay):
+            self.a_r[k, :b.scol.size] = b.A_r
+        self.a_rT = np.ascontiguousarray(self.a_r.transpose(0, 2, 1))
+        self.b = np.concatenate([p.b_ineq for p in self.programs])
+        self.q_s = np.concatenate([b.q_s for b in lay])
+        self.c_s = np.concatenate([p.c[b.s_idx] for p, b in zip(self.programs, lay)])
+        self.q_r = np.array([b.qdiag[b.r_idx] for b in lay]).reshape(-1, r)
+        self.c_r = np.array([p.c[b.r_idx] for p, b in zip(self.programs, lay)]).reshape(-1, r)
+        self._index()
+        self.scale_b = 1.0 + np.maximum.reduceat(np.abs(self.b), self.row_start)
+        self.scale_c = 1.0 + np.maximum(np.maximum.reduceat(np.abs(self.c_s), self.s_start),
+                                        np.abs(self.c_r).max(axis=1, initial=0.0))
+        self.obj_floor = -UNBOUNDED_OBJECTIVE * self.scale_b * self.scale_c
+        self.stall = np.zeros(self.K, dtype=int)
+        self.done = np.zeros(self.K, dtype=bool)
+        self.failed = np.zeros(self.K, dtype=bool)
+
+    def _index(self):
+        self.K = self.m.size
+        self.row_start = np.concatenate(([0], np.cumsum(self.m)[:-1])).astype(np.intp)
+        self.s_start = np.concatenate(([0], np.cumsum(self.n_s)[:-1])).astype(np.intp)
+        self.rowprog = np.repeat(np.arange(self.K), self.m)
+        self.sprog = np.repeat(np.arange(self.K), self.n_s)
+        self.n_cols = int(self.n_s.sum())
+        self.scol = self.scol_local + self.s_start[self.rowprog]
+        self.row_at = (self.rowprog * self.m_max + np.arange(self.rowprog.size)
+                       - self.row_start[self.rowprog])
+        self.s_at = self.sprog * self.s_max + np.arange(self.n_cols) - self.s_start[self.sprog]
+        # A_s' in the padded positions: one row per S column, one entry per
+        # row that touches it; factor() fills in the entries scoef * w
+        touching = np.flatnonzero(self.scoef)
+        col_at = self.s_at[self.scol[touching]]
+        self.s_rows = touching[np.argsort(col_at, kind="stable")]
+        self.s_coef = self.scoef[self.s_rows]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(col_at,
+                                                            minlength=self.K * self.s_max))))
+        self.a_sT = sp.csr_matrix((self.s_coef, self.row_at[self.s_rows], indptr),
+                                  shape=(self.K * self.s_max, self.K * self.m_max))
+
+    def keep(self, keep):
+        """Drop the programs where `keep` is False; returns the row and the
+        S-column masks, for arrays the caller holds."""
+        rows, cols = keep[self.rowprog], keep[self.sprog]
+        for names, mask in ((self._ROWS, rows), (self._COLS, cols), (self._PROGS, keep)):
+            for name in names:
+                setattr(self, name, getattr(self, name)[mask])
+        self.programs = [p for p, k in zip(self.programs, keep) if k]
+        self.layout = [b for b, k in zip(self.layout, keep) if k]
+        self._index()
+        return rows, cols
+
+    def start(self, warms):
+        """Each program's starting point, as `_ip_loop` picks it: the
+        re-centred warm point when its warm start fits, else the centred
+        cold start."""
+        self.warm = np.array([w is not None and w[0] is not None and len(w[0]) == p.n
+                              for w, p in zip(warms, self.programs)], dtype=bool)
+        rows, cols = self.warm[self.rowprog], self.warm[self.sprog]
+        x_s, x_r, z = np.zeros(self.n_cols), np.zeros((self.K, self.r)), np.ones(self.b.size)
+        for k in np.flatnonzero(self.warm):
+            x, lay = np.asarray(warms[k][0], dtype=float), self.layout[k]
+            x_s[self.s_start[k]:self.s_start[k] + self.n_s[k]] = x[lay.s_idx]
+            x_r[k] = x[lay.r_idx]
+            z[self.row_start[k]:self.row_start[k] + self.m[k]] = warms[k][1]
+        lift = np.sqrt(1e-4 * self.scale_b * self.scale_c)[self.rowprog]
+        self.x_s, self.x_r = x_s, x_r
+        self.z = np.maximum(z, lift)
+        self.s = np.maximum(self.b - self.a_dot(x_s, x_r), lift)
+        if not self.warm.all():
+            # centred cold start: one Newton solve at (x, s, z) = (0, 1, 1)
+            x_s, x_r = np.zeros(self.n_cols), np.zeros((self.K, self.r))
+            s, z = np.ones(self.b.size), np.ones(self.b.size)
+            self.failed |= self.factor(z / s) & ~self.warm
+            atz_s, atz_r = self.at_dot(z)
+            r_d_s = self.q_s * x_s + self.c_s + atz_s
+            r_d_r = self.q_r * x_r + self.c_r + atz_r
+            r_p = self.a_dot(x_s, x_r) + s - self.b
+            dx_s, dx_r, dz = self.newton(-r_d_s, -r_d_r, -r_p + s - 1.0 / z)
+            ds = (-s * z + 1.0 - s * dz) / z
+            x_s, x_r = x_s + dx_s, x_r + dx_r
+            s_t, z_t = s + ds, z + dz
+            ds_shift = np.maximum(-1.5 * np.minimum(self.row_min(s_t), 0.0), 0.0)
+            dz_shift = np.maximum(-1.5 * np.minimum(self.row_min(z_t), 0.0), 0.0)
+            s_t = s_t + ds_shift[self.rowprog] + 1e-10
+            z_t = z_t + dz_shift[self.rowprog] + 1e-10
+            dot = self.row_sum(s_t * z_t)
+            s = s_t + (0.5 * dot / self.row_sum(z_t))[self.rowprog]
+            z = z_t + (0.5 * dot / self.row_sum(s_t))[self.rowprog]
+            self.x_s = np.where(cols, self.x_s, x_s)
+            self.x_r = np.where(self.warm[:, None], self.x_r, x_r)
+            self.s = np.where(rows, self.s, s)
+            self.z = np.where(rows, self.z, z)
+        self.mu0 = self.row_sum(self.s * self.z) / self.m
+
+    def row_sum(self, v):
+        return np.add.reduceat(v, self.row_start)
+
+    def row_min(self, v):
+        return np.minimum.reduceat(v, self.row_start)
+
+    def abs_max(self, v_s, v_r):
+        """Per-program max |v| of a column vector split into S and remainder."""
+        return np.maximum(np.maximum.reduceat(np.abs(v_s), self.s_start),
+                          np.abs(v_r).max(axis=1, initial=0.0))
+
+    def pad(self, v, at, width, fill=0.0):
+        """A row or S-column vector in the (K, width) padding."""
+        out = np.full(self.K * width, fill)
+        out[at] = v
+        return out.reshape(self.K, width)
+
+    def r_dot(self, x_r):
+        """A_r x_r, program by program, as a row vector."""
+        return (self.a_r @ x_r[:, :, None]).ravel()[self.row_at]
+
+    def a_dot(self, x_s, x_r):
+        return self.scoef * x_s[self.scol] + self.r_dot(x_r)
+
+    def at_dot(self, z):
+        return (np.bincount(self.scol, self.scoef * z, minlength=self.n_cols),
+                (self.pad(z, self.row_at, self.m_max)[:, None, :] @ self.a_r)[:, 0])
+
+    def factor(self, w):
+        """Form every program's Schur complement, as `_SchurBackend.factor`
+        does for one, and test it with one batched Cholesky; `newton`
+        solves with the complements in one batched call. Returns the mask
+        of programs whose complement is not positive definite; it is
+        replaced by the identity, so their next direction is meaningless."""
+        self.w = w
+        self.d_s = self.q_s + np.bincount(self.scol, self.scoef2 * w,
+                                          minlength=self.n_cols) + REGULARIZATION
+        self.a_sT.data = self.s_coef * w[self.s_rows]
+        self.m_sr = (self.a_sT @ self.a_r.reshape(-1, self.r)).reshape(self.K, self.s_max, self.r)
+        h = self.a_rT @ (self.a_r * self.pad(w, self.row_at, self.m_max)[:, :, None])
+        h[:, np.arange(self.r), np.arange(self.r)] += self.q_r + REGULARIZATION
+        m_d = self.m_sr / self.pad(self.d_s, self.s_at, self.s_max, 1.0)[:, :, None]
+        h -= np.ascontiguousarray(self.m_sr.transpose(0, 2, 1)) @ m_d
+        bad = np.zeros(self.K, dtype=bool)
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            for k in range(self.K):
+                try:
+                    np.linalg.cholesky(h[k])
+                except np.linalg.LinAlgError:
+                    bad[k] = True
+            h[bad] = np.eye(self.r)
+        self.h = h
+        return bad
+
+    def newton(self, rhs_s, rhs_r, g):
+        """`_SchurBackend.solve` for every program: (dx_s, dx_r, dz)."""
+        wg = self.w * g
+        b_s = rhs_s + np.bincount(self.scol, self.scoef * wg, minlength=self.n_cols)
+        b_sd = self.pad(b_s / self.d_s, self.s_at, self.s_max)
+        b_r = (rhs_r + (self.pad(wg, self.row_at, self.m_max)[:, None, :] @ self.a_r)[:, 0]
+               - (b_sd[:, None, :] @ self.m_sr)[:, 0])
+        dx_r = np.linalg.solve(self.h, b_r[:, :, None])[:, :, 0]
+        dx_s = (b_s - (self.m_sr @ dx_r[:, :, None]).ravel()[self.s_at]) / self.d_s
+        dz = self.w * (self.scoef * dx_s[self.scol] + self.r_dot(dx_r) - g)
+        return dx_s, dx_r, dz
+
+    def max_step(self, ds, dz):
+        """`_max_step` per program."""
+        to_s = np.divide(-self.s, ds, out=np.full(ds.size, np.inf), where=ds < 0)
+        to_z = np.divide(-self.z, dz, out=np.full(dz.size, np.inf), where=dz < 0)
+        return np.minimum.reduceat(np.minimum(to_s, to_z), self.row_start)
+
+    def finish(self, out, k, obj, status, kkt, iterations, message):
+        """Record program k's solution at the current iterate."""
+        lay = self.layout[k]
+        x = np.empty(lay.n)
+        x[lay.s_idx] = self.x_s[self.s_start[k]:self.s_start[k] + self.n_s[k]]
+        x[lay.r_idx] = self.x_r[k]
+        z = self.z[self.row_start[k]:self.row_start[k] + self.m[k]].copy()
+        if obj is None:
+            obj = self.programs[k].objective(x)
+        out[self.ids[k]] = SolverSolution(x, float(obj), status, float(kkt), iterations,
+                                          message, z_star=z, y_star=np.zeros(0))
+        self.done[k] = True
+
+
+def stack_width(p: ConvexProgram):
+    """The width of p's dense remainder, which `solve_stack` requires to be
+    equal across a stack, or None when p does not split for the Schur
+    backend and only `solve` takes it."""
+    split = _structure(p)[0]
+    return None if split is None else split[1].size
+
+
+def solve_stack(programs, warms) -> list:
+    """Solve many programs in one interior-point loop; one SolverSolution
+    per program, in order.
+
+    Every program must split for the Schur backend (see `_schur_split`),
+    with dense remainders of one width; any other is a ValueError. Each
+    program takes `solve`'s path: the same starting point from its entry
+    of `warms` (an (x0, z0) pair or None), the same exits and messages,
+    and its own mu, step lengths and residuals. One iteration covers the
+    whole stack: rows and S columns laid end to end, segment reductions
+    per program, and batched matmuls, Cholesky tests and solves over the
+    (r, r) Schur complements.
+    A program leaves the stack when it exits. One whose complement loses
+    positive definiteness is re-solved alone by `solve`, which falls back
+    to the sparse backend.
+
+    The products are summed in another order than `solve` sums them, so
+    a solution agrees with `solve`'s to roundoff, not bit for bit; an
+    iterate that ends within roundoff of a tolerance may also exit one
+    iteration apart. `solve` stays the faster path for one program.
+    """
+    cfg = SolverConfig()
+    programs, warms = list(programs), list(warms)
+    if len(warms) != len(programs):
+        raise ValueError(f"{len(programs)} programs but {len(warms)} warm starts")
+    out = [None] * len(programs)
+    width = None
+    for i, p in enumerate(programs):
+        r = stack_width(p)
+        if r is None:
+            raise ValueError(f"program {i} does not split for the Schur backend; "
+                             "solve it with solve()")
+        if width is None:
+            width = r
+        elif r != width:
+            raise ValueError(f"program {i} has a dense remainder of {r} "
+                             f"columns, program 0 one of {width}")
+        out[i] = _free_cost(p, _structure(p)[2])
+    ids = [i for i, sol in enumerate(out) if sol is None]
+    if ids:
+        st = _Stack(programs, ids, width)
+        # a program heading for a divergence exit may overflow on the way;
+        # its own exits report that, and it cannot touch the other segments
+        with np.errstate(all="ignore"):
+            st.start([warms[i] for i in ids])
+            alone = _stack_loop(st, cfg, out)
+        for i in alone:
+            out[i] = solve(programs[i], warm=warms[i])
+    return out
+
+
+def _stack_loop(st: _Stack, cfg: SolverConfig, out) -> list:
+    """`_ip_loop` over a stack. Fills `out` and returns the ids of the
+    programs whose factorization failed, for `solve` to redo alone."""
+    alone = []
+    trail = deque(maxlen=WARM_STALL_WINDOW + 1)  # KKT residuals, for the stall exit
+    kkt = np.zeros(st.K)
+    for it in range(1, cfg.max_iterations + 1):
+        qx_s, qx_r = st.q_s * st.x_s, st.q_r * st.x_r
+        atz_s, atz_r = st.at_dot(st.z)
+        r_d_s = qx_s + st.c_s + atz_s
+        r_d_r = qx_r + st.c_r + atz_r
+        r_p = st.a_dot(st.x_s, st.x_r) + st.s - st.b
+        mu = st.row_sum(st.s * st.z) / st.m
+        obj = (np.add.reduceat(st.x_s * (0.5 * qx_s + st.c_s), st.s_start)
+               + (st.x_r * (0.5 * qx_r + st.c_r)).sum(axis=1))
+        rd_rel = st.abs_max(r_d_s, r_d_r) / (st.scale_c + st.abs_max(qx_s, qx_r))
+        rp_rel = np.maximum.reduceat(np.abs(r_p), st.row_start) / st.scale_b
+        gap_rel = mu / (1.0 + np.abs(obj))
+        kkt = np.maximum(np.maximum(rd_rel, rp_rel), gap_rel)
+        x_max = st.abs_max(st.x_s, st.x_r)
+        trail.append(kkt)
+
+        live = ~(st.done | st.failed)
+        optimal = live & (kkt <= cfg.eps2)
+        live &= ~optimal
+        diverging = live & (~np.isfinite(kkt) | (mu > 1e10 * (1.0 + st.mu0)) | (x_max > 1e13))
+        live &= ~diverging
+        falling = live & (obj < st.obj_floor)
+        live &= ~falling
+        stalled = live & st.warm
+        if len(trail) > WARM_STALL_WINDOW:
+            stalled &= kkt * WARM_STALL_DROP > trail[0]
+        else:
+            stalled[:] = False
+        for k in np.flatnonzero(optimal):
+            st.finish(out, k, obj[k], SolverStatus.OPTIMAL, kkt[k], it - 1, "")
+        for k in np.flatnonzero(diverging):
+            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1,
+                      "iterates diverging: problem is likely infeasible or unbounded "
+                      f"(mu={mu[k]:.2e}, |x|={x_max[k]:.2e})")
+        for k in np.flatnonzero(falling):
+            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1,
+                      "objective falling without bound: problem looks unbounded "
+                      f"(objective={obj[k]:.2e}, |x|={x_max[k]:.2e})")
+        for k in np.flatnonzero(stalled):
+            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1,
+                      "warm start stalled")
+        alone += st.ids[st.failed].tolist()
+        leave = st.done | st.failed
+        if leave.any():
+            keep = ~leave
+            rows, cols = st.keep(keep)
+            r_d_s, r_p = r_d_s[cols], r_p[rows]
+            r_d_r, mu, gap_rel = r_d_r[keep], mu[keep], gap_rel[keep]
+            obj, kkt = obj[keep], kkt[keep]
+            for j, past in enumerate(trail):
+                trail[j] = past[keep]
+        if st.K == 0:
+            return alone
+
+        st.failed |= st.factor(st.z / st.s)
+        minus_r_d_s, minus_r_d_r, sz = -r_d_s, -r_d_r, st.s * st.z
+
+        # predictor (affine scaling) direction
+        rc = -sz
+        dx_s, dx_r, dz_a = st.newton(minus_r_d_s, minus_r_d_r, -r_p - rc / st.z)
+        ds_a = (rc - st.s * dz_a) / st.z
+        step = np.minimum(1.0, st.max_step(ds_a, dz_a))[st.rowprog]
+        mu_aff = st.row_sum((st.s + step * ds_a) * (st.z + step * dz_a)) / st.m
+        sigma = np.minimum(np.maximum((mu_aff / mu) ** 3, 1e-10), 1.0 - 1e-10)
+
+        # corrector
+        rc = (sigma * mu)[st.rowprog] - sz - ds_a * dz_a
+        dx_s, dx_r, dz = st.newton(minus_r_d_s, minus_r_d_r, -r_p - rc / st.z)
+        ds = (rc - st.s * dz) / st.z
+
+        eta = np.where(gap_rel < 1e-3, 0.99995, 0.995)
+        alpha = np.minimum(1.0, eta * st.max_step(ds, dz))
+        st.stall = np.where(alpha < 1e-10, st.stall + 1, 0)
+        for k in np.flatnonzero((st.stall >= 3) & ~st.failed):
+            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it,
+                      "step length collapsed before reaching tolerance")
+        st.x_s = st.x_s + alpha[st.sprog] * dx_s
+        st.x_r = st.x_r + alpha[:, None] * dx_r
+        step = alpha[st.rowprog]
+        st.s = st.s + step * ds
+        st.z = st.z + step * dz
+
+    alone += st.ids[st.failed].tolist()
+    for k in np.flatnonzero(~(st.done | st.failed)):
+        st.finish(out, k, None, SolverStatus.MAX_ITERATIONS, kkt[k], cfg.max_iterations,
+                  "iteration cap reached")
+    return alone
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,14 @@ def test_csv_non_numeric_feature_names_column(tmp_path):
         load_csv(path, label_column="label", positive_label="yes")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_csv_non_finite_feature_names_row_and_column(tmp_path, cell):
+    # float() parses these; min-max scaling would then zero column b for every row
+    path = write(tmp_path, f"a,b,label\n1,2,yes\n2,{cell},no\n3,4,yes\n4,5,no\n")
+    with pytest.raises(NonNumericFeatureError, match=r"row 3, column 'b'.*not a finite number"):
+        load_csv(path, label_column="label", positive_label="yes")
+
+
 def test_csv_more_than_two_label_values(tmp_path):
     path = write(tmp_path, "a,label\n1,cat\n2,dog\n3,bird\n")
     with pytest.raises(UnknownLabelError):

@@ -294,21 +294,47 @@ def test_client_failure_aborts_run_with_diagnostic():
 def test_duplicate_result_is_a_barrier_violation():
     replies = [SmResult(g=0, v=np.zeros(2)), SmResult(g=0, v=np.ones(2))]
     with pytest.raises(RuntimeError, match="duplicate result from client 0"):
-        check_barrier(replies, 2, SmResult)
+        check_barrier(replies, 2, SmResult, 2)
 
 
 def test_unknown_client_id_is_a_barrier_violation():
     replies = [SmResult(g=7, v=np.zeros(2))]
     with pytest.raises(RuntimeError, match="unknown client id 7"):
-        check_barrier(replies, 2, SmResult)
+        check_barrier(replies, 2, SmResult, 2)
 
 
 def test_wrong_reply_type_is_a_barrier_violation():
     replies = [SmResult(g=0, v=np.zeros(2)), AdmmResult(g=1, w_g=np.zeros(2))]
     with pytest.raises(RuntimeError, match="client 1 sent AdmmResult in an SM round"):
-        check_barrier(replies, 2, SmResult)
+        check_barrier(replies, 2, SmResult, 2)
     with pytest.raises(RuntimeError, match="client 0 sent SmResult in an ADMM round"):
-        check_barrier(replies, 2, AdmmResult)
+        check_barrier(replies, 2, AdmmResult, 2)
+
+
+@pytest.mark.parametrize("kind,field", [(SmResult, "v"), (AdmmResult, "w_g")])
+def test_reply_of_the_wrong_length_is_a_barrier_violation(kind, field):
+    replies = [kind(g=0, **{field: np.zeros(3)}), kind(g=1, **{field: np.ones(1)})]
+    with pytest.raises(RuntimeError,
+                       match=f"client 1 sent a {field} of length 1; the model has length 3"):
+        check_barrier(replies, 2, kind, 3)
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.SM, Algorithm.ADMM])
+def test_in_process_run_aborts_on_a_reply_of_the_wrong_length(monkeypatch, algorithm):
+    real = FederatedClient.on_round_start
+
+    def short_from_client_1(self, msg):
+        reply = real(self, msg)
+        if self.g != 1:
+            return reply
+        if algorithm is Algorithm.SM:
+            return SmResult(g=1, v=reply.v[:1])
+        return AdmmResult(g=1, w_g=reply.w_g[:1])
+
+    monkeypatch.setattr(FederatedClient, "on_round_start", short_from_client_1)
+    cfg = FederationConfig(clients=toy_cfg(2), T=2, algorithm=algorithm, rho=0.5)
+    with pytest.raises(RuntimeError, match="client 1 sent a .* of length 1; the model has length 3"):
+        run_federation(cfg, make_shards(5, 2, 6, 3))
 
 
 @pytest.mark.parametrize("algorithm", [Algorithm.SM, Algorithm.ADMM])

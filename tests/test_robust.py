@@ -30,7 +30,6 @@ from fedrosvm.robust import (
     extract_worst_case,
     radius_heuristic,
     sm_subgradient,
-    wasserstein_radius,
     worst_case_risk_dual,
     WorstCaseDistribution,
 )
@@ -855,43 +854,6 @@ def test_multiplier_update():
 
 
 # ----------------------------------------------------------------- radius
-
-
-def test_radius_frozen_value():
-    r = wasserstein_radius(0.05, 100, a=2.0, P=4)
-    assert r == pytest.approx((math.log(20.0) / 100.0) ** 0.25, abs=1e-15)
-    assert r == pytest.approx(0.41603105444212757, abs=1e-12)
-
-
-def test_radius_branch_boundary():
-    # threshold = log(1/eta)/(c2*c3) = 10; N = 10 sits exactly on it and
-    # takes the 1/P branch, value (10/10)^(1/3) = 1. Nudging eta down puts
-    # N below the threshold and switches to the 1/a branch.
-    eta = math.exp(-10.0)
-    assert wasserstein_radius(eta, 10, a=2.0, P=3) == pytest.approx(1.0, abs=1e-12)
-    eta_small = math.exp(-10.1)
-    r = wasserstein_radius(eta_small, 10, a=2.0, P=3)
-    assert r == pytest.approx(1.01 ** 0.5, abs=1e-12)
-
-
-def test_radius_limits_and_validation():
-    assert wasserstein_radius(1.0 - 1e-12, 5, a=2.0, P=2) < 1e-3
-    big = wasserstein_radius(0.05, 50, a=2.0, P=3)
-    small = wasserstein_radius(0.05, 5000, a=2.0, P=3)
-    assert small < big
-    for bad in (0.0, 1.0, 2.0, -0.1):
-        with pytest.raises(ValueError):
-            wasserstein_radius(bad, 10, a=2.0, P=3)
-    with pytest.raises(ValueError):
-        wasserstein_radius(0.05, 0, a=2.0, P=3)
-    with pytest.raises(ValueError):
-        wasserstein_radius(0.05, 10, a=2.0, P=0)
-    with pytest.raises(ValueError):
-        wasserstein_radius(0.05, 10, a=1.0, P=3)
-    with pytest.raises(ValueError):
-        wasserstein_radius(0.05, 10, a=2.0, c1=0.0, P=3)
-    with pytest.raises(ValueError):
-        wasserstein_radius(0.5, 10, a=2.0, c1=0.1, P=3)
 
 
 def test_radius_heuristic():

@@ -327,3 +327,109 @@ class TestDeterminismAndBackends:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ConvexProgram(n=2, c=[1.0], A_ineq=[[1.0, 0.0]], b_ineq=[1.0])
+
+
+def stack_group(seed, norm, P, count):
+    """Proximal risk epigraphs of one dense-remainder width: ragged N,
+    kappa in {0, 1} and (rho, tau) in {(0.7, 0), (0.7, 0.3), (0.05, 0)}."""
+    rng = np.random.default_rng(seed)
+    progs = []
+    for i in range(count):
+        N = int(rng.integers(5, 60))
+        data = DatasetView(X=rng.random((N, P)), y=np.where(rng.random(N) < 0.5, 1, -1))
+        cfg = ClientConfig(epsilon=0.05, kappa=float(i % 2), norm=norm)
+        rho, tau = ((0.7, 0.0), (0.7, 0.3), (0.05, 0.0))[i % 3]
+        progs.append(build_risk_epigraph_qp(data, cfg, rho=rho, tau=tau,
+                                            anchor=rng.standard_normal(P)))
+    return progs
+
+
+def assert_same_solutions(stacked, alone):
+    for i, (a, b) in enumerate(zip(stacked, alone)):
+        assert a.status is b.status, (i, a.message, b.message)
+        assert a.message == b.message, i
+        assert a.iterations == b.iterations, i
+        scale = np.abs(b.x_star).max()
+        assert np.abs(a.x_star - b.x_star).max() <= 1e-7 * scale, i
+        assert a.objective == pytest.approx(b.objective, rel=1e-7, abs=1e-12), i
+        assert a.z_star.shape == b.z_star.shape, i
+
+
+class TestSolveStack:
+    @pytest.mark.parametrize("norm,P", [(NormKind.L1, 3), (NormKind.LINF, 2)])
+    def test_matches_solve_program_by_program_cold_then_warm(self, norm, P):
+        progs = stack_group(11, norm, P, 9)
+        cold = solver.solve_stack(progs, [None] * len(progs))
+        alone = [solve(p) for p in progs]
+        assert_same_solutions(cold, alone)
+        # programs leave the stack at different iterations
+        assert len({s.iterations for s in alone}) > 1
+
+        rng = np.random.default_rng(12)
+        warms = [(s.x_star, s.z_star) for s in alone]
+        for p in progs:
+            p.c[:P] += 0.3 * rng.standard_normal(P)
+        warm = solver.solve_stack(progs, warms)
+        assert_same_solutions(warm, [solve(p, warm=w) for p, w in zip(progs, warms)])
+
+    def test_a_stalled_warm_program_exits_as_solve_does(self):
+        # a shard and two ADMM anchors on which the warm-started QP stalls
+        # (the fixture of tests/test_robust.py)
+        from test_robust import STALL_ANCHORS, STALL_X, STALL_Y
+        data = DatasetView(X=np.array(STALL_X), y=np.array(STALL_Y))
+        stall = build_risk_epigraph_qp(data, ClientConfig(epsilon=1.0 / 140.0, kappa=1.0),
+                                       rho=0.01, anchor=np.array(STALL_ANCHORS[0]))
+        first = solve(stall)
+        stall.c[:2] = -0.01 * np.array(STALL_ANCHORS[1])
+        others = stack_group(13, NormKind.L1, 2, 4)
+        progs = [others[0], stall] + others[1:]
+        warms = [None, (first.x_star, first.z_star), None, None, None]
+        stacked = solver.solve_stack(progs, warms)
+        alone = [solve(p, warm=w) for p, w in zip(progs, warms)]
+        assert alone[1].message == "warm start stalled"
+        assert_same_solutions(stacked, alone)
+
+    def test_a_failed_factorization_is_resolved_alone(self, monkeypatch):
+        progs = stack_group(14, NormKind.L1, 2, 4)
+        real = solver._Stack.factor
+        calls = []
+
+        def second_program_fails_once(self, w):
+            bad = real(self, w)
+            if not calls:
+                bad[1] = True
+            calls.append(self.ids.tolist())
+            return bad
+
+        monkeypatch.setattr(solver._Stack, "factor", second_program_fails_once)
+        stacked = solver.solve_stack(progs, [None] * 4)
+        assert 1 not in calls[-1]
+        alone = [solve(p) for p in progs]
+        assert_same_solutions(stacked, alone)
+        np.testing.assert_array_equal(stacked[1].x_star, alone[1].x_star)
+
+    def test_free_cost_program_fails_as_solve_reports_it(self):
+        p = scaled_s_program()
+
+        def with_free_column(cost):
+            return ConvexProgram(n=7, Q=np.diag(np.append(p.Q.diagonal(), 0.0)),
+                                 c=np.append(p.c, cost),
+                                 A_ineq=np.hstack([p.A_ineq.toarray(), np.zeros((p.m, 1))]),
+                                 b_ineq=p.b_ineq)
+
+        free, idle = with_free_column(1.0), with_free_column(0.0)
+        got, fine = solver.solve_stack([free, idle], [None, None])
+        assert got.status is SolverStatus.NUMERICAL_FAILURE
+        assert got.message == solve(free).message
+        assert_same_solutions([fine], [solve(idle)])
+
+    def test_rejects_programs_without_one_schur_width(self):
+        progs = stack_group(15, NormKind.L1, 2, 2)
+        with pytest.raises(ValueError, match="program 1 has a dense remainder of 4"):
+            solver.solve_stack([progs[0], *stack_group(15, NormKind.L1, 3, 1)], [None, None])
+        with_eq = ConvexProgram(n=2, c=[1.0, 1.0], A_ineq=-np.eye(2), b_ineq=[0.0, 0.0],
+                                A_eq=[[1.0, 1.0]], b_eq=[1.0])
+        with pytest.raises(ValueError, match="program 2 does not split"):
+            solver.solve_stack(progs + [with_eq], [None] * 3)
+        with pytest.raises(ValueError, match="2 programs but 1 warm"):
+            solver.solve_stack(progs, [None])

@@ -58,8 +58,9 @@ def test_traced_experiments_record_the_spans_noisy_cv_reads(monkeypatch):
 
     admm, fedavg = (Counter(s[tracing.NAME] for s in tracer.spans if s[tracing.OP] == op)
                     for op in (0, 1))
-    # one federation per fold and grid point (T is nested), then the final fit
-    assert admm["federation.run_federation"] == 3 * 2 + 1
+    # cross-validation runs every fold and grid point in lockstep, without
+    # run_federation; only the final fit goes through the runtime
+    assert admm["federation.run_federation"] == 1
     # the l2 baselines cross-validate in one stacked run and fit once more
     assert fedavg["federation.run_federation"] == 0
     assert fedavg["baselines.train_fed_l2_svm"] == 1
