@@ -87,10 +87,9 @@ def l2_hinge_subgradient(w, yX, c):
     return grad
 
 
-def train_fed_l2_svm(client_data, cfg, seed, trace=None):
+def train_fed_l2_svm(client_data, cfg, seed):
     """Run T federated rounds of the configured variant and return the
-    final model. Pass a list as `trace` to receive a copy of the global
-    iterate after every round.
+    final model.
 
     FedSGD overrides local_epochs and batch_fraction so each client takes
     exactly one full-batch step per round. Full batches keep the natural
@@ -99,8 +98,6 @@ def train_fed_l2_svm(client_data, cfg, seed, trace=None):
     train_fed_l2_stack.
     """
     iterates = train_fed_l2_stack([client_data], cfg, seed, [cfg.gamma0])[0, 0]
-    if trace is not None:
-        trace.extend(w.copy() for w in iterates)
     return GlobalModel(w=iterates[-1].copy())
 
 

@@ -98,7 +98,11 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model, stats = load_model(args.model)
-    view = apply_minmax(load_csv(args.csv, args.label_column, args.positive_label), stats)
+    data = load_csv(args.csv, args.label_column, args.positive_label)
+    if data.p != model.w.size:
+        raise ValueError(f"{args.csv} has {data.p} features but the model in "
+                         f"{args.model} has {model.w.size} weights")
+    view = apply_minmax(data, stats)
     metrics = evaluate(model, view)
     print(json.dumps({
         "f1": metrics.f1, "mccr": metrics.mccr, "n": metrics.n,

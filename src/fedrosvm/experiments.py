@@ -23,7 +23,7 @@ fold and every step size in one stacked run (baselines.train_fed_l2_stack),
 with the same iterates as one run per fold and point. ADMM and ADMM-SC
 cross-validation advances every (fold, grid point) federation in
 lockstep: each round solves all of their client QPs together in
-stacked interior-point solves (robust.admm_client_steps), then each
+one stacked interior-point solve (robust.admm_client_steps), then each
 federation makes its server update. Those models agree with one run_federation per
 fold and point to solver roundoff. The final fit at the chosen point, like
 every other lone run, goes through run_federation.
@@ -118,6 +118,25 @@ DEFAULT_FIXED = {
     "prox_mu": 1.0,
 }
 
+# Each fixed knob but the norm is checked by the class that takes it at run
+# time, after the conversion the run applies (`_client_configs`, `_radius`,
+# `baseline_config`).
+_FIXED_CHECKS = {
+    "kappa": lambda v: ClientConfig(epsilon=1.0, kappa=v),
+    "beta": lambda v: ClientConfig(epsilon=radius_heuristic(1, v)),
+    "epsilon": lambda v: v is None or ClientConfig(epsilon=v),
+    "tau_factor": lambda v: ClientConfig(epsilon=1.0, tau=v),
+    "local_epochs": lambda v: FedBaselineConfig(FedVariant.FEDAVG, local_epochs=int(v)),
+    "batch_fraction": lambda v: FedBaselineConfig(FedVariant.FEDAVG, batch_fraction=float(v)),
+    "prox_mu": lambda v: FedBaselineConfig(FedVariant.FEDAVG, prox_mu=float(v)),
+}
+
+
+def _check_count(value, what, low):
+    """Reject anything but an integer >= low: bools, floats and strings too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -149,11 +168,11 @@ class ExperimentConfig:
             dataset=dict(doc["dataset"]),
             partition=dict(doc["partition"]),
             model=str(doc["model"]).lower(),
-            grid={k: list(v) for k, v in doc.get("grid", {}).items()},
+            grid=dict(doc.get("grid", {})),
             fixed=dict(doc.get("fixed", {})),
-            cv_folds=int(doc.get("cv_folds", 5)),
-            repetitions=int(doc.get("repetitions", 10)),
-            base_seed=int(doc.get("base_seed", 0)),
+            cv_folds=doc.get("cv_folds", 5),
+            repetitions=doc.get("repetitions", 10),
+            base_seed=doc.get("base_seed", 0),
             test_fraction=float(doc.get("test_fraction", 0.3)),
             output=doc.get("output"),
             raw_text=raw_text,
@@ -188,25 +207,32 @@ class ExperimentConfig:
                     raise ConfigError(f"synthetic dataset needs {key!r}")
         else:
             raise ConfigError(f"dataset kind must be 'csv' or 'synthetic', got {kind!r}")
+        for key, low in (("cv_folds", 2), ("repetitions", 1), ("base_seed", 0)):
+            _check_count(getattr(self, key), key, low)
         try:
             PartitionScheme(self.partition.get("scheme"))
         except ValueError:
             raise ConfigError(f"unknown partition scheme {self.partition.get('scheme')!r}")
-        if int(self.partition.get("G", 0)) < 1:
-            raise ConfigError("partition needs G >= 1")
-        if self.grid == {}:
-            self.grid = {k: list(v) for k, v in DEFAULT_GRIDS[self.model].items()}
-        for knob, values in self.grid.items():
+        _check_count(self.partition.get("G"), "partition 'G'", 1)
+        try:
+            _partition_plan(self, self.base_seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"partition: {exc}") from None
+        grid = self.grid or DEFAULT_GRIDS[self.model]
+        for knob, values in grid.items():
             if knob not in TUNABLE[self.model]:
                 raise ConfigError(
                     f"grid key {knob!r} is not tuned by model {self.model!r}; "
                     f"it tunes {sorted(TUNABLE[self.model])}")
+            if not isinstance(values, list):
+                raise ConfigError(f"grid for {knob!r} must be a list, got {values!r}")
             if not values:
                 raise ConfigError(f"grid for {knob!r} is empty")
+        self.grid = {k: list(v) for k, v in grid.items()}
         if self.model != "central_dr" and "T" not in self.grid:
             raise ConfigError("federated models need a 'T' list in the grid")
-        if any(int(t) < 1 for t in self.grid.get("T", [])):
-            raise ConfigError("round counts in the 'T' grid must be >= 1")
+        for t in self.grid.get("T", []):
+            _check_count(t, "every round count in the 'T' grid", 1)
         for key in self.fixed:
             if key not in DEFAULT_FIXED:
                 raise ConfigError(
@@ -215,12 +241,13 @@ class ExperimentConfig:
         merged = dict(DEFAULT_FIXED)
         merged.update(self.fixed)
         self.fixed = merged
-        if self.fixed["norm"] not in NORMS:
+        if not (isinstance(self.fixed["norm"], str) and self.fixed["norm"] in NORMS):
             raise ConfigError(f"norm must be 'l1' or 'linf', got {self.fixed['norm']!r}")
-        if self.cv_folds < 2:
-            raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        for key, check in _FIXED_CHECKS.items():
+            try:
+                check(self.fixed[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"fixed {key!r}: {exc}") from None
         if not (0.0 < self.test_fraction < 1.0):
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
@@ -251,15 +278,17 @@ def prepare_repetition(cfg, seed):
     stats = fit_minmax(train)
     train = apply_minmax(train, stats)
     test = apply_minmax(test, stats)
+    return partition(train, _partition_plan(cfg, seed)), test, stats
+
+
+def _partition_plan(cfg, seed):
     part = cfg.partition
-    plan = PartitionPlan(
-        scheme=PartitionScheme(part["scheme"]), G=int(part["G"]), seed=seed,
+    return PartitionPlan(
+        scheme=PartitionScheme(part["scheme"]), G=part["G"], seed=seed,
         client_fractions=tuple(part["client_fractions"]) if part.get("client_fractions") else None,
         class_fractions=tuple(part["class_fractions"]) if part.get("class_fractions") else None,
         noise_rate=part.get("noise_rate"),
     )
-    shards = partition(train, plan)
-    return shards, test, stats
 
 
 def pool(shards):
@@ -383,7 +412,7 @@ def _admm_lockstep(feds, client_data):
     NaN).
 
     Every round solves the client QPs of all federations together
-    (`robust.admm_client_steps`, one stack per dense-remainder width).
+    (`robust.admm_client_steps`, one `solver.solve_stack` call).
     Then each federation aggregates with `admm_server_update` and folds
     the new model into its clients' multipliers, in client order, as
     `run_federation` does. With no wire between them, the server reads
@@ -635,6 +664,9 @@ def load_model(path):
     model = GlobalModel(w=np.array(doc["w"], dtype=float))
     stats = MinMaxStats(mins=np.array(doc["mins"], dtype=float),
                         maxs=np.array(doc["maxs"], dtype=float))
+    if not (model.w.size == stats.mins.size == stats.maxs.size):
+        raise ValueError(f"model file {path} has {model.w.size} weights, {stats.mins.size} "
+                         f"mins and {stats.maxs.size} maxs; they must be equally many")
     return model, stats
 
 

@@ -209,6 +209,8 @@ def global_objective(w, client_data, client_cfgs):
 
 # Seconds a client waits for the server to accept its connection.
 CONNECT_TIMEOUT = 60.0
+# Seconds the server waits for each of its clients to connect.
+ACCEPT_TIMEOUT = 60.0
 # Seconds the server waits on a client's socket before it aborts the run.
 REPLY_TIMEOUT = 600.0
 
@@ -307,9 +309,9 @@ class TcpServerTransport:
     thread; a lost connection, a malformed frame or a client silent for
     REPLY_TIMEOUT seconds aborts the run and names the peer."""
 
-    def __init__(self, host="127.0.0.1", port=0, accept_timeout=60.0):
+    def __init__(self, host="127.0.0.1", port=0):
         self._listener = socket.create_server((host, port))
-        self._listener.settimeout(accept_timeout)
+        self._listener.settimeout(ACCEPT_TIMEOUT)
         self._peers = []
 
     @property

@@ -38,7 +38,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import NormKind, dual_norm, hinge_losses
-from .solver import ConvexProgram, SolverStatus, solve, solve_stack, stack_width
+from .solver import ConvexProgram, SolverStatus, solve, solve_stack
 
 log = logging.getLogger(__name__)
 
@@ -453,35 +453,19 @@ def admm_client_step(w_global, client, data, cfg, cache, client_id=None):
 
 
 def admm_client_steps(steps):
-    """Many proximal steps, solved in stacks (`solver.solve_stack`).
+    """Many proximal steps, solved together (`solver.solve_stack`).
 
     `steps` holds one (w_global, client, data, cfg, cache, client_id) tuple
     per step, the arguments of `admm_client_step`; the caches must be
     distinct. Every step anchors, warm-starts, retries cold and fails as
     `admm_client_step` does; only the solve of the first attempts is
-    shared. QPs with equally wide dense remainders share one stack; a QP
-    alone at its width, or one that does not split for the Schur backend
-    (P > 63 under the L1 norm, P > 32 under L-inf), is solved by `solve`.
-    A feature that is zero throughout a shard narrows that QP's
-    remainder by one. Returns the ClientModels in order."""
+    shared. Returns the ClientModels in order."""
     progs = [_proximal_program(w, client, data, cfg, cache)
              for w, client, data, cfg, cache, _ in steps]
     warms = [cache.get("warm") for _, _, _, _, cache, _ in steps]
-    sols = [None] * len(progs)
-    groups = {}
-    for i, prog in enumerate(progs):
-        groups.setdefault(stack_width(prog), []).append(i)
-    for width, ids in groups.items():
-        if width is None or len(ids) == 1:
-            for i in ids:
-                sols[i] = solve(progs[i], warm=warms[i])
-        else:
-            for i, sol in zip(ids, solve_stack([progs[i] for i in ids],
-                                               [warms[i] for i in ids])):
-                sols[i] = sol
     return [_proximal_result(sol, prog, warm, data.p, client, cache, client_id)
             for sol, prog, warm, (_, client, data, _, cache, client_id)
-            in zip(sols, progs, warms, steps)]
+            in zip(solve_stack(progs, warms), progs, warms, steps)]
 
 
 def _proximal_program(w_global, client, data, cfg, cache):

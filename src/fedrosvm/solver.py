@@ -25,16 +25,15 @@ The reduction is exact; backend choice affects speed and floating-point
 roundoff only. Identical inputs take identical paths, so results are
 deterministic within one build.
 
-`solve_stack` runs the same iteration over many Schur-eligible programs
-at once: their rows and S columns laid end to end, per-program
-reductions through `np.ufunc.reduceat`, and batched matmuls and solves
-over the small dense blocks of all programs. It pays off when many
+`solve_stack` runs the same iteration over many programs at once: every
+Schur-eligible one in one stack, their rows and S columns laid end to
+end, per-program reductions through `np.ufunc.reduceat`, and batched
+matmuls and solves over the small dense blocks of all programs, the
+narrower remainders zero-padded to the widest. It pays off when many
 programs are solved together (every client QP of an ADMM
-cross-validation round). Every program in one stack has a dense
-remainder of the same width (`stack_width`), so the caller groups by
-width and sends a program that does not split to `solve`. On a single
-program its set-up and indexing make it several times slower than
-`solve`, which stays the single-program path.
+cross-validation round); a program that does not split goes to `solve`.
+On a single program its set-up and indexing make it several times slower
+than `solve`, which stays the single-program path.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
     "SolverSolution",
     "solve",
     "solve_stack",
-    "stack_width",
     "solve_lp_by_enumeration",
 ]
 
@@ -79,6 +77,16 @@ WARM_STALL_DROP = 10.0
 # the right-hand sides and the costs) marks the program as unbounded below.
 # The programs this package builds stay under 1e3 of that unit.
 UNBOUNDED_OBJECTIVE = 1e10
+
+# The exits of the interior-point iteration short of OPTIMAL, as
+# `_ip_loop` and `_stack_loop` both report them.
+_DIVERGING = ("iterates diverging: problem is likely infeasible or unbounded "
+              "(mu={mu:.2e}, |x|={x_max:.2e})")
+_FALLING = ("objective falling without bound: problem looks unbounded "
+            "(objective={obj:.2e}, |x|={x_max:.2e})")
+_STALLED = "warm start stalled"
+_COLLAPSED = "step length collapsed before reaching tolerance"
+_CAPPED = "iteration cap reached"
 
 
 def _as_sparse(a, shape):
@@ -415,15 +423,47 @@ def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None) -> SolverSoluti
                               np.inf, 0, f"linear algebra failure: {e}")
 
 
-def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverSolution:
+def _warm_fits(warm, p: ConvexProgram) -> bool:
+    """Whether `warm` is an (x0, z0) start of p's size; any other warm
+    start is ignored and the solve starts cold."""
+    return warm is not None and warm[0] is not None and len(warm[0]) == p.n
+
+
+def _cold_start(p: ConvexProgram, backend):
+    """The centred cold start: one Newton solve at (x, s, z) = (0, 1, 1),
+    shifted into the interior. Returns (x, y, s, z)."""
     n, m, k = p.n, p.m, p.k
+    x = np.zeros(n)
+    s = np.ones(m)
+    z = np.ones(m)
+    y = np.zeros(k)
+    backend.factor(z / s)
+    r_d = backend.q_dot(x) + p.c + backend.at_dot(z) + (p.A_eq.T @ y if k else 0.0)
+    r_p = backend.a_dot(x) + s - p.b_ineq
+    r_e = p.A_eq @ x - p.b_eq if k else np.zeros(0)
+    dx, dz, dy = backend.solve(-r_d, -r_p + s - 1.0 / z, -r_e)
+    ds = (-s * z + 1.0 - s * dz) / z
+    x = x + dx
+    y = y + dy
+    s_t, z_t = s + ds, z + dz
+    ds_shift = max(-1.5 * s_t.min(initial=0.0), 0.0)
+    dz_shift = max(-1.5 * z_t.min(initial=0.0), 0.0)
+    s_t, z_t = s_t + ds_shift + 1e-10, z_t + dz_shift + 1e-10
+    dot = s_t @ z_t
+    s = s_t + 0.5 * dot / z_t.sum()
+    z = z_t + 0.5 * dot / s_t.sum()
+    return x, y, s, z
+
+
+def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverSolution:
+    m, k = p.m, p.k
     scale_b = 1.0 + max(
         np.max(np.abs(p.b_ineq), initial=0.0), np.max(np.abs(p.b_eq), initial=0.0)
     )
     scale_c = 1.0 + np.max(np.abs(p.c), initial=0.0)
     obj_floor = -UNBOUNDED_OBJECTIVE * scale_b * scale_c
 
-    warm_started = warm is not None and warm[0] is not None and len(warm[0]) == n
+    warm_started = _warm_fits(warm, p)
     if warm_started:
         # re-center the previous optimum at a moderate complementarity level
         # so the first Newton steps can absorb the changed objective
@@ -433,26 +473,7 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
         s = np.maximum(p.b_ineq - backend.a_dot(x), lift)
         y = np.zeros(k)
     else:
-        # centered cold start: one Newton solve at (x, s, z) = (0, 1, 1)
-        x = np.zeros(n)
-        s = np.ones(m)
-        z = np.ones(m)
-        y = np.zeros(k)
-        backend.factor(z / s)
-        r_d = backend.q_dot(x) + p.c + backend.at_dot(z) + (p.A_eq.T @ y if k else 0.0)
-        r_p = backend.a_dot(x) + s - p.b_ineq
-        r_e = p.A_eq @ x - p.b_eq if k else np.zeros(0)
-        dx, dz, dy = backend.solve(-r_d, -r_p + s - 1.0 / z, -r_e)
-        ds = (-s * z + 1.0 - s * dz) / z
-        x = x + dx
-        y = y + dy
-        s_t, z_t = s + ds, z + dz
-        ds_shift = max(-1.5 * s_t.min(initial=0.0), 0.0)
-        dz_shift = max(-1.5 * z_t.min(initial=0.0), 0.0)
-        s_t, z_t = s_t + ds_shift + 1e-10, z_t + dz_shift + 1e-10
-        dot = s_t @ z_t
-        s = s_t + 0.5 * dot / z_t.sum()
-        z = z_t + 0.5 * dot / s_t.sum()
+        x, y, s, z = _cold_start(p, backend)
 
     mu0 = (s @ z) / m
     stall = 0
@@ -481,21 +502,19 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
                                   z_star=z, y_star=y)
         x_max = np.abs(x).max()
         if not math.isfinite(kkt_resid) or mu > 1e10 * (1.0 + mu0) or x_max > 1e13:
-            return SolverSolution(
-                x, obj, SolverStatus.NUMERICAL_FAILURE, float(kkt_resid), it - 1,
-                "iterates diverging: problem is likely infeasible or unbounded "
-                f"(mu={mu:.2e}, |x|={x_max:.2e})", z_star=z, y_star=y)
+            return SolverSolution(x, obj, SolverStatus.NUMERICAL_FAILURE, float(kkt_resid),
+                                  it - 1, _DIVERGING.format(mu=mu, x_max=x_max),
+                                  z_star=z, y_star=y)
         if obj < obj_floor:
-            return SolverSolution(
-                x, obj, SolverStatus.NUMERICAL_FAILURE, float(kkt_resid), it - 1,
-                "objective falling without bound: problem looks unbounded "
-                f"(objective={obj:.2e}, |x|={x_max:.2e})", z_star=z, y_star=y)
+            return SolverSolution(x, obj, SolverStatus.NUMERICAL_FAILURE, float(kkt_resid),
+                                  it - 1, _FALLING.format(obj=obj, x_max=x_max),
+                                  z_star=z, y_star=y)
         if warm_started:
             trail.append(kkt_resid)
             if len(trail) > WARM_STALL_WINDOW and \
                     kkt_resid * WARM_STALL_DROP > trail[-1 - WARM_STALL_WINDOW]:
                 return SolverSolution(x, obj, SolverStatus.NUMERICAL_FAILURE,
-                                      float(kkt_resid), it - 1, "warm start stalled",
+                                      float(kkt_resid), it - 1, _STALLED,
                                       z_star=z, y_star=y)
 
         backend.factor(z / s)
@@ -521,9 +540,8 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
         if alpha < 1e-10:
             stall += 1
             if stall >= 3:
-                return SolverSolution(
-                    x, obj, SolverStatus.NUMERICAL_FAILURE, float(kkt_resid), it,
-                    "step length collapsed before reaching tolerance", z_star=z, y_star=y)
+                return SolverSolution(x, obj, SolverStatus.NUMERICAL_FAILURE,
+                                      float(kkt_resid), it, _COLLAPSED, z_star=z, y_star=y)
         else:
             stall = 0
         x = x + alpha * dx
@@ -533,7 +551,7 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
             y = y + alpha * dy
 
     return SolverSolution(x, p.objective(x), SolverStatus.MAX_ITERATIONS, float(kkt_resid),
-                          cfg.max_iterations, "iteration cap reached", z_star=z, y_star=y)
+                          cfg.max_iterations, _CAPPED, z_star=z, y_star=y)
 
 
 # ---------------------------------------------------------------------------
@@ -545,27 +563,30 @@ class _Stack:
 
     Row arrays concatenate every program's inequality rows, S arrays their
     eliminated columns; program arrays hold one value, or one row of the r
-    dense-remainder columns, per program. `row_start` and `s_start` are
-    each program's first row and first S column, the segment starts that
-    `np.ufunc.reduceat` takes. The dense blocks are held per program and
-    padded with zero rows to the longest program: A_r as (K, M, r), M_sr
-    as (K, N_s, r), so each product with them is one batched matmul;
-    `row_at` and `s_at` are the flat positions of every row and every S
-    column in that padding. A_s' W A_r goes through a CSR matrix whose
-    pattern is fixed while the stack is. As in `_SchurBackend`, memory per
-    iteration grows with rows x r. The layout of each program is its
-    `_SchurBackend`, built once per program and reused across calls."""
+    dense-remainder columns, per program, r being the widest remainder.
+    `row_start` and `s_start` are each program's first row and first S
+    column, the segment starts that `np.ufunc.reduceat` takes. The dense
+    blocks are held per program and zero-padded to the longest program and
+    the widest remainder: A_r as (K, M, r), M_sr as (K, N_s, r), so each
+    product with them is one batched matmul; `row_at` and `s_at` are the
+    flat positions of every row and every S column in that padding. A
+    padded remainder column, with zero cost and iterate, gets only
+    REGULARIZATION on the Schur diagonal and a zero right-hand side, so
+    its Newton step is exactly 0. A_s' W A_r goes through a CSR matrix
+    whose pattern is fixed while the stack is. As in `_SchurBackend`,
+    memory per iteration grows with rows x r. The layout of each program
+    is its `_SchurBackend`, built once per program and reused."""
 
     _ROWS = ("scol_local", "scoef", "scoef2", "b", "s", "z")
     _COLS = ("q_s", "c_s", "x_s")
     _PROGS = ("ids", "m", "n_s", "a_r", "a_rT", "q_r", "c_r", "x_r", "scale_b", "scale_c",
               "obj_floor", "mu0", "warm", "stall", "done", "failed")
 
-    def __init__(self, programs, ids, r):
+    def __init__(self, programs, ids):
         self.programs = [programs[i] for i in ids]
-        self.layout = [p._backend_cache[1] for p in self.programs]
+        self.layout = [_structure(p)[1] for p in self.programs]
         lay = self.layout
-        self.r = r
+        self.r = r = max(b.r_idx.size for b in lay)
         self.ids = np.asarray(ids)
         self.m = np.array([b.scol.size for b in lay])
         self.n_s = np.array([b.n_s for b in lay])
@@ -574,14 +595,15 @@ class _Stack:
         self.scoef = np.concatenate([b.scoef for b in lay])
         self.scoef2 = np.concatenate([b.scoef2 for b in lay])
         self.a_r = np.zeros((len(lay), self.m_max, r))
-        for k, b in enumerate(lay):
-            self.a_r[k, :b.scol.size] = b.A_r
+        self.q_r, self.c_r = np.zeros((len(lay), r)), np.zeros((len(lay), r))
+        for k, (p, b) in enumerate(zip(self.programs, lay)):
+            self.a_r[k, :b.scol.size, :b.r_idx.size] = b.A_r
+            self.q_r[k, :b.r_idx.size] = b.qdiag[b.r_idx]
+            self.c_r[k, :b.r_idx.size] = p.c[b.r_idx]
         self.a_rT = np.ascontiguousarray(self.a_r.transpose(0, 2, 1))
         self.b = np.concatenate([p.b_ineq for p in self.programs])
         self.q_s = np.concatenate([b.q_s for b in lay])
         self.c_s = np.concatenate([p.c[b.s_idx] for p, b in zip(self.programs, lay)])
-        self.q_r = np.array([b.qdiag[b.r_idx] for b in lay]).reshape(-1, r)
-        self.c_r = np.array([p.c[b.r_idx] for p, b in zip(self.programs, lay)]).reshape(-1, r)
         self._index()
         self.scale_b = 1.0 + np.maximum.reduceat(np.abs(self.b), self.row_start)
         self.scale_c = 1.0 + np.maximum(np.maximum.reduceat(np.abs(self.c_s), self.s_start),
@@ -627,52 +649,35 @@ class _Stack:
 
     def start(self, warms):
         """Each program's starting point, as `_ip_loop` picks it: the
-        re-centred warm point when its warm start fits, else the centred
-        cold start."""
-        self.warm = np.array([w is not None and w[0] is not None and len(w[0]) == p.n
-                              for w, p in zip(warms, self.programs)], dtype=bool)
-        rows, cols = self.warm[self.rowprog], self.warm[self.sprog]
-        x_s, x_r, z = np.zeros(self.n_cols), np.zeros((self.K, self.r)), np.ones(self.b.size)
-        for k in np.flatnonzero(self.warm):
-            x, lay = np.asarray(warms[k][0], dtype=float), self.layout[k]
+        re-centred warm point when its warm start fits, else `_cold_start`
+        on the program's own backend. A program whose cold start fails to
+        factor is marked failed, for `solve` to redo alone."""
+        self.warm = np.array([_warm_fits(w, p) for w, p in zip(warms, self.programs)])
+        x_s, x_r = np.zeros(self.n_cols), np.zeros((self.K, self.r))
+        s, z = np.ones(self.b.size), np.ones(self.b.size)
+        for k, (p, lay) in enumerate(zip(self.programs, self.layout)):
+            rows = slice(self.row_start[k], self.row_start[k] + self.m[k])
+            if self.warm[k]:
+                x = np.asarray(warms[k][0], dtype=float)
+                z[rows] = warms[k][1]
+            else:
+                try:
+                    x, _, s[rows], z[rows] = _cold_start(p, _structure(p)[1])
+                except np.linalg.LinAlgError:
+                    self.failed[k] = True
+                    continue
             x_s[self.s_start[k]:self.s_start[k] + self.n_s[k]] = x[lay.s_idx]
-            x_r[k] = x[lay.r_idx]
-            z[self.row_start[k]:self.row_start[k] + self.m[k]] = warms[k][1]
-        lift = np.sqrt(1e-4 * self.scale_b * self.scale_c)[self.rowprog]
+            x_r[k, :lay.r_idx.size] = x[lay.r_idx]
         self.x_s, self.x_r = x_s, x_r
-        self.z = np.maximum(z, lift)
-        self.s = np.maximum(self.b - self.a_dot(x_s, x_r), lift)
-        if not self.warm.all():
-            # centred cold start: one Newton solve at (x, s, z) = (0, 1, 1)
-            x_s, x_r = np.zeros(self.n_cols), np.zeros((self.K, self.r))
-            s, z = np.ones(self.b.size), np.ones(self.b.size)
-            self.failed |= self.factor(z / s) & ~self.warm
-            atz_s, atz_r = self.at_dot(z)
-            r_d_s = self.q_s * x_s + self.c_s + atz_s
-            r_d_r = self.q_r * x_r + self.c_r + atz_r
-            r_p = self.a_dot(x_s, x_r) + s - self.b
-            dx_s, dx_r, dz = self.newton(-r_d_s, -r_d_r, -r_p + s - 1.0 / z)
-            ds = (-s * z + 1.0 - s * dz) / z
-            x_s, x_r = x_s + dx_s, x_r + dx_r
-            s_t, z_t = s + ds, z + dz
-            ds_shift = np.maximum(-1.5 * np.minimum(self.row_min(s_t), 0.0), 0.0)
-            dz_shift = np.maximum(-1.5 * np.minimum(self.row_min(z_t), 0.0), 0.0)
-            s_t = s_t + ds_shift[self.rowprog] + 1e-10
-            z_t = z_t + dz_shift[self.rowprog] + 1e-10
-            dot = self.row_sum(s_t * z_t)
-            s = s_t + (0.5 * dot / self.row_sum(z_t))[self.rowprog]
-            z = z_t + (0.5 * dot / self.row_sum(s_t))[self.rowprog]
-            self.x_s = np.where(cols, self.x_s, x_s)
-            self.x_r = np.where(self.warm[:, None], self.x_r, x_r)
-            self.s = np.where(rows, self.s, s)
-            self.z = np.where(rows, self.z, z)
+        # re-centre the warm points at a moderate complementarity level
+        warm = self.warm[self.rowprog]
+        lift = np.sqrt(1e-4 * self.scale_b * self.scale_c)[self.rowprog]
+        self.z = np.where(warm, np.maximum(z, lift), z)
+        self.s = np.where(warm, np.maximum(self.b - self.a_dot(x_s, x_r), lift), s)
         self.mu0 = self.row_sum(self.s * self.z) / self.m
 
     def row_sum(self, v):
         return np.add.reduceat(v, self.row_start)
-
-    def row_min(self, v):
-        return np.minimum.reduceat(v, self.row_start)
 
     def abs_max(self, v_s, v_r):
         """Per-program max |v| of a column vector split into S and remainder."""
@@ -747,7 +752,7 @@ class _Stack:
         lay = self.layout[k]
         x = np.empty(lay.n)
         x[lay.s_idx] = self.x_s[self.s_start[k]:self.s_start[k] + self.n_s[k]]
-        x[lay.r_idx] = self.x_r[k]
+        x[lay.r_idx] = self.x_r[k, :lay.r_idx.size]
         z = self.z[self.row_start[k]:self.row_start[k] + self.m[k]].copy()
         if obj is None:
             obj = self.programs[k].objective(x)
@@ -756,29 +761,22 @@ class _Stack:
         self.done[k] = True
 
 
-def stack_width(p: ConvexProgram):
-    """The width of p's dense remainder, which `solve_stack` requires to be
-    equal across a stack, or None when p does not split for the Schur
-    backend and only `solve` takes it."""
-    split = _structure(p)[0]
-    return None if split is None else split[1].size
-
-
 def solve_stack(programs, warms) -> list:
     """Solve many programs in one interior-point loop; one SolverSolution
     per program, in order.
 
-    Every program must split for the Schur backend (see `_schur_split`),
-    with dense remainders of one width; any other is a ValueError. Each
-    program takes `solve`'s path: the same starting point from its entry
-    of `warms` (an (x0, z0) pair or None), the same exits and messages,
-    and its own mu, step lengths and residuals. One iteration covers the
-    whole stack: rows and S columns laid end to end, segment reductions
-    per program, and batched matmuls, Cholesky tests and solves over the
-    (r, r) Schur complements.
-    A program leaves the stack when it exits. One whose complement loses
-    positive definiteness is re-solved alone by `solve`, which falls back
-    to the sparse backend.
+    Each program takes `solve`'s path: the same starting point from its
+    entry of `warms` (an (x0, z0) pair or None), the same exits and
+    messages, and its own mu, step lengths and residuals. Every program
+    that splits for the Schur backend (see `_schur_split`) joins one
+    stack, whatever the width of its dense remainder; one iteration covers
+    the whole stack: rows and S columns laid end to end, segment
+    reductions per program, and batched matmuls, Cholesky tests and solves
+    over the (r, r) Schur complements; a program leaves the stack when it
+    exits. A program that does not split, or whose cost pulls on a free
+    column, goes to `solve`, and so does one whose complement loses
+    positive definiteness in the stack: `solve` redoes it alone and may
+    move it to the sparse backend.
 
     The products are summed in another order than `solve` sums them, so
     a solution agrees with `solve`'s to roundoff, not bit for bit; an
@@ -790,35 +788,22 @@ def solve_stack(programs, warms) -> list:
     if len(warms) != len(programs):
         raise ValueError(f"{len(programs)} programs but {len(warms)} warm starts")
     out = [None] * len(programs)
-    width = None
-    for i, p in enumerate(programs):
-        r = stack_width(p)
-        if r is None:
-            raise ValueError(f"program {i} does not split for the Schur backend; "
-                             "solve it with solve()")
-        if width is None:
-            width = r
-        elif r != width:
-            raise ValueError(f"program {i} has a dense remainder of {r} "
-                             f"columns, program 0 one of {width}")
-        out[i] = _free_cost(p, _structure(p)[2])
-    ids = [i for i, sol in enumerate(out) if sol is None]
+    ids = [i for i, (split, _, free) in enumerate(map(_structure, programs))
+           if split is not None and _free_cost(programs[i], free) is None]
     if ids:
-        st = _Stack(programs, ids, width)
+        st = _Stack(programs, ids)
         # a program heading for a divergence exit may overflow on the way;
         # its own exits report that, and it cannot touch the other segments
         with np.errstate(all="ignore"):
             st.start([warms[i] for i in ids])
-            alone = _stack_loop(st, cfg, out)
-        for i in alone:
-            out[i] = solve(programs[i], warm=warms[i])
-    return out
+            _stack_loop(st, cfg, out)
+    return [solve(p, warm=warm) if sol is None else sol
+            for sol, p, warm in zip(out, programs, warms)]
 
 
-def _stack_loop(st: _Stack, cfg: SolverConfig, out) -> list:
-    """`_ip_loop` over a stack. Fills `out` and returns the ids of the
-    programs whose factorization failed, for `solve` to redo alone."""
-    alone = []
+def _stack_loop(st: _Stack, cfg: SolverConfig, out):
+    """`_ip_loop` over a stack. Fills the entry of `out` of every program
+    that exits; one whose factorization failed keeps None."""
     trail = deque(maxlen=WARM_STALL_WINDOW + 1)  # KKT residuals, for the stall exit
     kkt = np.zeros(st.K)
     for it in range(1, cfg.max_iterations + 1):
@@ -853,16 +838,12 @@ def _stack_loop(st: _Stack, cfg: SolverConfig, out) -> list:
             st.finish(out, k, obj[k], SolverStatus.OPTIMAL, kkt[k], it - 1, "")
         for k in np.flatnonzero(diverging):
             st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1,
-                      "iterates diverging: problem is likely infeasible or unbounded "
-                      f"(mu={mu[k]:.2e}, |x|={x_max[k]:.2e})")
+                      _DIVERGING.format(mu=mu[k], x_max=x_max[k]))
         for k in np.flatnonzero(falling):
             st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1,
-                      "objective falling without bound: problem looks unbounded "
-                      f"(objective={obj[k]:.2e}, |x|={x_max[k]:.2e})")
+                      _FALLING.format(obj=obj[k], x_max=x_max[k]))
         for k in np.flatnonzero(stalled):
-            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1,
-                      "warm start stalled")
-        alone += st.ids[st.failed].tolist()
+            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1, _STALLED)
         leave = st.done | st.failed
         if leave.any():
             keep = ~leave
@@ -873,7 +854,7 @@ def _stack_loop(st: _Stack, cfg: SolverConfig, out) -> list:
             for j, past in enumerate(trail):
                 trail[j] = past[keep]
         if st.K == 0:
-            return alone
+            return
 
         st.failed |= st.factor(st.z / st.s)
         minus_r_d_s, minus_r_d_r, sz = -r_d_s, -r_d_r, st.s * st.z
@@ -895,19 +876,16 @@ def _stack_loop(st: _Stack, cfg: SolverConfig, out) -> list:
         alpha = np.minimum(1.0, eta * st.max_step(ds, dz))
         st.stall = np.where(alpha < 1e-10, st.stall + 1, 0)
         for k in np.flatnonzero((st.stall >= 3) & ~st.failed):
-            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it,
-                      "step length collapsed before reaching tolerance")
+            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it, _COLLAPSED)
         st.x_s = st.x_s + alpha[st.sprog] * dx_s
         st.x_r = st.x_r + alpha[:, None] * dx_r
         step = alpha[st.rowprog]
         st.s = st.s + step * ds
         st.z = st.z + step * dz
 
-    alone += st.ids[st.failed].tolist()
     for k in np.flatnonzero(~(st.done | st.failed)):
         st.finish(out, k, None, SolverStatus.MAX_ITERATIONS, kkt[k], cfg.max_iterations,
-                  "iteration cap reached")
-    return alone
+                  _CAPPED)
 
 
 # ---------------------------------------------------------------------------

@@ -151,11 +151,17 @@ def test_fed_config_rejects_a_non_finite_knob(knob, value):
         FedBaselineConfig(variant=FedVariant.FEDPROX, **{knob: value})
 
 
+def one_run(client_data, cfg, seed):
+    """The global iterate after every round of one run: the one-run slice
+    of the stacked trainer, which train_fed_l2_svm also returns the last
+    row of."""
+    return train_fed_l2_stack([client_data], cfg, seed, [cfg.gamma0])[0, 0]
+
+
 def test_single_client_fedsgd_equals_plain_subgradient_descent():
     data = make_data(7, 16, 3)
     cfg = FedBaselineConfig(variant=FedVariant.FEDSGD, gamma0=0.5, T=8)
-    trace = []
-    train_fed_l2_svm([data], cfg, seed=0, trace=trace)
+    trace = one_run([data], cfg, seed=0)
 
     c = 1.0 / (10.0 * data.n)
     w = np.zeros(data.p)
@@ -167,27 +173,19 @@ def test_single_client_fedsgd_equals_plain_subgradient_descent():
 def test_fedprox_with_zero_mu_equals_fedavg():
     shards = [make_data(8, 12, 3), make_data(9, 20, 3)]
     base = dict(gamma0=0.5, T=5, local_epochs=3, batch_fraction=0.5)
-    tr_avg, tr_prox = [], []
-    train_fed_l2_svm(shards, FedBaselineConfig(variant=FedVariant.FEDAVG, **base),
-                     seed=1, trace=tr_avg)
-    train_fed_l2_svm(shards, FedBaselineConfig(variant=FedVariant.FEDPROX,
-                                               prox_mu=0.0, **base),
-                     seed=1, trace=tr_prox)
-    for a, b in zip(tr_avg, tr_prox):
-        assert np.array_equal(a, b)
+    tr_avg = one_run(shards, FedBaselineConfig(variant=FedVariant.FEDAVG, **base), seed=1)
+    tr_prox = one_run(shards, FedBaselineConfig(variant=FedVariant.FEDPROX, prox_mu=0.0,
+                                                **base), seed=1)
+    assert np.array_equal(tr_avg, tr_prox)
 
 
 def test_fedavg_single_full_batch_epoch_equals_fedsgd():
     shards = [make_data(10, 10, 2), make_data(11, 14, 2)]
-    tr_sgd, tr_avg = [], []
-    train_fed_l2_svm(shards, FedBaselineConfig(variant=FedVariant.FEDSGD,
-                                               gamma0=1.0, T=6),
-                     seed=2, trace=tr_sgd)
-    train_fed_l2_svm(shards, FedBaselineConfig(variant=FedVariant.FEDAVG, gamma0=1.0,
-                                               T=6, local_epochs=1, batch_fraction=1.0),
-                     seed=2, trace=tr_avg)
-    for a, b in zip(tr_sgd, tr_avg):
-        assert np.array_equal(a, b)
+    tr_sgd = one_run(shards, FedBaselineConfig(variant=FedVariant.FEDSGD, gamma0=1.0, T=6),
+                     seed=2)
+    tr_avg = one_run(shards, FedBaselineConfig(variant=FedVariant.FEDAVG, gamma0=1.0, T=6,
+                                               local_epochs=1, batch_fraction=1.0), seed=2)
+    assert np.array_equal(tr_sgd, tr_avg)
 
 
 def test_fedavg_learns_separable_data():
@@ -294,9 +292,8 @@ def test_stacked_runs_equal_separate_runs_bit_for_bit(variant, p):
                     # by row: a few ulps apart (3e-15 relative measured);
                     # the lone run is the stack's one-run view all the same
                     np.testing.assert_allclose(iterates[f, k], ref, rtol=1e-13, atol=0)
-                    trace = []
-                    train_fed_l2_svm(clients, replace(cfg, gamma0=gamma0), 11, trace=trace)
-                    assert np.array_equal(iterates[f, k], np.array(trace)), (f, gamma0)
+                    lone = one_run(clients, replace(cfg, gamma0=gamma0), 11)
+                    assert np.array_equal(iterates[f, k], lone), (f, gamma0)
                 else:
                     assert np.array_equal(iterates[f, k], ref), (f, gamma0)
 
@@ -305,10 +302,9 @@ def test_one_run_view_equals_the_reference_loop():
     shards = [make_data(20, 13, 3), make_data(21, 9, 3)]
     cfg = FedBaselineConfig(variant=FedVariant.FEDPROX, gamma0=0.6, T=5,
                             batch_fraction=0.2, prox_mu=0.5)
-    trace = []
-    model = train_fed_l2_svm(shards, cfg, seed=3, trace=trace)
+    model = train_fed_l2_svm(shards, cfg, seed=3)
     ref = reference_run(shards, cfg, 3)
-    assert np.array_equal(np.array(trace), ref)
+    assert np.array_equal(one_run(shards, cfg, 3), ref)
     assert np.array_equal(model.w, ref[-1])
 
 

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fedrosvm import cli, experiments
 from fedrosvm.cli import main
@@ -83,6 +84,23 @@ def test_train_config_error_exits_one(tmp_path, capsys):
     assert main(["train", "-c", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("overrides,named", [
+    ({"grid": {"rho": 0.1, "T": [3]}}, "grid for 'rho' must be a list"),
+    ({"cv_folds": "two"}, "cv_folds must be an integer >= 2, got 'two'"),
+    ({"fixed": {"norm": ["l1"]}}, "norm must be 'l1' or 'linf'"),
+    ({"fixed": {"kappa": -1}}, "fixed 'kappa': kappa must be nonnegative"),
+    ({"partition": {"scheme": "label_noise", "G": 2}}, "partition: noise_rate must be"),
+    ({"grid": {"rho": [1e-2], "T": [2.7]}}, "round count in the 'T' grid must be an integer"),
+], ids=["grid-scalar", "cv-folds-str", "norm-list", "kappa-negative", "noise-rate-missing",
+        "t-float"])
+def test_train_rejects_a_bad_config_value_naming_its_key(tmp_path, capsys, overrides, named):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["train", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_scores_saved_model(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     save_model(str(model_path), GlobalModel(w=np.array([1.0, -1.0])),
@@ -98,6 +116,19 @@ def test_evaluate_scores_saved_model(tmp_path, capsys):
     assert report["f1"] == 1.0
     assert report["n"] == 4
     assert report["confusion"] == [[2, 0], [0, 2]]
+
+
+def test_evaluate_rejects_a_csv_whose_width_is_not_the_models(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    save_model(str(model_path), GlobalModel(w=np.array([1.0, -1.0, 0.5])),
+               MinMaxStats(mins=np.zeros(3), maxs=np.ones(3)))
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text("a,b,label\n0.9,0.1,yes\n0.1,0.9,no\n")
+    rc = main(["evaluate", "--model", str(model_path), "--csv", str(csv_path),
+               "--label-column", "label", "--positive-label", "yes"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "has 2 features but the model" in err and "has 3 weights" in err, err
 
 
 def test_cv_prints_the_single_grid_point(tmp_path, capsys):

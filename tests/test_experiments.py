@@ -337,6 +337,14 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded_stats.maxs, stats.maxs)
 
 
+def test_load_model_rejects_weights_and_scales_of_other_lengths(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"w": [0.5, -1.25, 3.0], "mins": [0.0, 1.0],
+                                "maxs": [1.0, 4.0]}))
+    with pytest.raises(ValueError, match="has 3 weights, 2 mins and 2 maxs"):
+        load_model(str(path))
+
+
 def test_stacked_cv_report_equals_one_run_per_fold_and_point():
     rng = np.random.default_rng(7)
 
@@ -359,10 +367,8 @@ def test_stacked_cv_report_equals_one_run_per_fold_and_point():
         clients_per_fold.append(len(train))
         val = pool([s.subset(np.flatnonzero(a == k)) for s, a in zip(shards, assignments)])
         for i, point in enumerate(grid_points(cfg.grid)):
-            trace = []
-            train_fed_l2_svm(train, baseline_config(cfg, point, 9), 8, trace=trace)
             for t in (2, 5, 9):
-                f1 = evaluate(GlobalModel(w=trace[t - 1]), val).f1
+                f1 = evaluate(train_fed_l2_svm(train, baseline_config(cfg, point, t), 8), val).f1
                 fold_f1.setdefault((i, t), []).append(float(f1))
     assert sorted(set(clients_per_fold)) == [2, 3]
 
@@ -406,7 +412,7 @@ def test_lockstep_admm_cv_matches_one_federation_per_fold_and_point(monkeypatch,
     assert (chosen, report) == cross_validate(cfg, shards, seed=3)
 
 
-def test_lockstep_stacks_each_remainder_width_apart():
+def test_lockstep_stacks_ragged_remainder_widths_together(monkeypatch):
     # a feature that is zero throughout one client's fold shard leaves its
     # weight out of every hinge row, so that QP's dense remainder is one
     # column narrower than the other clients'
@@ -417,10 +423,17 @@ def test_lockstep_stacks_each_remainder_width_apart():
     blank[:, 0] = 0.0
     shards[1] = DatasetView(X=blank, y=shards[1].y)
     folds = [[s.subset(np.arange(k, s.n, 2)) for s in shards] for k in range(2)]
-    widths = {solver.stack_width(build_risk_epigraph_qp(
-        s, ClientConfig(epsilon=0.1), rho=1.0, anchor=np.zeros(3))) for fold in folds for s in fold}
-    assert widths == {3, 4}
+    widths = []
+    real_start = solver._Stack.start
+
+    def record(st, warms):
+        widths.append(sorted({b.r_idx.size for b in st.layout}))
+        return real_start(st, warms)
+
+    monkeypatch.setattr(solver._Stack, "start", record)
     assert_lockstep_matches_one_federation_per_run(cfg, grid_points(cfg.grid), folds, [2, 5], 4)
+    # one stack per round, holding both widths
+    assert widths == [[3, 4]] * 5
 
 
 def test_lockstep_solves_programs_without_a_schur_split_alone():
@@ -433,7 +446,7 @@ def test_lockstep_solves_programs_without_a_schur_split_alone():
     folds = [[s.subset(np.arange(k, s.n, 2)) for s in shards] for k in range(2)]
     prog = build_risk_epigraph_qp(folds[0][0], ClientConfig(epsilon=0.1, norm=NormKind.LINF),
                                   rho=1.0, anchor=np.zeros(33))
-    assert solver.stack_width(prog) is None
+    assert solver._structure(prog)[0] is None
     assert_lockstep_matches_one_federation_per_run(cfg, grid_points(cfg.grid), folds, [2, 3], 5)
 
 

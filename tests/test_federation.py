@@ -496,10 +496,11 @@ def test_tcp_client_closing_mid_run_aborts_without_hanging():
     assert re.search(r"federation aborted: connection from .* lost", str(errors[0]))
 
 
-def test_tcp_accept_timeout_releases_the_clients_that_connected():
+def test_tcp_accept_timeout_releases_the_clients_that_connected(monkeypatch):
     shards = make_shards(46, 2, 6, 2)
     cfg = FederationConfig(clients=toy_cfg(2), T=3, algorithm=Algorithm.SM)
-    server = transport_tcp_serve(accept_timeout=1.0)
+    monkeypatch.setattr(federation, "ACCEPT_TIMEOUT", 1.0)
+    server = transport_tcp_serve()
     address = server.address
     lone = transport_tcp_connect(address)  # the second client never comes
     client = threading.Thread(

@@ -423,13 +423,73 @@ class TestSolveStack:
         assert got.message == solve(free).message
         assert_same_solutions([fine], [solve(idle)])
 
-    def test_rejects_programs_without_one_schur_width(self):
-        progs = stack_group(15, NormKind.L1, 2, 2)
-        with pytest.raises(ValueError, match="program 1 has a dense remainder of 4"):
-            solver.solve_stack([progs[0], *stack_group(15, NormKind.L1, 3, 1)], [None, None])
+    def test_one_stack_takes_ragged_widths_and_sends_the_rest_to_solve(self, monkeypatch):
+        # L1 QPs at P = 2 and P = 3 and L-inf QPs at P = 2 split with
+        # remainders of two widths; a program with equality rows and an
+        # L-inf QP at P = 33 (a remainder of 66 columns) do not split
         with_eq = ConvexProgram(n=2, c=[1.0, 1.0], A_ineq=-np.eye(2), b_ineq=[0.0, 0.0],
                                 A_eq=[[1.0, 1.0]], b_eq=[1.0])
-        with pytest.raises(ValueError, match="program 2 does not split"):
-            solver.solve_stack(progs + [with_eq], [None] * 3)
+        progs = (stack_group(16, NormKind.L1, 2, 3) + stack_group(17, NormKind.L1, 3, 3)
+                 + stack_group(18, NormKind.LINF, 2, 3) + [with_eq]
+                 + stack_group(19, NormKind.LINF, 33, 1))
+        P = [2] * 3 + [3] * 3 + [2] * 3 + [2, 33]
+        splits = [solver._structure(p)[0] for p in progs]
+        assert len({split[1].size for split in splits[:9]}) > 1
+        assert splits[9] is None and splits[10] is None
+        stacks, alone_ids = [], []
+        real_start = solver._Stack.start
+
+        def record(st, warms):
+            stacks.append((st.ids.tolist(), st.r))
+            return real_start(st, warms)
+
+        def solve_alone(p, cfg=None, warm=None):
+            alone_ids.append(next(i for i, q in enumerate(progs) if q is p))
+            return solve(p, cfg, warm)
+
+        monkeypatch.setattr(solver._Stack, "start", record)
+        monkeypatch.setattr(solver, "solve", solve_alone)
+        cold = solver.solve_stack(progs, [None] * len(progs))
+        alone = [solve(p) for p in progs]
+        assert_same_solutions(cold, alone)
+        assert stacks == [(list(range(9)), max(split[1].size for split in splits[:9]))]
+        assert alone_ids == [9, 10]  # every stacked program finished in the stack
+
+        rng = np.random.default_rng(20)
+        warms = [(s.x_star, s.z_star) for s in alone]
+        for p, width in zip(progs, P):
+            p.c[:width] += 0.3 * rng.standard_normal(width)
+        warm = solver.solve_stack(progs, warms)
+        assert_same_solutions(warm, [solve(p, warm=w) for p, w in zip(progs, warms)])
+        assert alone_ids == [9, 10] * 2
+
+    def test_a_cold_start_that_fails_to_factor_is_resolved_alone(self, monkeypatch):
+        progs = stack_group(21, NormKind.L1, 2, 4)
+        failing = solver._structure(progs[2])[1]
+        real_factor = solver._SchurBackend.factor
+        raised = []
+
+        def fails_once(backend, w):
+            if backend is failing and not raised:
+                raised.append(True)
+                raise scipy.linalg.LinAlgError("forced")
+            return real_factor(backend, w)
+
+        real_solve = solver.solve
+        alone_ids = []
+
+        def solve_alone(p, cfg=None, warm=None):
+            alone_ids.append(next(i for i, q in enumerate(progs) if q is p))
+            return real_solve(p, cfg, warm)
+
+        monkeypatch.setattr(solver._SchurBackend, "factor", fails_once)
+        monkeypatch.setattr(solver, "solve", solve_alone)
+        stacked = solver.solve_stack(progs, [None] * 4)
+        assert raised and alone_ids == [2]
+        alone = [real_solve(p) for p in progs]
+        assert_same_solutions(stacked, alone)
+        np.testing.assert_array_equal(stacked[2].x_star, alone[2].x_star)
+
+    def test_rejects_warm_starts_that_do_not_pair_with_the_programs(self):
         with pytest.raises(ValueError, match="2 programs but 1 warm"):
-            solver.solve_stack(progs, [None])
+            solver.solve_stack(stack_group(15, NormKind.L1, 2, 2), [None])
