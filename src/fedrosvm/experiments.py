@@ -118,15 +118,18 @@ DEFAULT_FIXED = {
     "prox_mu": 1.0,
 }
 
-# Each fixed knob but the norm is checked by the class that takes it at run
-# time, after the conversion the run applies (`_client_configs`, `_radius`,
-# `baseline_config`).
-_FIXED_CHECKS = {
+# Each knob a grid or the fixed block can set, but T and the norm, is checked
+# by the class that takes it at run time, after the conversion the run
+# applies (`_client_configs`, `_radius`, `federation_config`,
+# `baseline_config`); a round count is an integer, as T is.
+_KNOB_CHECKS = {
+    "rho": lambda v: ClientConfig(epsilon=1.0, rho=v),
+    "gamma0": lambda v: FedBaselineConfig(FedVariant.FEDAVG, gamma0=v),
     "kappa": lambda v: ClientConfig(epsilon=1.0, kappa=v),
     "beta": lambda v: ClientConfig(epsilon=radius_heuristic(1, v)),
     "epsilon": lambda v: v is None or ClientConfig(epsilon=v),
     "tau_factor": lambda v: ClientConfig(epsilon=1.0, tau=v),
-    "local_epochs": lambda v: FedBaselineConfig(FedVariant.FEDAVG, local_epochs=int(v)),
+    "local_epochs": lambda v: _check_count(v, "local_epochs", 1),
     "batch_fraction": lambda v: FedBaselineConfig(FedVariant.FEDAVG, batch_fraction=float(v)),
     "prox_mu": lambda v: FedBaselineConfig(FedVariant.FEDAVG, prox_mu=float(v)),
 }
@@ -136,6 +139,15 @@ def _check_count(value, what, low):
     """Reject anything but an integer >= low: bools, floats and strings too."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def _check_knob(where, key, value):
+    """Run a knob's check on one value; the error names where it was set
+    (grid or fixed) and the key."""
+    try:
+        _KNOB_CHECKS[key](value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} {key!r}: {exc}") from None
 
 
 @dataclass
@@ -173,7 +185,7 @@ class ExperimentConfig:
             cv_folds=doc.get("cv_folds", 5),
             repetitions=doc.get("repetitions", 10),
             base_seed=doc.get("base_seed", 0),
-            test_fraction=float(doc.get("test_fraction", 0.3)),
+            test_fraction=doc.get("test_fraction", 0.3),
             output=doc.get("output"),
             raw_text=raw_text,
         )
@@ -201,10 +213,14 @@ class ExperimentConfig:
             for key in ("path", "label_column", "positive_label"):
                 if key not in self.dataset:
                     raise ConfigError(f"csv dataset needs {key!r}")
+            path = self.dataset["path"]
+            if not (isinstance(path, str) and os.path.isfile(path)):
+                raise ConfigError(f"csv dataset 'path' is not a file: {path!r}")
         elif kind == "synthetic":
             for key in ("N", "P"):
                 if key not in self.dataset:
                     raise ConfigError(f"synthetic dataset needs {key!r}")
+                _check_count(self.dataset[key], f"dataset {key!r}", 1)
         else:
             raise ConfigError(f"dataset kind must be 'csv' or 'synthetic', got {kind!r}")
         for key, low in (("cv_folds", 2), ("repetitions", 1), ("base_seed", 0)):
@@ -218,6 +234,11 @@ class ExperimentConfig:
             _partition_plan(self, self.base_seed)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"partition: {exc}") from None
+        if kind == "synthetic":
+            try:
+                _synthetic_spec(self, self.base_seed)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"dataset: {exc}") from None
         grid = self.grid or DEFAULT_GRIDS[self.model]
         for knob, values in grid.items():
             if knob not in TUNABLE[self.model]:
@@ -228,6 +249,9 @@ class ExperimentConfig:
                 raise ConfigError(f"grid for {knob!r} must be a list, got {values!r}")
             if not values:
                 raise ConfigError(f"grid for {knob!r} is empty")
+            if knob in _KNOB_CHECKS:
+                for value in values:
+                    _check_knob("grid", knob, value)
         self.grid = {k: list(v) for k, v in grid.items()}
         if self.model != "central_dr" and "T" not in self.grid:
             raise ConfigError("federated models need a 'T' list in the grid")
@@ -243,13 +267,15 @@ class ExperimentConfig:
         self.fixed = merged
         if not (isinstance(self.fixed["norm"], str) and self.fixed["norm"] in NORMS):
             raise ConfigError(f"norm must be 'l1' or 'linf', got {self.fixed['norm']!r}")
-        for key, check in _FIXED_CHECKS.items():
-            try:
-                check(self.fixed[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"fixed {key!r}: {exc}") from None
-        if not (0.0 < self.test_fraction < 1.0):
-            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        for key, value in self.fixed.items():
+            if key in _KNOB_CHECKS:
+                _check_knob("fixed", key, value)
+        if self.model == "admm_sc" and not self.fixed["tau_factor"] > 0.0:
+            raise ConfigError("fixed 'tau_factor': the strongly convex variant needs "
+                              f"tau_factor > 0, got {self.fixed['tau_factor']!r}")
+        tf = self.test_fraction
+        if not (isinstance(tf, (int, float)) and 0.0 < tf < 1.0):
+            raise ConfigError(f"test_fraction must be a number in (0, 1), got {tf!r}")
 
     def to_dict(self):
         doc = asdict(self)
@@ -260,14 +286,17 @@ class ExperimentConfig:
 # ----------------------------------------------------------------- pipeline
 
 
+def _synthetic_spec(cfg, seed):
+    spec = cfg.dataset
+    return SyntheticSpec(N=spec["N"], P=spec["P"], G=cfg.partition["G"],
+                         class_sep=spec.get("class_sep", 2.4), seed=seed)
+
+
 def build_dataset(cfg, seed):
     spec = cfg.dataset
     if spec["kind"] == "csv":
         return load_csv(spec["path"], spec["label_column"], spec["positive_label"])
-    return generate_synthetic(SyntheticSpec(
-        N=int(spec["N"]), P=int(spec["P"]), G=int(cfg.partition["G"]),
-        class_sep=float(spec.get("class_sep", 2.4)), seed=seed,
-    ))
+    return generate_synthetic(_synthetic_spec(cfg, seed))
 
 
 def prepare_repetition(cfg, seed):
@@ -312,7 +341,7 @@ def _client_configs(cfg, params, shards):
     norm = NORMS[cfg.fixed["norm"]]
     tau = 0.0
     if cfg.model == "admm_sc":
-        tau = cfg.fixed["tau_factor"] * params["rho"]
+        tau = cfg.fixed["tau_factor"] * _rho(params)
     return [ClientConfig(epsilon=_radius(cfg, params, s.n), kappa=kappa,
                          alpha=1.0 / G, norm=norm, tau=tau)
             for s in shards]
@@ -323,6 +352,11 @@ def _gamma0(params):
     return float(params.get("gamma0", 1.0))
 
 
+def _rho(params):
+    """The ADMM penalty of a grid point (admm and admm_sc)."""
+    return float(params.get("rho", 1.0))
+
+
 def federation_config(cfg, params, shards, T):
     """The FederationConfig of a federated model (sm/admm/admm_sc) at one
     grid point, run for T rounds."""
@@ -331,7 +365,7 @@ def federation_config(cfg, params, shards, T):
         T=T,
         algorithm=Algorithm(cfg.model),
         gamma0=_gamma0(params),
-        rho=float(params.get("rho", 1.0)),
+        rho=_rho(params),
     )
 
 
@@ -342,7 +376,7 @@ def baseline_config(cfg, params, T):
         variant=FedVariant(cfg.model),
         gamma0=_gamma0(params),
         T=T,
-        local_epochs=int(cfg.fixed["local_epochs"]),
+        local_epochs=cfg.fixed["local_epochs"],
         batch_fraction=float(cfg.fixed["batch_fraction"]),
         prox_mu=float(cfg.fixed["prox_mu"]),
     )
@@ -412,7 +446,8 @@ def _admm_lockstep(feds, client_data):
     NaN).
 
     Every round solves the client QPs of all federations together
-    (`robust.admm_client_steps`, one `solver.solve_stack` call).
+    (`robust.admm_client_steps`: one `solver.solve_stack` call, or `solve`
+    when there is a single QP).
     Then each federation aggregates with `admm_server_update` and folds
     the new model into its clients' multipliers, in client order, as
     `run_federation` does. With no wire between them, the server reads

@@ -5,8 +5,9 @@ worst-case distribution LP over a Wasserstein ball (with label flips priced
 at kappa), extraction of the extremal distribution from the LP solution, the
 subgradient of the worst-case risk used by the subgradient-method (SM)
 rounds, the closed dual form of the worst-case risk used as the objective
-oracle, the proximal QP solved inside ADMM rounds (one client at a time,
-or many in one stacked solve), and the practical radius rule.
+oracle, the proximal QP solved inside ADMM rounds (one body,
+`admm_client_steps`: a lone client step goes through `solve`, many steps
+through one stacked `solve_stack`), and the practical radius rule.
 
 Conventions used throughout (and relied on by the tests):
 
@@ -446,57 +447,47 @@ def admm_client_step(w_global, client, data, cfg, cache, client_id=None):
     warm-start. Only the linear term changes between rounds, which the
     solver's program-structure contract allows.
     """
-    prog = _proximal_program(w_global, client, data, cfg, cache)
-    warm = cache.get("warm")
-    return _proximal_result(solve(prog, warm=warm), prog, warm, data.p, client, cache,
-                            client_id)
+    return admm_client_steps([(w_global, client, data, cfg, cache, client_id)])[0]
 
 
 def admm_client_steps(steps):
-    """Many proximal steps, solved together (`solver.solve_stack`).
+    """Proximal steps of many clients, or of one (`admm_client_step`).
 
     `steps` holds one (w_global, client, data, cfg, cache, client_id) tuple
     per step, the arguments of `admm_client_step`; the caches must be
-    distinct. Every step anchors, warm-starts, retries cold and fails as
-    `admm_client_step` does; only the solve of the first attempts is
-    shared. Returns the ClientModels in order."""
-    progs = [_proximal_program(w, client, data, cfg, cache)
-             for w, client, data, cfg, cache, _ in steps]
-    warms = [cache.get("warm") for _, _, _, _, cache, _ in steps]
-    return [_proximal_result(sol, prog, warm, data.p, client, cache, client_id)
-            for sol, prog, warm, (_, client, data, _, cache, client_id)
-            in zip(solve_stack(progs, warms), progs, warms, steps)]
-
-
-def _proximal_program(w_global, client, data, cfg, cache):
-    """The client's proximal QP anchored at w_global - mu_g: built on the
-    first round, its linear term swapped on later ones."""
-    anchor = np.asarray(w_global, dtype=float) - client.mu_g
-    prog = cache.get("program")
-    if prog is None:
-        prog = cache["program"] = build_risk_epigraph_qp(
-            data, cfg, rho=cfg.rho, tau=cfg.tau, anchor=anchor
-        )
-    else:
-        prog.c[:data.p] = -cfg.rho * anchor
-    return prog
-
-
-def _proximal_result(sol, prog, warm, P, client, cache, client_id):
-    """Accept a proximal solve: retry a failed warm start cold, raise when
-    the QP still does not converge, and keep the solution as the next warm
-    start."""
-    who = "client" if client_id is None else f"client {client_id}"
-    if sol.status is not SolverStatus.OPTIMAL and warm is not None:
-        # a stale warm point can stall the solver when the anchor jumps far
-        # between rounds (small rho lets the multipliers drift); retry cold
-        log.warning("%s: warm-started proximal QP failed (%s); retrying cold",
-                    who, sol.message)
-        sol = solve(prog)
-    if sol.status is not SolverStatus.OPTIMAL:
-        raise RuntimeError(f"{who}: proximal QP failed to converge: {sol.message}")
-    cache["warm"] = (sol.x_star, sol.z_star)
-    return ClientModel(w_g=sol.x_star[:P].copy(), mu_g=client.mu_g)
+    distinct. Each step's QP is built on its first round and only its
+    anchor term is swapped after that. A lone step is solved by `solve`,
+    two or more together by one `solver.solve_stack` call. Each step then
+    retries a failed warm start cold, raises when its QP still does not
+    converge, and keeps its solution as the next warm start. Returns the
+    ClientModels in order."""
+    progs, warms = [], []
+    for w_global, client, data, cfg, cache, _ in steps:
+        anchor = np.asarray(w_global, dtype=float) - client.mu_g
+        prog = cache.get("program")
+        if prog is None:
+            prog = cache["program"] = build_risk_epigraph_qp(
+                data, cfg, rho=cfg.rho, tau=cfg.tau, anchor=anchor
+            )
+        else:
+            prog.c[:data.p] = -cfg.rho * anchor
+        progs.append(prog)
+        warms.append(cache.get("warm"))
+    sols = [solve(progs[0], warm=warms[0])] if len(progs) == 1 else solve_stack(progs, warms)
+    models = []
+    for sol, prog, warm, (_, client, data, _, cache, client_id) in zip(sols, progs, warms, steps):
+        who = "client" if client_id is None else f"client {client_id}"
+        if sol.status is not SolverStatus.OPTIMAL and warm is not None:
+            # a stale warm point can stall the solver when the anchor jumps
+            # far between rounds (small rho lets the multipliers drift)
+            log.warning("%s: warm-started proximal QP failed (%s); retrying cold",
+                        who, sol.message)
+            sol = solve(prog)
+        if sol.status is not SolverStatus.OPTIMAL:
+            raise RuntimeError(f"{who}: proximal QP failed to converge: {sol.message}")
+        cache["warm"] = (sol.x_star, sol.z_star)
+        models.append(ClientModel(w_g=sol.x_star[:data.p].copy(), mu_g=client.mu_g))
+    return models
 
 
 def multiplier_step(mu_g, w_g, w_global):

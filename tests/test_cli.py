@@ -91,8 +91,30 @@ def test_train_config_error_exits_one(tmp_path, capsys):
     ({"fixed": {"kappa": -1}}, "fixed 'kappa': kappa must be nonnegative"),
     ({"partition": {"scheme": "label_noise", "G": 2}}, "partition: noise_rate must be"),
     ({"grid": {"rho": [1e-2], "T": [2.7]}}, "round count in the 'T' grid must be an integer"),
+    ({"dataset": {"kind": "synthetic", "N": 60, "P": "two"}},
+     "dataset 'P' must be an integer >= 1, got 'two'"),
+    ({"dataset": {"kind": "synthetic", "N": 60.7, "P": 2}},
+     "dataset 'N' must be an integer >= 1, got 60.7"),
+    ({"dataset": {"kind": "synthetic", "N": 60, "P": 2, "class_sep": -1}},
+     "dataset: class_sep must be positive"),
+    ({"dataset": {"kind": "synthetic", "N": 3, "P": 2}}, "dataset: need N >= 2G"),
+    ({"test_fraction": "x"}, "test_fraction must be a number in (0, 1), got 'x'"),
+    ({"grid": {"rho": [-1], "T": [3]}}, "grid 'rho': rho must be positive"),
+    ({"model": "sm", "grid": {"gamma0": ["x"], "T": [3]}}, "grid 'gamma0'"),
+    ({"grid": {"rho": [1e-2], "epsilon": [0], "T": [3]}},
+     "grid 'epsilon': epsilon must be positive"),
+    ({"grid": {"rho": [1e-2], "kappa": [-1], "T": [3]}},
+     "grid 'kappa': kappa must be nonnegative"),
+    ({"grid": {"rho": [1e-2], "beta": [0], "T": [3]}}, "grid 'beta': beta must be positive"),
+    ({"model": "fedavg", "grid": {"gamma0": [0.1], "T": [3]}, "fixed": {"local_epochs": 2.5}},
+     "fixed 'local_epochs': local_epochs must be an integer >= 1, got 2.5"),
+    ({"dataset": {"kind": "csv", "path": "no-such-file.csv", "label_column": "class",
+                  "positive_label": "1"}}, "csv dataset 'path' is not a file"),
+    ({"model": "admm_sc", "fixed": {"tau_factor": 0}}, "fixed 'tau_factor'"),
 ], ids=["grid-scalar", "cv-folds-str", "norm-list", "kappa-negative", "noise-rate-missing",
-        "t-float"])
+        "t-float", "p-str", "n-float", "class-sep-negative", "n-below-2g", "test-fraction-str",
+        "grid-rho-negative", "grid-gamma0-str", "grid-epsilon-zero", "grid-kappa-negative",
+        "grid-beta-zero", "local-epochs-float", "csv-path-missing", "admm-sc-tau-factor-zero"])
 def test_train_rejects_a_bad_config_value_naming_its_key(tmp_path, capsys, overrides, named):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert main(["train", "-c", cfg, "-o", str(tmp_path / "out")]) == 1

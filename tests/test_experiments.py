@@ -285,10 +285,8 @@ def test_a_nan_knob_in_a_config_file_is_named_in_the_failure():
     # json.loads accepts the NaN literal, so a config file can carry one
     doc = json.loads(json.dumps(base_config()).replace("0.01", "NaN"))
     assert math.isnan(doc["grid"]["rho"][0])
-    result = run_experiment(ExperimentConfig.from_dict(doc))
-    (rep,) = result.repetitions
-    assert not rep["ok"]
-    assert "rho must be positive and finite, got nan" in rep["error"]
+    with pytest.raises(ConfigError, match="grid 'rho': rho must be positive and finite, got nan"):
+        ExperimentConfig.from_dict(doc)
 
 
 def test_exit_code_thresholds():
@@ -461,6 +459,16 @@ def test_lockstep_admm_sc_warns_once_per_federation_above_the_rho_cap():
     assert len(caught) == 3 * 2
 
 
+def test_admm_sc_without_a_rho_grid_runs_at_the_default_rho():
+    cfg = ExperimentConfig.from_dict(base_config(model="admm_sc", grid={"T": [2]}))
+    result = run_experiment(cfg)
+    assert [rep["ok"] for rep in result.repetitions] == [True]
+    shards, _, _ = prepare_repetition(cfg, 0)
+    fed = federation_config(cfg, {"T": 2}, shards, 2)
+    assert fed.rho == 1.0
+    assert [c.tau for c in fed.clients] == [cfg.fixed["tau_factor"]] * len(shards)
+
+
 def test_every_default_grid_validates():
     for model, grid in DEFAULT_GRIDS.items():
         cfg = ExperimentConfig.from_dict(base_config(model=model, grid={}))
@@ -493,8 +501,12 @@ def test_unknown_fixed_key_is_rejected():
 
 @pytest.mark.parametrize("bad", [0.0, -0.1])
 def test_cv_rejects_a_step_size_grid_point_that_is_not_positive(bad):
-    cfg = ExperimentConfig.from_dict(base_config(
-        model="fedavg", grid={"gamma0": [bad, 0.1], "T": [5]}))
+    doc = base_config(model="fedavg", grid={"gamma0": [bad, 0.1], "T": [5]})
+    with pytest.raises(ConfigError, match="grid 'gamma0': gamma0 must be positive"):
+        ExperimentConfig.from_dict(doc)
+    # the stacked trainer keeps its own check for a grid set after loading
+    cfg = ExperimentConfig.from_dict(base_config(model="fedavg", grid={"gamma0": [0.1], "T": [5]}))
+    cfg.grid = doc["grid"]
     shards, _, _ = prepare_repetition(cfg, 2)
     with pytest.raises(ValueError, match="gamma0 must be positive"):
         cross_validate(cfg, shards, seed=2)

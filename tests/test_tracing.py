@@ -68,3 +68,30 @@ def test_traced_experiments_record_the_spans_noisy_cv_reads(monkeypatch):
         assert spans["experiments.cross_validate"] == 1
         assert spans["experiments.train_model"] == 1
         assert spans["data.prepare"] == 1
+
+
+def test_every_traced_admm_client_step_spans_a_solver_call(monkeypatch):
+    # perfbench's per-layer solver metrics and its cold-retry count read the
+    # solver.solve spans under each client step; a lone step that bypassed
+    # robust.solve would leave them empty
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    cfg = experiments.ExperimentConfig.from_dict({
+        "name": "admm", "model": "admm", "dataset": {"kind": "synthetic", "N": 40, "P": 2},
+        "partition": {"scheme": "even", "G": 2}, "grid": {"rho": [1e-1], "T": [3]},
+        "repetitions": 1})
+    shards, _, _ = experiments.prepare_repetition(cfg, 0)
+    fed = experiments.federation_config(cfg, {"rho": 1e-1}, shards, 3)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        federation.run_federation(fed, shards)
+    finally:
+        tracer.uninstall()
+
+    steps = [s for s in tracer.spans if s[tracing.NAME] == "robust.admm_client_step"]
+    assert len(steps) == 2 * 3
+    solves_under = Counter(s[tracing.PARENT] for s in tracer.spans
+                           if s[tracing.NAME] == "solver.solve")
+    assert all(solves_under[s[tracing.ID]] >= 1 for s in steps)
