@@ -59,6 +59,14 @@ def _single_point_params(cfg):
     return point
 
 
+def _address(text):
+    """argparse type of `--address`: host:port, the port in 1-65535."""
+    host, _, port = text.rpartition(":")
+    if host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535:
+        return host, int(port)
+    raise argparse.ArgumentTypeError(f"expected host:port with a port in 1-65535, got {text!r}")
+
+
 def _federation_setup(cfg, rep):
     if cfg.model not in FEDERATED_MODELS:
         raise ConfigError(f"serve/client support sm/admm/admm_sc, not {cfg.model!r}")
@@ -146,8 +154,7 @@ def cmd_client(args):
     g = args.client_id
     if not (0 <= g < fed.G):
         raise ConfigError(f"client id must be in [0, {fed.G}), got {g}")
-    host, port = args.address.rsplit(":", 1)
-    channel = transport_tcp_connect((host, int(port)))
+    channel = transport_tcp_connect(args.address)
     run_client(channel, g, shards[g], fed.clients[g], fed.algorithm)
     print(f"client {g} finished", flush=True)
     return 0
@@ -186,7 +193,7 @@ def build_parser():
 
     p = sub.add_parser("client", help="join a TCP federation as one client")
     p.add_argument("-c", "--config", required=True)
-    p.add_argument("--address", required=True, help="host:port of the server")
+    p.add_argument("--address", required=True, type=_address, help="host:port of the server")
     p.add_argument("--client-id", type=int, required=True)
     p.add_argument("--rep", type=int, default=0)
     p.set_defaults(func=cmd_client)

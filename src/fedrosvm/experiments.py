@@ -135,6 +135,20 @@ _KNOB_CHECKS = {
 }
 
 
+# the keys a dataset block of each kind and a partition block may set
+_DATASET_KEYS = {
+    "synthetic": {"kind", "N", "P", "class_sep"},
+    "csv": {"kind", "path", "label_column", "positive_label"},
+}
+_PARTITION_KEYS = {"scheme", "G", "client_fractions", "class_fractions", "noise_rate"}
+
+
+def _check_keys(block, what, known):
+    unknown = sorted(set(block) - known)
+    if unknown:
+        raise ConfigError(f"unknown {what} key {unknown[0]!r}; known keys are {sorted(known)}")
+
+
 def _check_count(value, what, low):
     """Reject anything but an integer >= low: bools, floats and strings too."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
@@ -223,6 +237,8 @@ class ExperimentConfig:
                 _check_count(self.dataset[key], f"dataset {key!r}", 1)
         else:
             raise ConfigError(f"dataset kind must be 'csv' or 'synthetic', got {kind!r}")
+        _check_keys(self.dataset, f"{kind} dataset", _DATASET_KEYS[kind])
+        _check_keys(self.partition, "partition", _PARTITION_KEYS)
         for key, low in (("cv_folds", 2), ("repetitions", 1), ("base_seed", 0)):
             _check_count(getattr(self, key), key, low)
         try:
@@ -276,6 +292,8 @@ class ExperimentConfig:
         tf = self.test_fraction
         if not (isinstance(tf, (int, float)) and 0.0 < tf < 1.0):
             raise ConfigError(f"test_fraction must be a number in (0, 1), got {tf!r}")
+        if not (self.output is None or (isinstance(self.output, str) and self.output)):
+            raise ConfigError(f"output must be null or a non-empty string, got {self.output!r}")
 
     def to_dict(self):
         doc = asdict(self)

@@ -1,19 +1,20 @@
 """Synchronous federated training runtime.
 
 One server orchestrates G clients for T rounds. Every round is a strict
-barrier: the server broadcasts the current model, every client answers with
-its local result (a subgradient for SM rounds, a proximal iterate for ADMM
-rounds), and only when all G results are in does the server update. A
-client failure aborts the whole run with a diagnostic naming the client;
-there is no partial-participation fallback.
+barrier and one message each way per client: the server sends the current
+model in a `RoundStart`, every client answers with its local result (a
+subgradient for SM rounds, a proximal iterate for ADMM rounds), and only
+when all G results are in does the server update. A client failure aborts
+the whole run with a diagnostic naming the client; there is no
+partial-participation fallback.
 
-Each client is one `FederatedClient` state machine with a method per
-server message. Two interchangeable transports drive it: an in-process one
-(the default) that calls the client objects directly, in client order, on
-the server's own thread, and a TCP one speaking the length-prefixed frame
-format from `wire`, where `run_client` wraps the same object in a socket
-loop and the server reads one reply per connection, in connection order,
-on its own thread. Neither transport starts a thread or checks a reply:
+Each client is one `FederatedClient` state machine that answers each
+`RoundStart` with its result. Two interchangeable transports drive it: an
+in-process one (the default) that calls the client objects directly, in
+client order, on the server's own thread, and a TCP one speaking the
+length-prefixed frame format from `wire`, where `run_client` wraps the
+same object in a socket loop and the server reads one reply per
+connection, in connection order, on its own thread. Neither transport starts a thread or checks a reply:
 `run_federation` checks each round's replies once, in `check_barrier`.
 The rounds are synchronous, so the order of the client steps within a
 round changes no result; both transports deliver the same message
@@ -23,10 +24,13 @@ so the two produce bit-identical models on the same inputs.
 The model starts at zeros and every ADMM multiplier at ones.
 
 ADMM bookkeeping: multipliers live at the clients (the wire only ever
-carries w_g), and the server keeps its own mirror of them by calling the
-clients' update rule (`robust.multiplier_step`) on the same w_g and w, so the
-mirror equals every client's multipliers bit for bit. That is what lets it
-form the Prop.-5-style weighted sum without extra traffic.
+carries w_g). A client folds the aggregate w of the previous round, which
+its `RoundStart` carries, into them (mu_g + w_g - w; a no-op in round 1,
+where w = w_g = 0) before its proximal step. The server keeps its own mirror
+of them by calling the same rule (`robust.multiplier_step`) on the same w_g
+and w right after aggregating, so the mirror equals every client's
+multipliers bit for bit. That is what lets it form the Prop.-5-style
+weighted sum without extra traffic.
 """
 
 import socket
@@ -51,7 +55,6 @@ from .robust import (
 from .solver import SolverStatus, solve
 from .wire import (
     AdmmResult,
-    Broadcast,
     ProtocolError,
     RoundStart,
     Shutdown,
@@ -243,46 +246,42 @@ def check_barrier(replies, G, expected, p):
 
 class InProcessTransport:
     """Delivers messages by calling the client objects directly, in client
-    order, on the server's thread. `broadcast` only records a message;
-    `collect` hands every recorded message to every client and returns
-    the replies, so the client work happens inside the barrier."""
+    order, on the server's thread. `broadcast` only records the round's
+    message; `collect` hands it to every client and returns their replies,
+    so the client work happens inside the barrier."""
 
     def __init__(self, clients):
         self.clients = list(clients)
-        self._pending = []
+        self._pending = None
 
     def start(self, G):
         if len(self.clients) != G:
             raise ValueError(f"expected {G} in-process clients, got {len(self.clients)}")
 
     def broadcast(self, msg):
-        self._pending.append(msg)
+        self._pending = msg
 
     def collect(self, G):
-        pending, self._pending = self._pending, []
         replies = []
-        for msg in pending:
-            for client in self.clients:
-                try:
-                    reply = client.handle(msg)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"federation aborted: client {client.g} failed: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
-                if reply is not None:
-                    replies.append(reply)
+        for client in self.clients:
+            try:
+                replies.append(client.handle(self._pending))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"federation aborted: client {client.g} failed: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
         return replies
 
     def close(self):
-        self._pending = []
+        self._pending = None
 
 
 class _SocketChannel:
     """One end of a TCP connection, server or client side: a socket with
-    Nagle's algorithm off (a Broadcast and the next RoundStart go out back
-    to back) that moves one frame per message and waits at most `timeout`
-    seconds on it (None: forever)."""
+    Nagle's algorithm off (each frame is a whole message that the peer waits
+    on, so none should sit in a send buffer) that moves one frame per
+    message and waits at most `timeout` seconds on it (None: forever)."""
 
     def __init__(self, sock, timeout):
         sock.settimeout(timeout)
@@ -375,13 +374,14 @@ def transport_tcp_connect(address):
 
 class FederatedClient:
     """State machine of one client: its shard, config, ADMM state and
-    warm-start cache, with one method per server message. Both transports
-    drive the same object.
+    warm-start cache. Both transports drive the same object, one
+    `RoundStart` in and one result out per round.
 
     SM rounds: solve the worst-case LP at the received model, extract the
-    extremal distribution, reply with the subgradient. ADMM rounds: solve
-    the proximal QP (warm-started across rounds), reply with w_g, and fold
-    the follow-up broadcast into the local multipliers.
+    extremal distribution, reply with the subgradient. ADMM rounds: fold the
+    received model (the previous round's aggregate) into the local
+    multipliers, solve the proximal QP (warm-started across rounds) and
+    reply with w_g.
     """
 
     def __init__(self, g, data, cfg, algorithm):
@@ -401,22 +401,16 @@ class FederatedClient:
                 raise RuntimeError(f"worst-case LP did not converge: {sol.message}")
             dist = extract_worst_case(sol, self.data, self.cfg)
             return SmResult(g=self.g, v=sm_subgradient(msg.w, dist))
+        self.state = admm_multiplier_update(self.state, msg.w)
         self.state = admm_client_step(
             msg.w, self.state, self.data, self.cfg, cache=self.cache, client_id=self.g,
         )
         return AdmmResult(g=self.g, w_g=self.state.w_g)
 
-    def on_broadcast(self, msg):
-        if self.state is not None:
-            self.state = admm_multiplier_update(self.state, msg.w)
-
     def handle(self, msg):
-        """Dispatch one server message; returns the reply, or None."""
+        """Answer one `RoundStart` with this round's result."""
         if isinstance(msg, RoundStart):
             return self.on_round_start(msg)
-        if isinstance(msg, Broadcast):
-            self.on_broadcast(msg)
-            return None
         raise RuntimeError(f"unexpected message: {type(msg).__name__}")
 
 
@@ -430,9 +424,7 @@ def run_client(channel, g, data, cfg, algorithm):
             msg = channel.recv()
             if isinstance(msg, Shutdown):
                 return
-            reply = client.handle(msg)
-            if reply is not None:
-                channel.send(reply)
+            channel.send(client.handle(msg))
     finally:
         channel.close()
 
@@ -492,7 +484,6 @@ def run_federation(cfg, client_data, transport=None):
                 consensus = max(
                     float(np.linalg.norm(iterates[g] - w)) for g in range(G)
                 )
-                transport.broadcast(Broadcast(t=t, w=w))
                 server_mu = [multiplier_step(server_mu[g], iterates[g], w) for g in range(G)]
             objective = global_objective(w, client_data, cfg.clients)
             traces.append(RoundTrace(

@@ -12,12 +12,13 @@ Message payloads:
   RoundStart   0x01 | t: u32 | vec w      server -> clients, round begins
   SmResult     0x02 | g: u32 | vec v      client subgradient
   AdmmResult   0x03 | g: u32 | vec w_g    client proximal iterate
-  Broadcast    0x04 | t: u32 | vec w      server -> clients, updated model
   Shutdown     0x05                       server -> clients, end of run
 
 where `vec` is u32 count followed by count float64 values. Vectors must be
 finite: NaN or infinity anywhere is a protocol error on both ends.
 Every message but Shutdown is `tag | u32 field | vec`, one row of `_LAYOUT`.
+Tag 0x04 is retired and not reused: a payload carrying it decodes as an
+unknown tag.
 """
 
 import struct
@@ -53,12 +54,6 @@ class AdmmResult:
 
 
 @dataclass(frozen=True)
-class Broadcast:
-    t: int
-    w: np.ndarray
-
-
-@dataclass(frozen=True)
 class Shutdown:
     pass
 
@@ -68,7 +63,6 @@ _LAYOUT = {
     RoundStart: (0x01, "t", "w"),
     SmResult: (0x02, "g", "v"),
     AdmmResult: (0x03, "g", "w_g"),
-    Broadcast: (0x04, "t", "w"),
 }
 _BY_TAG = {tag: (cls, field, vec) for cls, (tag, field, vec) in _LAYOUT.items()}
 _SHUTDOWN = b"\x05"

@@ -111,10 +111,16 @@ def test_train_config_error_exits_one(tmp_path, capsys):
     ({"dataset": {"kind": "csv", "path": "no-such-file.csv", "label_column": "class",
                   "positive_label": "1"}}, "csv dataset 'path' is not a file"),
     ({"model": "admm_sc", "fixed": {"tau_factor": 0}}, "fixed 'tau_factor'"),
+    ({"dataset": {"kind": "synthetic", "N": 60, "P": 2, "class_seperation": 9.0}},
+     "unknown synthetic dataset key 'class_seperation'"),
+    ({"partition": {"scheme": "even", "G": 2, "noise_rte": 0.3}},
+     "unknown partition key 'noise_rte'"),
+    ({"output": 123}, "output must be null or a non-empty string, got 123"),
 ], ids=["grid-scalar", "cv-folds-str", "norm-list", "kappa-negative", "noise-rate-missing",
         "t-float", "p-str", "n-float", "class-sep-negative", "n-below-2g", "test-fraction-str",
         "grid-rho-negative", "grid-gamma0-str", "grid-epsilon-zero", "grid-kappa-negative",
-        "grid-beta-zero", "local-epochs-float", "csv-path-missing", "admm-sc-tau-factor-zero"])
+        "grid-beta-zero", "local-epochs-float", "csv-path-missing", "admm-sc-tau-factor-zero",
+        "dataset-unknown-key", "partition-unknown-key", "output-int"])
 def test_train_rejects_a_bad_config_value_naming_its_key(tmp_path, capsys, overrides, named):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert main(["train", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
@@ -175,6 +181,14 @@ def test_client_rejects_out_of_range_id(tmp_path, capsys):
     rc = main(["client", "-c", cfg, "--address", "127.0.0.1:9", "--client-id", "5"])
     assert rc == 1
     assert "client id" in capsys.readouterr().err
+
+
+def test_client_rejects_an_address_without_a_port(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    rc = main(["client", "-c", cfg, "--address", "127.0.0.1", "--client-id", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--address" in err and "'127.0.0.1'" in err, err
 
 
 def test_help_and_missing_subcommand_exit_codes(capsys):

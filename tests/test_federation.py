@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from fedrosvm import federation
+from fedrosvm import federation, wire
 from fedrosvm.core import DatasetView, NormKind
 from fedrosvm.federation import (
     Algorithm,
@@ -27,7 +27,7 @@ from fedrosvm.federation import (
 )
 from fedrosvm.robust import ClientConfig, build_risk_epigraph_qp, worst_case_risk_dual
 from fedrosvm.solver import SolverStatus, solve
-from fedrosvm.wire import FRAME_CAP, AdmmResult, ProtocolError, SmResult
+from fedrosvm.wire import FRAME_CAP, AdmmResult, ProtocolError, Shutdown, SmResult
 
 
 def make_shards(seed, G, n_per, p):
@@ -348,6 +348,15 @@ def test_in_process_run_starts_no_thread(monkeypatch, algorithm):
     assert len(result.traces) == 3
 
 
+@pytest.mark.parametrize("msg", [Shutdown(), AdmmResult(g=0, w_g=np.zeros(2))],
+                         ids=["shutdown", "admm-result"])
+def test_client_answers_only_a_round_start(msg):
+    shards = make_shards(34, 1, 6, 2)
+    client = FederatedClient(0, shards[0], toy_cfg(1)[0], Algorithm.ADMM)
+    with pytest.raises(RuntimeError, match="unexpected message"):
+        client.handle(msg)
+
+
 def test_wrong_result_type_for_round_is_rejected():
     class CannedTransport:
         def start(self, G):
@@ -417,6 +426,29 @@ def test_tcp_admm_round_trip_matches_in_process():
         th.join(timeout=30.0)
 
     assert np.array_equal(local.w_last.w, remote.w_last.w)
+
+
+def test_tcp_admm_round_is_one_frame_each_way_per_client(monkeypatch):
+    G, T = 2, 3
+    shards = make_shards(45, G, 6, 2)
+    cfg = FederationConfig(clients=toy_cfg(G), T=T, algorithm=Algorithm.ADMM, rho=0.5)
+    sent = []
+    encode = wire.encode_message
+
+    def counting(msg):
+        sent.append(type(msg).__name__)
+        return encode(msg)
+
+    monkeypatch.setattr(wire, "encode_message", counting)
+    server = transport_tcp_serve()
+    threads = spawn_tcp_clients(server.address, shards, cfg.clients, Algorithm.ADMM)
+    run_federation(cfg, shards, transport=server)
+    for th in threads:
+        th.join(timeout=30.0)
+        assert not th.is_alive()
+
+    assert sorted(sent) == sorted(["RoundStart"] * (G * T) + ["AdmmResult"] * (G * T)
+                                  + ["Shutdown"] * G)
 
 
 def test_tcp_clients_built_from_config_use_federation_rho():

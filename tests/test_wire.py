@@ -8,7 +8,6 @@ import pytest
 from fedrosvm.wire import (
     FRAME_CAP,
     AdmmResult,
-    Broadcast,
     ProtocolError,
     RoundStart,
     Shutdown,
@@ -69,7 +68,6 @@ def test_round_trip_all_messages():
         RoundStart(t=0, w=w),
         SmResult(g=7, v=w),
         AdmmResult(g=1, w_g=w),
-        Broadcast(t=42, w=w),
         Shutdown(),
     ):
         back = decode_message(encode_message(msg))
@@ -131,6 +129,13 @@ def test_rejects_malformed_payloads():
         decode_message(good + b"\x00")
     with pytest.raises(ProtocolError, match="trailing"):
         decode_message(b"\x05\x00")
+
+
+def test_retired_tag_0x04_decodes_as_unknown():
+    # a well-formed `tag | u32 | vec` payload under the retired tag
+    payload = b"\x04" + encode_message(RoundStart(t=42, w=np.array([1.0])))[1:]
+    with pytest.raises(ProtocolError, match="unknown message tag 0x04"):
+        decode_message(payload)
 
 
 def test_frame_cap_enforced_both_directions():
