@@ -189,6 +189,11 @@ class ExperimentConfig:
         for key in ("name", "dataset", "partition", "model"):
             if key not in doc:
                 raise ConfigError(f"config is missing {key!r}")
+        if not (isinstance(doc["name"], str) and doc["name"]):
+            raise ConfigError(f"name must be a non-empty string, got {doc['name']!r}")
+        for key in ("dataset", "partition", "grid", "fixed"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise ConfigError(f"{key} must be a JSON object, got {doc[key]!r}")
         cfg = cls(
             name=doc["name"],
             dataset=dict(doc["dataset"]),

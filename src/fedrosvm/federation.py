@@ -49,6 +49,7 @@ from .robust import (
     build_sm_lp,
     extract_worst_case,
     multiplier_step,
+    sm_lp_cost,
     sm_subgradient,
     worst_case_risk_dual,
 )
@@ -374,14 +375,16 @@ def transport_tcp_connect(address):
 
 class FederatedClient:
     """State machine of one client: its shard, config, ADMM state and
-    warm-start cache. Both transports drive the same object, one
+    program cache. Both transports drive the same object, one
     `RoundStart` in and one result out per round.
 
     SM rounds: solve the worst-case LP at the received model, extract the
-    extremal distribution, reply with the subgradient. ADMM rounds: fold the
-    received model (the previous round's aggregate) into the local
-    multipliers, solve the proximal QP (warm-started across rounds) and
-    reply with w_g.
+    extremal distribution, reply with the subgradient. Only the LP's cost
+    depends on the model, so the LP is built on the first round and each
+    later round swaps in its cost (`sm_lp_cost`); the solver keeps its
+    assembled KKT matrix with it. ADMM rounds: fold the received model (the
+    previous round's aggregate) into the local multipliers, solve the
+    proximal QP (warm-started across rounds) and reply with w_g.
     """
 
     def __init__(self, g, data, cfg, algorithm):
@@ -396,7 +399,12 @@ class FederatedClient:
 
     def on_round_start(self, msg):
         if self.algorithm is Algorithm.SM:
-            sol = solve(build_sm_lp(msg.w, self.data, self.cfg))
+            lp = self.cache.get("program")
+            if lp is None:
+                lp = self.cache["program"] = build_sm_lp(msg.w, self.data, self.cfg)
+            else:
+                lp.c = sm_lp_cost(msg.w, self.data, self.cfg)
+            sol = solve(lp)
             if sol.status is not SolverStatus.OPTIMAL:
                 raise RuntimeError(f"worst-case LP did not converge: {sol.message}")
             dist = extract_worst_case(sol, self.data, self.cfg)

@@ -142,6 +142,29 @@ def _sm_lp_layout(N, P, norm):
     return n_aux, off_qp, off_qp + NP, off_qp + 2 * NP
 
 
+def sm_lp_cost(w, data, cfg):
+    """The cost vector of `build_sm_lp` at w, its only part that depends on
+    w: (beta+ - beta-) y<w,x> - y<w, q+ - q->, the negation of the
+    adversary's surrogate gain, averaged over N. Raises ValueError when w
+    is not a finite vector of length P."""
+    w = np.asarray(w, dtype=float)
+    X, y = data.X, data.y
+    N, P = data.n, data.p
+    if w.shape != (P,):
+        raise ValueError(f"w has shape {w.shape}, expected ({P},)")
+    if not np.isfinite(w).all():
+        raise ValueError(f"w must be finite, got {w}")
+    _, off_qp, off_qm, n = _sm_lp_layout(N, P, cfg.norm)
+    margins = y * (X @ w)  # y_i <w, x_i>
+    c = np.zeros(n)
+    c[:N] = margins / N
+    c[N:2 * N] = -margins / N
+    yw = (y[:, None] * w[None, :]).ravel()  # row-major (i, p) -> y_i w_p
+    c[off_qp:off_qm] = -yw / N
+    c[off_qm:] = yw / N
+    return c
+
+
 def build_sm_lp(w, data, cfg):
     """LP over adversary mass splits and transport vectors at fixed w,
     whose maximizers define the worst-case distribution for an SM round.
@@ -171,29 +194,19 @@ def build_sm_lp(w, data, cfg):
 
     The program minimizes the negated adversary gain
     (1/N) sum_i [(beta+_i - beta-_i) y_i<w, x_i> - y_i<w, q+_i - q-_i>],
-    so the surrogate worst-case risk is 1 - solution.objective. Solve with
-    `solve` and feed the result to `extract_worst_case`.
+    so the surrogate worst-case risk is 1 - solution.objective. Only this
+    cost depends on w (`sm_lp_cost`), so the LP of a later w is this one
+    with its c swapped. Solve with `solve` and feed the result to
+    `extract_worst_case`.
     """
-    w = np.asarray(w, dtype=float)
-    X, y = data.X, data.y
+    c = sm_lp_cost(w, data, cfg)
+    X = data.X
     N, P = data.n, data.p
-    if w.shape != (P,):
-        raise ValueError(f"w has shape {w.shape}, expected ({P},)")
     _require_unit_box(X)
 
     NP = N * P
     n_aux, off_qp, off_qm, n = _sm_lp_layout(N, P, cfg.norm)
     off_aux = 2 * N
-
-    # --- objective: minimize (beta+ - beta-) y<w,x> - y<w, q+ - q->
-    # (the negation of the adversary's surrogate gain, averaged over N).
-    margins = y * (X @ w)  # y_i <w, x_i>
-    c = np.zeros(n)
-    c[:N] = margins / N
-    c[N:2 * N] = -margins / N
-    yw = (y[:, None] * w[None, :]).ravel()  # row-major (i, p) -> y_i w_p
-    c[off_qp:off_qm] = -yw / N
-    c[off_qm:] = yw / N
 
     entries = [(0, off_aux + np.arange(n_aux), 1.0)]
     if cfg.kappa != 0.0:

@@ -19,7 +19,10 @@ that the iteration needs:
   as one (column, coefficient) pair per row, so an iteration needs only
   numpy gathers, `np.bincount` and dense products, plus one (P+1)-sized
   Cholesky factorization and two solves through direct LAPACK calls;
-* a sparse augmented-KKT path (scipy splu) for everything else.
+* a sparse augmented-KKT path (scipy splu) for everything else. The
+  augmented matrix is assembled once per program: its pattern is fixed,
+  so each Newton step only writes the scaling diagonal into it and
+  refactors.
 
 The reduction is exact; backend choice affects speed and floating-point
 roundoff only. Identical inputs take identical paths, so results are
@@ -301,25 +304,49 @@ def _splu_kkt(kkt):
     Symmetric-mode minimum-degree ordering keeps fill low; the default
     COLAMD ordering with full partial pivoting is two orders of magnitude
     slower on the LP reformulations here. The relaxed pivot threshold can
-    hit a zero pivot on degenerate systems, in which case we retry with
-    the conservative defaults.
+    hit a zero pivot on degenerate systems, in which case we warn and retry
+    with the conservative defaults.
     """
     try:
         return spla.splu(kkt, permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.1,
                          options=dict(SymmetricMode=True))
-    except RuntimeError:
+    except RuntimeError as e:
+        log.warning("sparse KKT factorization failed under relaxed symmetric pivoting "
+                    "(%s); re-factoring with SuperLU's default pivoting", e)
         return spla.splu(kkt)
 
 
 class _SparseBackend:
-    """Augmented-KKT Newton solve via sparse LU."""
+    """Augmented-KKT Newton solve via sparse LU.
+
+    The augmented matrix
+
+        [ Q + rI   A'             A_eq' ]
+        [ A        -(W^-1 + rI)   0     ]
+        [ A_eq     0              -rI   ]
+
+    (the A_eq row and column only when there are equality rows; r is
+    REGULARIZATION) is assembled once per program. Its pattern never
+    changes, so a Newton step only writes the scaling diagonal
+    -(1/w + r) into the W block's slots of the CSC data and refactors.
+    """
 
     def __init__(self, p: ConvexProgram):
         self.p = p
         self.A_ineqT = p.A_ineq.T
-        self.reg_x = sp.identity(p.n) * REGULARIZATION
-        self.reg_y = -sp.identity(p.k) * REGULARIZATION if p.k else None
+        n, m, k = p.n, p.m, p.k
+        blocks = [
+            [p.Q + sp.identity(n) * REGULARIZATION, self.A_ineqT, p.A_eq.T if k else None],
+            [p.A_ineq, -sp.identity(m), None],  # W block: `factor` writes its diagonal
+            [p.A_eq if k else None, None, -sp.identity(k) * REGULARIZATION if k else None],
+        ]
+        if k == 0:
+            blocks = [row[:2] for row in blocks[:2]]
+        self.kkt = sp.bmat(blocks, format="csc")
+        # each column's rows are sorted, and in columns n .. n+m-1 the W
+        # block's diagonal entry is the bottom one
+        self.w_slots = self.kkt.indptr[n + 1 : n + m + 1] - 1
 
     def a_dot(self, x: np.ndarray) -> np.ndarray:
         return self.p.A_ineq @ x
@@ -331,18 +358,8 @@ class _SparseBackend:
         return self.p.Q @ x
 
     def factor(self, w: np.ndarray):
-        p = self.p
-        d = -sp.diags(1.0 / w + REGULARIZATION)
-        blocks = [
-            [p.Q + self.reg_x, self.A_ineqT, p.A_eq.T if p.k else None],
-            [p.A_ineq, d, None],
-            [p.A_eq if p.k else None, None, self.reg_y],
-        ]
-        if p.k == 0:
-            blocks = [row[:2] for row in blocks[:2]]
-        kkt = sp.bmat(blocks, format="csc")
-        self.lu = _splu_kkt(kkt)
-        self.w = w
+        self.kkt.data[self.w_slots] = -(1.0 / w + REGULARIZATION)
+        self.lu = _splu_kkt(self.kkt)
 
     def solve(self, rhs_x: np.ndarray, g: np.ndarray, rhs_e: np.ndarray = None):
         p = self.p

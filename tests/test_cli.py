@@ -116,11 +116,18 @@ def test_train_config_error_exits_one(tmp_path, capsys):
     ({"partition": {"scheme": "even", "G": 2, "noise_rte": 0.3}},
      "unknown partition key 'noise_rte'"),
     ({"output": 123}, "output must be null or a non-empty string, got 123"),
+    ({"dataset": ["synthetic"]}, "dataset must be a JSON object, got ['synthetic']"),
+    ({"partition": "even"}, "partition must be a JSON object, got 'even'"),
+    ({"grid": [["rho", 0.1]]}, "grid must be a JSON object, got [['rho', 0.1]]"),
+    ({"fixed": [["kappa", 1]]}, "fixed must be a JSON object, got [['kappa', 1]]"),
+    ({"name": 5}, "name must be a non-empty string, got 5"),
+    ({"name": ""}, "name must be a non-empty string, got ''"),
 ], ids=["grid-scalar", "cv-folds-str", "norm-list", "kappa-negative", "noise-rate-missing",
         "t-float", "p-str", "n-float", "class-sep-negative", "n-below-2g", "test-fraction-str",
         "grid-rho-negative", "grid-gamma0-str", "grid-epsilon-zero", "grid-kappa-negative",
         "grid-beta-zero", "local-epochs-float", "csv-path-missing", "admm-sc-tau-factor-zero",
-        "dataset-unknown-key", "partition-unknown-key", "output-int"])
+        "dataset-unknown-key", "partition-unknown-key", "output-int", "dataset-list",
+        "partition-str", "grid-list", "fixed-list", "name-int", "name-empty"])
 def test_train_rejects_a_bad_config_value_naming_its_key(tmp_path, capsys, overrides, named):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert main(["train", "-c", cfg, "-o", str(tmp_path / "out")]) == 1

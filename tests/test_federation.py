@@ -25,7 +25,14 @@ from fedrosvm.federation import (
     transport_tcp_connect,
     transport_tcp_serve,
 )
-from fedrosvm.robust import ClientConfig, build_risk_epigraph_qp, worst_case_risk_dual
+from fedrosvm.robust import (
+    ClientConfig,
+    build_risk_epigraph_qp,
+    build_sm_lp,
+    extract_worst_case,
+    sm_subgradient,
+    worst_case_risk_dual,
+)
 from fedrosvm.solver import SolverStatus, solve
 from fedrosvm.wire import FRAME_CAP, AdmmResult, ProtocolError, Shutdown, SmResult
 
@@ -199,6 +206,50 @@ def test_sm_best_objective_monotone_in_horizon():
         res = run_federation(cfg, shards)
         assert res.best_objective <= prev + 1e-12
         prev = res.best_objective
+
+
+def test_sm_client_builds_its_lp_once_and_answers_as_a_fresh_lp(monkeypatch):
+    shards = make_shards(14, 2, 9, 2)
+    cfg = FederationConfig(clients=toy_cfg(2, epsilon=2e-3), T=4, algorithm=Algorithm.SM,
+                           gamma0=0.5)
+    builds, answers = [], []
+    building = federation.build_sm_lp
+
+    def counted(w, data, client_cfg):
+        builds.append(data)
+        return building(w, data, client_cfg)
+
+    answering = FederatedClient.handle
+
+    def recorded(self, msg):
+        reply = answering(self, msg)
+        answers.append((self.g, msg.w.copy(), reply.v))
+        return reply
+
+    monkeypatch.setattr(federation, "build_sm_lp", counted)
+    monkeypatch.setattr(FederatedClient, "handle", recorded)
+    run_federation(cfg, shards)
+    assert [id(d) for d in builds] == [id(s) for s in shards]
+    assert len(answers) == 2 * 4
+    for g, w, v in answers:
+        data, client_cfg = shards[g], cfg.clients[g]
+        sol = solve(build_sm_lp(w, data, client_cfg))
+        fresh = sm_subgradient(w, extract_worst_case(sol, data, client_cfg))
+        assert v.tobytes() == fresh.tobytes(), g
+
+
+@pytest.mark.parametrize("w,named", [
+    (np.zeros(3), "w has shape (3,), expected (2,)"),
+    (np.array([np.inf, 0.0]), "w must be finite"),
+], ids=["wrong-shape", "infinite"])
+def test_sm_client_rejects_a_bad_model_in_every_round(w, named):
+    data = make_shards(15, 1, 6, 2)[0]
+    first = FederatedClient(0, data, toy_cfg(1)[0], Algorithm.SM)
+    later = FederatedClient(0, data, toy_cfg(1)[0], Algorithm.SM)
+    later.handle(wire.RoundStart(t=1, w=np.zeros(2)))
+    for client, t in ((first, 1), (later, 2)):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            client.handle(wire.RoundStart(t=t, w=w))
 
 
 def test_objective_shuffle_invariant():

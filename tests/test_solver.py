@@ -5,10 +5,11 @@ import logging
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from fedrosvm import solver
 from fedrosvm.core import DatasetView, NormKind
-from fedrosvm.robust import ClientConfig, build_risk_epigraph_qp
+from fedrosvm.robust import ClientConfig, build_risk_epigraph_qp, build_sm_lp
 from fedrosvm.solver import (
     ConvexProgram,
     SolverConfig,
@@ -327,6 +328,99 @@ class TestDeterminismAndBackends:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ConvexProgram(n=2, c=[1.0], A_ineq=[[1.0, 0.0]], b_ineq=[1.0])
+
+
+def reference_kkt(p, w):
+    """The sparse backend's augmented KKT matrix at scaling w, assembled
+    from scratch by `sp.bmat`."""
+    r = solver.REGULARIZATION
+    blocks = [[p.Q + sp.identity(p.n) * r, p.A_ineq.T, p.A_eq.T if p.k else None],
+              [p.A_ineq, -sp.diags(1.0 / w + r), None],
+              [p.A_eq if p.k else None, None, -sp.identity(p.k) * r if p.k else None]]
+    if p.k == 0:
+        blocks = [row[:2] for row in blocks[:2]]
+    return sp.bmat(blocks, format="csc")
+
+
+def sparse_backend_programs():
+    """SM LPs under both norms with kappa in {0, 1}, an LP without equality
+    rows, a QP with a nonzero diagonal Q and one with a full Q and an
+    equality row."""
+    rng = np.random.default_rng(83)
+
+    def shard(N, P):
+        return DatasetView(X=rng.random((N, P)), y=np.where(rng.random(N) < 0.5, 1, -1))
+
+    for norm in (NormKind.L1, NormKind.LINF):
+        for kappa in (0.0, 1.0):
+            P = int(rng.integers(1, 4))
+            yield build_sm_lp(rng.standard_normal(P), shard(int(rng.integers(3, 9)), P),
+                              ClientConfig(epsilon=0.1, kappa=kappa, norm=norm))
+    yield random_box_lp(rng, n=4)
+    yield build_risk_epigraph_qp(shard(12, 3), ClientConfig(epsilon=0.05), rho=0.7, tau=0.3,
+                                 anchor=rng.standard_normal(3))
+    L = rng.standard_normal((3, 3))
+    yield ConvexProgram(n=3, Q=L @ L.T, c=rng.standard_normal(3), A_ineq=np.vstack([np.eye(3),
+                        -np.eye(3)]), b_ineq=np.ones(6), A_eq=[[1.0, 1.0, 1.0]], b_eq=[0.5])
+
+
+def scalings(rng, m, count=3):
+    """Newton scalings z/s spread over ten orders of magnitude."""
+    return [10.0 ** rng.uniform(-5.0, 5.0, m) for _ in range(count)]
+
+
+class TestSparseBackend:
+    def test_factor_hands_superlu_the_from_scratch_kkt_byte_for_byte(self, monkeypatch):
+        seen = []
+        real = solver._splu_kkt
+
+        def recording(kkt):
+            seen.append((kkt.indptr.copy(), kkt.indices.copy(), kkt.data.copy()))
+            return real(kkt)
+
+        monkeypatch.setattr(solver, "_splu_kkt", recording)
+        rng = np.random.default_rng(3)
+        for i, p in enumerate(sparse_backend_programs()):
+            backend = solver._SparseBackend(p)
+            for w in scalings(rng, p.m):
+                backend.factor(w)
+                want = reference_kkt(p, w)
+                for got, ref in zip(seen.pop(), (want.indptr, want.indices, want.data)):
+                    assert got.dtype == ref.dtype, i
+                    assert got.tobytes() == ref.tobytes(), i
+
+    def test_refactoring_solves_as_a_fresh_backend(self):
+        rng = np.random.default_rng(4)
+        for i, p in enumerate(sparse_backend_programs()):
+            w1, w2 = scalings(rng, p.m, 2)
+            reused, fresh = solver._SparseBackend(p), solver._SparseBackend(p)
+            reused.factor(w1)
+            reused.factor(w2)
+            fresh.factor(w2)
+            rhs = (rng.standard_normal(p.n), rng.standard_normal(p.m), rng.standard_normal(p.k))
+            for got, want in zip(reused.solve(*rhs), fresh.solve(*rhs)):
+                assert got.tobytes() == want.tobytes(), i
+
+    def test_a_zero_pivot_refactors_loudly_with_default_pivoting(self, monkeypatch, caplog):
+        real = solver.spla.splu
+        calls = []
+
+        def fails_once(kkt, **kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return real(kkt, **kwargs)
+
+        p = next(sparse_backend_programs())
+        expected = solver._ip_loop(p, SolverConfig(), solver._SparseBackend(p))
+        monkeypatch.setattr(solver.spla, "splu", fails_once)
+        with caplog.at_level(logging.WARNING, logger="fedrosvm.solver"):
+            sol = solver._ip_loop(p, SolverConfig(), solver._SparseBackend(p))
+        assert sol.status is SolverStatus.OPTIMAL
+        assert sol.objective == pytest.approx(expected.objective, rel=1e-7, abs=1e-8)
+        assert calls[1] == {} and all(c["permc_spec"] == "MMD_AT_PLUS_A" for c in calls[2:])
+        assert "relaxed symmetric pivoting (Factor is exactly singular)" in caplog.text
+        assert len(caplog.records) == 1
 
 
 def stack_group(seed, norm, P, count):

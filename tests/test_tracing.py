@@ -3,15 +3,18 @@
 `perfbench/tracing.py` rebinds a fixed set of library names; a name it
 needs that the library no longer has breaks the traced benchmark run.
 Installing and uninstalling the tracer here catches that in the unit
-tests instead, and a traced run of the experiment harness checks that it
-still reaches the names the tracer wraps.
+tests instead, and traced runs of the experiment harness and of an SM
+federation check that they still reach the names the tracer wraps.
 """
 
 import importlib
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from fedrosvm import baselines, experiments, federation, robust, wire
+from fedrosvm.core import DatasetView
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OWNERS = (baselines, experiments, federation, robust, wire,
@@ -95,3 +98,32 @@ def test_every_traced_admm_client_step_spans_a_solver_call(monkeypatch):
     solves_under = Counter(s[tracing.PARENT] for s in tracer.spans
                            if s[tracing.NAME] == "solver.solve")
     assert all(solves_under[s[tracing.ID]] >= 1 for s in steps)
+
+
+def test_traced_sm_federation_records_every_extraction_the_gate_validates(monkeypatch):
+    # sm-oracle's traced gate validates every distribution the tracer sees
+    # pass through robust.extract_worst_case; an extraction hidden from the
+    # tracer would leave that gate with nothing to check
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    rng = np.random.default_rng(8)
+    G, T = 2, 3
+    shards = [DatasetView(X=rng.uniform(0.05, 0.95, (10, 2)), y=np.tile([1.0, -1.0], 5))
+              for _ in range(G)]
+    fed = federation.FederationConfig(
+        clients=[robust.ClientConfig(epsilon=2e-3, kappa=0.5, alpha=1.0 / G)] * G, T=T,
+        algorithm=federation.Algorithm.SM, gamma0=0.5)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        federation.run_federation(fed, shards)
+    finally:
+        tracer.uninstall()
+
+    spans = Counter(s[tracing.NAME] for s in tracer.spans)
+    assert spans["robust.extract_worst_case"] == G * T
+    assert spans["robust.build_sm_lp"] == G
+    assert spans["solver.solve"] == G * T
+    assert len(tracer.distributions) == G * T
+    assert tracer.validate_distributions() == []
