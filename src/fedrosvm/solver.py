@@ -415,7 +415,9 @@ def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None) -> SolverSoluti
     interior-point iteration needs at least one.
 
     ``warm`` is an optional (x0, z0) pair from a related earlier solve; it
-    only changes the starting point, never the answer.
+    only changes the starting point, never the answer. A pair that does not
+    fit p (x0 of length n, z0 of length m) is ignored and the solve starts
+    cold.
     """
     cfg = cfg or SolverConfig()
     if p.m == 0:
@@ -441,9 +443,10 @@ def solve(p: ConvexProgram, cfg: SolverConfig = None, warm=None) -> SolverSoluti
 
 
 def _warm_fits(warm, p: ConvexProgram) -> bool:
-    """Whether `warm` is an (x0, z0) start of p's size; any other warm
-    start is ignored and the solve starts cold."""
-    return warm is not None and warm[0] is not None and len(warm[0]) == p.n
+    """Whether `warm` is an (x0, z0) start of p's size, len(x0) == n and
+    len(z0) == m; any other warm start is ignored and the solve starts cold."""
+    return (warm is not None and warm[0] is not None and warm[1] is not None
+            and len(warm[0]) == p.n and len(warm[1]) == p.m)
 
 
 def _cold_start(p: ConvexProgram, backend):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from fedrosvm import solver
 from fedrosvm.core import DatasetView, NormKind
@@ -587,3 +588,80 @@ class TestSolveStack:
     def test_rejects_warm_starts_that_do_not_pair_with_the_programs(self):
         with pytest.raises(ValueError, match="2 programs but 1 warm"):
             solver.solve_stack(stack_group(15, NormKind.L1, 2, 2), [None])
+
+
+class TestStackedExits:
+    def test_every_exit_leaves_the_stack_as_solve_reports_it(self, monkeypatch):
+        # between two healthy QPs: an LP that splits and falls without bound,
+        # an infeasible QP that splits with no dense remainder, and the
+        # stalling warm start of tests/test_robust.py with its stall exit
+        # switched off, so that it runs to the iteration cap
+        from test_robust import STALL_ANCHORS, STALL_X, STALL_Y
+        falling = ConvexProgram(n=2, c=[1.0, 0.0], A_ineq=[[1.0, 1.0]], b_ineq=[1.0])
+        infeasible = ConvexProgram(n=1, Q=[[1.0]], A_ineq=[[-1.0], [1.0]], b_ineq=[-1.0, 0.0])
+        data = DatasetView(X=np.array(STALL_X), y=np.array(STALL_Y))
+        capped = build_risk_epigraph_qp(data, ClientConfig(epsilon=1.0 / 140.0, kappa=1.0),
+                                        rho=0.01, anchor=np.array(STALL_ANCHORS[0]))
+        first = solve(capped)
+        capped.c[:2] = -0.01 * np.array(STALL_ANCHORS[1])
+        monkeypatch.setattr(solver, "WARM_STALL_WINDOW", 10**9)
+        healthy = stack_group(23, NormKind.L1, 2, 2)
+        progs = [healthy[0], falling, infeasible, capped, healthy[1]]
+        assert all(solver._structure(p)[0] is not None for p in progs)
+        warms = [None, None, None, (first.x_star, first.z_star), None]
+        stacked = solver.solve_stack(progs, warms)
+        alone = [solve(p, warm=w) for p, w in zip(progs, warms)]
+        assert [s.iterations for s in alone[1:4]] == [6, 7, SolverConfig().max_iterations]
+        assert alone[1].message.startswith("objective falling")
+        assert alone[2].message.startswith("iterates diverging")
+        assert alone[3].status is SolverStatus.MAX_ITERATIONS
+        assert alone[0].status is alone[4].status is SolverStatus.OPTIMAL
+        assert_same_solutions(stacked, alone)
+
+
+def assert_bitwise_equal(a, b):
+    assert (a.status, a.message, a.iterations) == (b.status, b.message, b.iterations)
+    assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+    assert np.float64(a.kkt_residual).tobytes() == np.float64(b.kkt_residual).tobytes()
+    for got, want in ((a.x_star, b.x_star), (a.z_star, b.z_star), (a.y_star, b.y_star)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestWarmStartContract:
+    @pytest.mark.parametrize("size", ["z-short", "z-of-length-n", "z-none", "x-short"])
+    def test_a_warm_start_of_the_wrong_size_starts_cold(self, size):
+        p = ConvexProgram(n=2, Q=np.eye(2), c=[1.0, -1.0],
+                          A_ineq=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], b_ineq=[1.0, 1.0, 1.0])
+        assert solver._structure(p)[0] is not None  # so solve_stack stacks it
+        cold = solve(p)
+        warm = {"z-short": (cold.x_star, [1.0]), "z-of-length-n": (cold.x_star, [1.0, 1.0]),
+                "z-none": (cold.x_star, None), "x-short": (cold.x_star[:1], cold.z_star)}[size]
+        assert_bitwise_equal(solve(p, warm=warm), cold)
+        stacked, = solver.solve_stack([p], [warm])
+        assert_bitwise_equal(stacked, solver.solve_stack([p], [None])[0])
+        assert_same_solutions([stacked], [cold])
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(3, 40), st.integers(1, 4)), min_size=1, max_size=4),
+       kappa=st.sampled_from([0.0, 1.0]),
+       rho_tau=st.sampled_from([(0.7, 0.0), (0.7, 0.3), (0.05, 0.0)]),
+       norm=st.sampled_from([NormKind.L1, NormKind.LINF]),
+       seed=st.integers(0, 2**32 - 1))
+def test_solve_stack_matches_solve_on_random_epigraph_qps(shapes, kappa, rho_tau, norm, seed):
+    rng = np.random.default_rng(seed)
+    cfg = ClientConfig(epsilon=0.05, kappa=kappa, norm=norm)
+    progs = []
+    for N, P in shapes:
+        data = DatasetView(X=rng.random((N, P)), y=np.where(rng.random(N) < 0.5, 1, -1))
+        progs.append(build_risk_epigraph_qp(data, cfg, rho=rho_tau[0], tau=rho_tau[1],
+                                            anchor=rng.standard_normal(P)))
+    assert all(solver._structure(p)[0] is not None for p in progs)
+    alone = [solve(p) for p in progs]
+    assert_same_solutions(solver.solve_stack(progs, [None] * len(progs)), alone)
+
+    warms = [(s.x_star, s.z_star) for s in alone]
+    for p, (_, P) in zip(progs, shapes):
+        p.c[:P] += 0.3 * rng.standard_normal(P)
+    assert_same_solutions(solver.solve_stack(progs, warms),
+                          [solve(p, warm=w) for p, w in zip(progs, warms)])
