@@ -15,8 +15,11 @@ scheduling.
 Batches depend only on that seed and the shard size, never on gamma0, so
 train_fed_l2_stack trains many runs at once: one per (fold, step size)
 pair, as cross-validation needs, carried as a (folds, step sizes, P)
-weight stack whose runs share each fold's batches. train_fed_l2_svm is
-its one-run view, and every stacked run equals that lone run bit for bit.
+weight stack whose runs share each fold's batches. Its clients are one
+stack of (fold, client) pairs, so a minibatch step is one call over every
+pair whose batch starts at the same row and has the same length, however
+many clients there are. train_fed_l2_svm is its one-run view, and every
+stacked run equals that lone run bit for bit.
 """
 
 from dataclasses import dataclass
@@ -111,11 +114,13 @@ def train_fed_l2_stack(folds, cfg, seed, gamma0s):
     default_rng([seed, g, t]) as a lone run would. `cfg` fixes everything
     but the step size, which is gamma0/t for each gamma0 in `gamma0s`
     (cfg.gamma0 is not read). Every run's iterates equal, bit for bit,
-    those of train_fed_l2_svm on that fold with that gamma0: within a
-    client step the runs of one fold share their batches, the folds whose
-    batches have the same length share one matmul that gives each run a
-    product over exactly its own rows, and a fold without a batch at a
-    step leaves its runs unchanged.
+    those of train_fed_l2_svm on that fold with that gamma0: the runs of
+    one (fold, client) pair share its batches; at each step of an epoch,
+    the pairs of every fold and client whose batches start at the same
+    row and have the same length share one `_minibatch_step` call, whose
+    matmul gives each run a product over exactly its own rows; a pair
+    without a batch at a step leaves its runs unchanged; and each fold's
+    server adds its clients in client order.
     """
     if not folds or any(len(clients) < 1 for clients in folds):
         raise ValueError("at least one client dataset is required")
@@ -135,40 +140,46 @@ def train_fed_l2_stack(folds, cfg, seed, gamma0s):
 
     F, K = len(folds), len(gamma0s)
     gamma0s = np.asarray(gamma0s, dtype=float)[:, None]
-    clients = [_StackedClient(g, folds, fraction, epochs)
-               for g in range(max(len(c) for c in folds))]
+    clients = _StackedClients(folds, fraction, epochs)
     iterates = np.empty((F, K, cfg.T, p))
     W = np.zeros((F, K, p))
     for t in range(1, cfg.T + 1):
-        step = gamma0s / t
+        W_g = clients.local_epochs(W, seed, t, gamma0s / t, prox_mu)
         aggregated = np.zeros((F, K, p))
-        for client in clients:
-            W_g = client.local_epochs(W, seed, t, step, prox_mu)
-            aggregated[client.folds] += client.weights * W_g
+        for pairs in clients.by_client:
+            aggregated[clients.fold[pairs]] += clients.weights[pairs] * W_g[pairs]
         W = aggregated
         iterates[:, :, t - 1] = W
     return iterates
 
 
-class _StackedClient:
-    """Client g of every fold that has one: its signed rows (labels folded
-    into the features, exact for y = +-1) stored fold after fold, and the
-    per-fold batch layout, which depends on the shard size only."""
+class _StackedClients:
+    """Every (fold, client) pair of a stacked run, ordered client by
+    client (client 0 of every fold that has one, then client 1, ...): the
+    pairs' signed rows (labels folded into the features, exact for
+    y = +-1) stored pair after pair, and their batch layout, which depends
+    on the shard size only."""
 
-    def __init__(self, g, folds, fraction, epochs):
-        # folds with fewer clients have no client g; the rest keep their order
-        self.folds = np.array([f for f, c in enumerate(folds) if g < len(c)])
-        shards = [folds[f][g] for f in self.folds]
-        self.g, self.epochs = g, epochs
+    def __init__(self, folds, fraction, epochs):
+        pairs = [(f, g) for g in range(max(len(c) for c in folds))
+                 for f, clients in enumerate(folds) if g < len(clients)]
+        shards = [folds[f][g] for f, g in pairs]
+        self.epochs = epochs
+        self.fold = np.array([f for f, _ in pairs])
+        self.client = [g for _, g in pairs]
+        # client g's pairs, a slice: the server adds clients in this order
+        counts = np.bincount(self.client)
+        self.by_client = [slice(end - count, end)
+                          for end, count in zip(np.cumsum(counts), counts)]
         self.n = [d.n for d in shards]
         self.batch = [max(1, int(round(fraction * n))) for n in self.n]
         self.offsets = np.cumsum([0] + self.n[:-1])
         self.signed = np.vstack([d.y[:, None] * d.X for d in shards])
         # the server's averaging weights, and 2c with c = 1/(10 n)
         self.weights = np.array([n / sum(d.n for d in folds[f])
-                                 for f, n in zip(self.folds, self.n)])[:, None, None]
+                                 for f, n in zip(self.fold, self.n)])[:, None, None]
         two_c = np.array([2.0 * (1.0 / (10.0 * n)) for n in self.n])[:, None, None]
-        # step s of every epoch: the folds with a batch there, grouped by
+        # step s of every epoch: the pairs with a batch there, grouped by
         # where it starts and its length, with their 2c
         steps = [-(-n // b) for n, b in zip(self.n, self.batch)]
         self.groups = []
@@ -184,25 +195,30 @@ class _StackedClient:
                 self.groups[-1].append((start, length, members, two_c[members]))
 
     def batches(self, seed, t):
-        """Row indices into `signed`, (epochs, folds, largest shard): fold
+        """Row indices into `signed`, (epochs, pairs, largest shard): pair
         i's epoch e visits rows[e, i, :n] in order, one batch after the
-        next."""
+        next. Client g of every fold draws from default_rng([seed, g, t]),
+        as in a lone run, so the pairs of one client whose shards have the
+        same size share their permutations."""
         rows = np.zeros((self.epochs, len(self.n), max(self.n)), dtype=np.intp)
-        for i, (n, b, offset) in enumerate(zip(self.n, self.batch, self.offsets)):
+        drawn = {}
+        for i, (g, n, b, offset) in enumerate(zip(self.client, self.n, self.batch,
+                                                  self.offsets)):
             if b >= n:
                 rows[:, i, :n] = offset + np.arange(n)
-            else:
-                rng = np.random.default_rng([seed, self.g, t])
-                for e in range(self.epochs):
-                    rows[e, i, :n] = offset + rng.permutation(n)
+                continue
+            if (g, n) not in drawn:
+                rng = np.random.default_rng([seed, g, t])
+                drawn[g, n] = np.stack([rng.permutation(n) for _ in range(self.epochs)])
+            rows[:, i, :n] = offset + drawn[g, n]
         return rows
 
     def local_epochs(self, W, seed, t, step, prox_mu):
-        """Every run's local model after `epochs` epochs from the global
-        iterates W (folds, step sizes, P), for the folds with client g."""
-        W_round = W[self.folds]
+        """Every run's local model, (pairs, step sizes, P), after `epochs`
+        epochs from the global iterates W (folds, step sizes, P)."""
+        W_round = W[self.fold]
         W_g = W_round.copy()
-        # one epoch's rows at a time: (folds, largest shard, P)
+        # one epoch's rows at a time: (pairs, largest shard, P)
         for rows in self.signed[self.batches(seed, t)]:
             for groups in self.groups:
                 for start, length, members, two_c in groups:
@@ -213,9 +229,9 @@ class _StackedClient:
 
 
 def _minibatch_step(W, W_round, Yb, length, two_c, step, prox_mu):
-    """One l2-hinge subgradient step for each run of a group of folds
-    whose batches have the same length. W, W_round: (folds, step sizes,
-    P); Yb: (folds, length, P), shared by the runs of a fold. Same
+    """One l2-hinge subgradient step for each run of a group of pairs
+    whose batches have the same length. W, W_round: (pairs, step sizes,
+    P); Yb: (pairs, length, P), shared by the runs of a pair. Same
     arithmetic as w - step * (l2_hinge_subgradient(w, yb, c) +
     prox_mu * (w - w_round)) per run at P >= 2; the margins come from one
     gemv per run over exactly its batch (one dot for a single row), as

@@ -22,11 +22,12 @@ points differ only in the step size, so cross-validation trains every
 fold and every step size in one stacked run (baselines.train_fed_l2_stack),
 with the same iterates as one run per fold and point. ADMM and ADMM-SC
 cross-validation advances every (fold, grid point) federation in
-lockstep: each round solves all of their client QPs together in
-one stacked interior-point solve (robust.admm_client_steps), then each
-federation makes its server update. Those models agree with one run_federation per
-fold and point to solver roundoff. The final fit at the chosen point, like
-every other lone run, goes through run_federation.
+lockstep: each round solves all of their client QPs together in one
+stacked interior-point solve (robust.ProximalSteps over one
+solver.ProgramStack, laid out once per cross-validation), then each
+federation makes its server update. Those models agree with one
+run_federation per fold and point to solver roundoff. The final fit at
+the chosen point, like every other lone run, goes through run_federation.
 """
 
 import csv
@@ -62,15 +63,13 @@ from .federation import (
     Algorithm,
     FederationConfig,
     RoundTrace,
-    admm_server_update,
     run_federation,
     warn_above_rho_cap,
 )
 from .robust import (
     ClientConfig,
-    ClientModel,
-    admm_client_steps,
-    admm_multiplier_update,
+    ProximalSteps,
+    multiplier_step,
     radius_heuristic,
 )
 
@@ -468,35 +467,40 @@ def _admm_lockstep(feds, client_data):
     objective, the residual and the wall time are not measured and read
     NaN).
 
-    Every round solves the client QPs of all federations together
-    (`robust.admm_client_steps`: one `solver.solve_stack` call, or `solve`
-    when there is a single QP).
-    Then each federation aggregates with `admm_server_update` and folds
-    the new model into its clients' multipliers, in client order, as
-    `run_federation` does. With no wire between them, the server reads
-    the clients' own multipliers, which its mirror in `run_federation`
-    equals bit for bit. The models agree with `run_federation`'s to
-    solver roundoff. `run_federation` stays the wire runtime; this loop
-    has no transport and evaluates no objective."""
+    The state is held in arrays, one row per (federation, client) pair:
+    its multipliers mu_g and its new w_g. Every round takes the client
+    steps of all federations together, through one `robust.ProximalSteps`
+    kept for the whole run: one `solver.ProgramStack` laid out on the
+    first round, or `solve` when there is a single QP. Then each
+    federation aggregates as `admm_server_update` does, adding its
+    clients in client order, and folds the new model into its clients'
+    multipliers (`robust.multiplier_step`), as `run_federation` does. With
+    no wire between them, the server reads the clients' own multipliers,
+    which its mirror in `run_federation` equals bit for bit. The models
+    agree with `run_federation`'s to solver roundoff. `run_federation`
+    stays the wire runtime; this loop has no transport and evaluates no
+    objective."""
     for fed in feds:
         warn_above_rho_cap(fed)
-    w = [np.zeros(shards[0].p) for shards in client_data]
-    clients = [[ClientModel(w_g=np.zeros(s.p), mu_g=np.ones(s.p)) for s in shards]
-               for shards in client_data]
-    caches = [[{} for _ in shards] for shards in client_data]
+    steps = ProximalSteps([(data, fed.clients[g], {}, g)
+                           for fed, shards in zip(feds, client_data)
+                           for g, data in enumerate(shards)])
+    fed_of = np.repeat(np.arange(len(feds)), [len(shards) for shards in client_data])
+    client = np.concatenate([np.arange(len(shards)) for shards in client_data])
+    by_client = [np.flatnonzero(client == g) for g in range(client.max() + 1)]
+    alpha = np.array([cfg.alpha for _, cfg, _, _ in steps.clients])[:, None]
+    w = np.zeros((len(feds), client_data[0][0].p))
+    mu = np.ones((fed_of.size, w.shape[1]))
     traces = [[] for _ in feds]
     for t in range(1, feds[0].T + 1):
-        stepped = iter(admm_client_steps([
-            (w[f], clients[f][g], data, fed.clients[g], caches[f][g], g)
-            for f, (fed, shards) in enumerate(zip(feds, client_data))
-            for g, data in enumerate(shards)]))
-        for f, fed in enumerate(feds):
-            states = [next(stepped) for _ in fed.clients]
-            w[f] = admm_server_update([(c.alpha, s.w_g, s.mu_g)
-                                       for c, s in zip(fed.clients, states)])
-            clients[f] = [admm_multiplier_update(s, w[f]) for s in states]
-            traces[f].append(RoundTrace(t=t, w_after=w[f].copy(), global_objective=math.nan,
-                                        consensus_residual=math.nan, wall_time=math.nan))
+        w_g = np.array(steps(w[fed_of] - mu))
+        w = np.zeros_like(w)
+        for pairs in by_client:
+            w[fed_of[pairs]] += alpha[pairs] * (w_g[pairs] + mu[pairs])
+        mu = multiplier_step(mu, w_g, w[fed_of])
+        for f, trace in enumerate(traces):
+            trace.append(RoundTrace(t=t, w_after=w[f].copy(), global_objective=math.nan,
+                                    consensus_residual=math.nan, wall_time=math.nan))
     return traces
 
 

@@ -6,8 +6,9 @@ at kappa), extraction of the extremal distribution from the LP solution, the
 subgradient of the worst-case risk used by the subgradient-method (SM)
 rounds, the closed dual form of the worst-case risk used as the objective
 oracle, the proximal QP solved inside ADMM rounds (one body,
-`admm_client_steps`: a lone client step goes through `solve`, many steps
-through one stacked `solve_stack`), and the practical radius rule.
+`ProximalSteps`: a lone client step goes through `solve`, the steps of
+many clients through one `solver.ProgramStack`, laid out once and solved
+every round), and the practical radius rule.
 
 Conventions used throughout (and relied on by the tests):
 
@@ -39,7 +40,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import NormKind, dual_norm, hinge_losses
-from .solver import ConvexProgram, SolverStatus, solve, solve_stack
+from .solver import ConvexProgram, ProgramStack, SolverStatus, solve
 
 log = logging.getLogger(__name__)
 
@@ -414,18 +415,8 @@ def build_risk_epigraph_qp(data, cfg, rho=0.0, tau=0.0, anchor=None):
     off_u = P + 1
     off_s = P + 1 + (P if has_u else 0)
     n = off_s + N
-
-    qd = np.zeros(n)
-    qd[:P] = rho + 2.0 * tau
+    qd, c = _epigraph_objective(data, cfg, rho, tau, anchor)
     Q = sparse.diags(qd).tocsr() if (rho or tau) else None
-
-    c = np.zeros(n)
-    c[off_lam] = cfg.epsilon
-    c[off_s:] = 1.0 / N
-    if rho:
-        if anchor is None:
-            raise ValueError("anchor is required when rho > 0")
-        c[:P] = -rho * np.asarray(anchor, dtype=float)
 
     yx = y[:, None] * X
     i, p = np.nonzero(yx)
@@ -449,6 +440,22 @@ def build_risk_epigraph_qp(data, cfg, rho=0.0, tau=0.0, anchor=None):
     return ConvexProgram(n=n, c=c, Q=Q, A_ineq=_csr(entries, (m, n)), b_ineq=b)
 
 
+def _epigraph_objective(data, cfg, rho, tau, anchor):
+    """Q's diagonal and the cost c of `build_risk_epigraph_qp`."""
+    P = data.p
+    off_s = P + 1 + (P if cfg.norm is NormKind.LINF else 0)
+    qd = np.zeros(off_s + data.n)
+    qd[:P] = rho + 2.0 * tau
+    c = np.zeros(off_s + data.n)
+    c[P] = cfg.epsilon
+    c[off_s:] = 1.0 / data.n
+    if rho:
+        if anchor is None:
+            raise ValueError("anchor is required when rho > 0")
+        c[:P] = -rho * np.asarray(anchor, dtype=float)
+    return qd, c
+
+
 def admm_client_step(w_global, client, data, cfg, cache, client_id=None):
     """One client proximal step: solve the local QP anchored at
     w_global - mu_g and return a ClientModel with w_g updated and mu_g
@@ -460,47 +467,79 @@ def admm_client_step(w_global, client, data, cfg, cache, client_id=None):
     warm-start. Only the linear term changes between rounds, which the
     solver's program-structure contract allows.
     """
-    return admm_client_steps([(w_global, client, data, cfg, cache, client_id)])[0]
+    anchor = np.asarray(w_global, dtype=float) - client.mu_g
+    w_g, = ProximalSteps([(data, cfg, cache, client_id)])(anchor[None])
+    return ClientModel(w_g=w_g, mu_g=client.mu_g)
 
 
-def admm_client_steps(steps):
-    """Proximal steps of many clients, or of one (`admm_client_step`).
+class ProximalSteps:
+    """The proximal steps of a fixed list of ADMM clients, round after
+    round: the one body of the client step (`admm_client_step` takes a
+    list of one).
 
-    `steps` holds one (w_global, client, data, cfg, cache, client_id) tuple
-    per step, the arguments of `admm_client_step`; the caches must be
-    distinct. Each step's QP is built on its first round and only its
-    anchor term is swapped after that. A lone step is solved by `solve`,
-    two or more together by one `solver.solve_stack` call. Each step then
-    retries a failed warm start cold, raises when its QP still does not
-    converge, and keeps its solution as the next warm start. Returns the
-    ClientModels in order."""
-    progs, warms = [], []
-    for w_global, client, data, cfg, cache, _ in steps:
-        anchor = np.asarray(w_global, dtype=float) - client.mu_g
-        prog = cache.get("program")
-        if prog is None:
-            prog = cache["program"] = build_risk_epigraph_qp(
-                data, cfg, rho=cfg.rho, tau=cfg.tau, anchor=anchor
-            )
+    `clients` holds one (data, cfg, cache, client_id) per client, the
+    arguments of `admm_client_step`; the caches must be distinct. Each
+    client's QP is built on its first round and only its anchor term is
+    swapped after that. Clients whose QPs have the same constraint rows
+    (the same data object, kappa and norm, as one fold's client has at
+    every rho of a cross-validation) build them once and share their
+    analysis (`ConvexProgram.with_objective`). A lone QP is solved by
+    `solve`; two or more by one `solver.ProgramStack`, laid out on the
+    first round and reused on every later one.
+    """
+
+    def __init__(self, clients):
+        self.clients = list(clients)
+        self.stack = None
+
+    def __call__(self, anchors):
+        """Every client's step from its anchor w_global - mu_g, one row of
+        `anchors` per client. Each step retries a failed warm start cold,
+        raises when its QP still does not converge, and keeps its solution
+        as the next warm start. Returns the new w_g, one per client."""
+        progs = self._programs(anchors)
+        warms = [cache.get("warm") for _, _, cache, _ in self.clients]
+        if len(progs) == 1:
+            sols = [solve(progs[0], warm=warms[0])]
         else:
-            prog.c[:data.p] = -cfg.rho * anchor
-        progs.append(prog)
-        warms.append(cache.get("warm"))
-    sols = [solve(progs[0], warm=warms[0])] if len(progs) == 1 else solve_stack(progs, warms)
-    models = []
-    for sol, prog, warm, (_, client, data, _, cache, client_id) in zip(sols, progs, warms, steps):
-        who = "client" if client_id is None else f"client {client_id}"
-        if sol.status is not SolverStatus.OPTIMAL and warm is not None:
-            # a stale warm point can stall the solver when the anchor jumps
-            # far between rounds (small rho lets the multipliers drift)
-            log.warning("%s: warm-started proximal QP failed (%s); retrying cold",
-                        who, sol.message)
-            sol = solve(prog)
-        if sol.status is not SolverStatus.OPTIMAL:
-            raise RuntimeError(f"{who}: proximal QP failed to converge: {sol.message}")
-        cache["warm"] = (sol.x_star, sol.z_star)
-        models.append(ClientModel(w_g=sol.x_star[:data.p].copy(), mu_g=client.mu_g))
-    return models
+            if self.stack is None:
+                self.stack = ProgramStack(progs)
+            sols = self.stack.solve(warms)
+        steps = []
+        for sol, prog, warm, (data, _, cache, client_id) in zip(sols, progs, warms,
+                                                                 self.clients):
+            who = "client" if client_id is None else f"client {client_id}"
+            if sol.status is not SolverStatus.OPTIMAL and warm is not None:
+                # a stale warm point can stall the solver when the anchor jumps
+                # far between rounds (small rho lets the multipliers drift)
+                log.warning("%s: warm-started proximal QP failed (%s); retrying cold",
+                            who, sol.message)
+                sol = solve(prog)
+            if sol.status is not SolverStatus.OPTIMAL:
+                raise RuntimeError(f"{who}: proximal QP failed to converge: {sol.message}")
+            cache["warm"] = (sol.x_star, sol.z_star)
+            steps.append(sol.x_star[:data.p].copy())
+        return steps
+
+    def _programs(self, anchors):
+        """Each client's QP at its anchor: built on the first round, its
+        anchor term swapped on later ones."""
+        progs, built = [], {}
+        for anchor, (data, cfg, cache, _) in zip(anchors, self.clients):
+            prog = cache.get("program")
+            if prog is not None:
+                prog.c[:data.p] = -cfg.rho * anchor
+            else:
+                rows = (id(data), cfg.kappa, cfg.norm)
+                if rows in built:
+                    prog = built[rows].with_objective(
+                        *_epigraph_objective(data, cfg, cfg.rho, cfg.tau, anchor))
+                else:
+                    prog = built[rows] = build_risk_epigraph_qp(
+                        data, cfg, rho=cfg.rho, tau=cfg.tau, anchor=anchor)
+                cache["program"] = prog
+            progs.append(prog)
+        return progs
 
 
 def multiplier_step(mu_g, w_g, w_global):

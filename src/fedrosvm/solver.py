@@ -28,19 +28,21 @@ The reduction is exact; backend choice affects speed and floating-point
 roundoff only. Identical inputs take identical paths, so results are
 deterministic within one build.
 
-`solve_stack` runs the same iteration over many programs at once: every
+`ProgramStack` runs the same iteration over many programs at once: every
 Schur-eligible one in one stack, their rows and S columns laid end to
 end, per-program reductions through `np.ufunc.reduceat`, and batched
 matmuls and solves over the small dense blocks of all programs, the
-narrower remainders zero-padded to the widest. It pays off when many
-programs are solved together (every client QP of an ADMM
-cross-validation round); a program that does not split goes to `solve`.
-On a single program its set-up and indexing make it several times slower
+narrower remainders zero-padded to the widest. The stack is laid out
+once and solved as often as the costs change (every client QP of an ADMM
+cross-validation, round after round); `solve_stack` solves a list of
+programs once. A program that does not split goes to `solve`. On a
+single program its set-up and indexing make it several times slower
 than `solve`, which stays the single-program path.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import logging
 import math
@@ -60,6 +62,7 @@ __all__ = [
     "SolverStatus",
     "SolverSolution",
     "solve",
+    "ProgramStack",
     "solve_stack",
     "solve_lp_by_enumeration",
 ]
@@ -80,6 +83,9 @@ WARM_STALL_DROP = 10.0
 # the right-hand sides and the costs) marks the program as unbounded below.
 # The programs this package builds stay under 1e3 of that unit.
 UNBOUNDED_OBJECTIVE = 1e10
+
+# +inf read as an unsigned integer; `_Stack.max_step` compares against it
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 # The exits of the interior-point iteration short of OPTIMAL, as
 # `_ip_loop` and `_stack_loop` both report them.
@@ -159,6 +165,27 @@ class ConvexProgram:
         x = np.asarray(x, dtype=float)
         return float(0.5 * (x @ (self.Q @ x)) + self.c @ x)
 
+    def with_objective(self, q_diag, c) -> "ConvexProgram":
+        """This program with Q = diag(q_diag) and cost c, and the same
+        constraints. When this program splits for the Schur backend, the
+        twin shares its constraint analysis (the split and the row layout
+        of `_SchurBackend`), so a family of programs that differ only in
+        a diagonal Q and c is analysed once."""
+        q_diag = np.asarray(q_diag, dtype=float).ravel()
+        c = np.asarray(c, dtype=float).ravel()
+        if q_diag.shape != (self.n,) or c.shape != (self.n,):
+            raise ValueError("q_diag and c must have length n")
+        if not (np.all(np.isfinite(q_diag)) and np.all(np.isfinite(c))):
+            raise ValueError("q_diag and c must be finite")
+        split, backend, _ = _structure(self)
+        twin = copy.copy(self)
+        twin.Q, twin.c = sp.diags(q_diag, format="csr"), c
+        del twin._backend_cache
+        if split is not None:
+            twin._backend_cache = (split, _SchurBackend(twin, split, like=backend),
+                                   _free_columns(twin))
+        return twin
+
 
 class SolverStatus(enum.Enum):
     OPTIMAL = "optimal"
@@ -230,30 +257,41 @@ class _SchurBackend:
     gather, `np.bincount` or dense matmul, and the (P+1)-sized Schur
     complement is factored and solved by direct LAPACK calls (dpotrf and
     dpotrs, the routines behind scipy's cho_factor and cho_solve).
+
+    Everything but Q's diagonal depends on the constraint rows only; a
+    backend built `like` another one, of a program with the same rows,
+    shares those arrays.
     """
 
-    def __init__(self, p: ConvexProgram, split):
+    _ROW_LAYOUT = ("s_idx", "r_idx", "n", "n_s", "scol", "scoef", "scoef2", "col_of_row",
+                   "A_r", "A_rT", "sr_index", "sr_size", "dy")
+
+    def __init__(self, p: ConvexProgram, split, like=None):
         s_idx, r_idx = split
-        self.s_idx, self.r_idx = s_idx, r_idx
-        self.n, self.n_s, n_r = p.n, s_idx.size, r_idx.size
-        A = p.A_ineq.tocsc()
-        a_s = A[:, s_idx].tocoo()
-        a_s.sum_duplicates()
-        self.scol = np.zeros(p.m, dtype=np.intp)
-        self.scoef = np.zeros(p.m)
-        self.scol[a_s.row] = a_s.col
-        self.scoef[a_s.row] = a_s.data
-        self.scoef2 = self.scoef * self.scoef
-        self.col_of_row = s_idx[self.scol]  # A_s x = scoef * x[col_of_row]
-        self.A_r = A[:, r_idx].toarray()
-        self.A_rT = np.ascontiguousarray(self.A_r.T)
-        # flat (S position, r column) index of every A_r entry, for M_sr
-        self.sr_index = (self.scol[:, None] * n_r + np.arange(n_r)).ravel()
-        self.sr_size = self.n_s * n_r
+        if like is not None:
+            for name in self._ROW_LAYOUT:
+                setattr(self, name, getattr(like, name))
+        else:
+            self.s_idx, self.r_idx = s_idx, r_idx
+            self.n, self.n_s, n_r = p.n, s_idx.size, r_idx.size
+            A = p.A_ineq.tocsc()
+            a_s = A[:, s_idx].tocoo()
+            a_s.sum_duplicates()
+            self.scol = np.zeros(p.m, dtype=np.intp)
+            self.scoef = np.zeros(p.m)
+            self.scol[a_s.row] = a_s.col
+            self.scoef[a_s.row] = a_s.data
+            self.scoef2 = self.scoef * self.scoef
+            self.col_of_row = s_idx[self.scol]  # A_s x = scoef * x[col_of_row]
+            self.A_r = A[:, r_idx].toarray()
+            self.A_rT = np.ascontiguousarray(self.A_r.T)
+            # flat (S position, r column) index of every A_r entry, for M_sr
+            self.sr_index = (self.scol[:, None] * n_r + np.arange(n_r)).ravel()
+            self.sr_size = self.n_s * n_r
+            self.dy = np.zeros(0)  # no equality rows
         self.qdiag = p.Q.diagonal()
         self.q_s = self.qdiag[s_idx]
         self.h_diag = np.diag(self.qdiag[r_idx] + REGULARIZATION)
-        self.dy = np.zeros(0)  # no equality rows
 
     def a_dot(self, x: np.ndarray) -> np.ndarray:
         return self.scoef * x[self.col_of_row] + self.A_r @ x[self.r_idx]
@@ -379,19 +417,23 @@ def _max_step(s: np.ndarray, ds: np.ndarray, z: np.ndarray, dz: np.ndarray) -> f
     return -float((v[neg] / dv[neg]).max(initial=-np.inf))
 
 
+def _free_columns(p: ConvexProgram):
+    """The columns that no row touches and Q leaves flat."""
+    return np.flatnonzero((p.A_ineq.getnnz(axis=0) == 0) & (p.A_eq.getnnz(axis=0) == 0)
+                          & (p.Q.diagonal() == 0.0))
+
+
 def _structure(p: ConvexProgram):
     """(split, backend, free columns) of a program, built on first use.
 
     Constraint structure is immutable after the first solve (only c may be
     swapped between repeated solves), so the backend can be reused, and so
-    can the columns that no row touches and Q leaves flat."""
+    can the free columns."""
     cached = getattr(p, "_backend_cache", None)
     if cached is None:
         split = _schur_split(p)
         backend = _SchurBackend(p, split) if split else _SparseBackend(p)
-        free = np.flatnonzero((p.A_ineq.getnnz(axis=0) == 0) & (p.A_eq.getnnz(axis=0) == 0)
-                              & (p.Q.diagonal() == 0.0))
-        cached = p._backend_cache = (split, backend, free)
+        cached = p._backend_cache = (split, backend, _free_columns(p))
     return cached
 
 
@@ -579,7 +621,8 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
 
 
 class _Stack:
-    """The programs `solve_stack` is still iterating on, laid end to end.
+    """The programs of a `ProgramStack` that split for the Schur backend,
+    laid end to end.
 
     Row arrays concatenate every program's inequality rows, S arrays their
     eliminated columns; program arrays hold one value, or one row of the r
@@ -589,13 +632,22 @@ class _Stack:
     blocks are held per program and zero-padded to the longest program and
     the widest remainder: A_r as (K, M, r), M_sr as (K, N_s, r), so each
     product with them is one batched matmul; `row_at` and `s_at` are the
-    flat positions of every row and every S column in that padding. A
+    flat positions of every row and every S column in that padding, in
+    increasing order, and `row_mask` and `s_mask` mark them. A
     padded remainder column, with zero cost and iterate, gets only
     REGULARIZATION on the Schur diagonal and a zero right-hand side, so
     its Newton step is exactly 0. A_s' W A_r goes through a CSR matrix
     whose pattern is fixed while the stack is. As in `_SchurBackend`,
     memory per iteration grows with rows x r. The layout of each program
-    is its `_SchurBackend`, built once per program and reused."""
+    is its `_SchurBackend`, built once per program and reused.
+
+    The layout is built once per stack. Each solve re-reads the costs and
+    sets the starting points (`start`), then iterates every program
+    together. A program that exits stays in its slot, masked: its Schur
+    complement is replaced by the identity and its iterate stands still.
+    Once at least half of the stack has left, the solve goes on over a
+    compacted copy (`subset`); the stack itself keeps every program for
+    the next solve."""
 
     _ROWS = ("scol_local", "scoef", "scoef2", "b", "s", "z")
     _COLS = ("q_s", "c_s", "x_s")
@@ -615,23 +667,22 @@ class _Stack:
         self.scoef = np.concatenate([b.scoef for b in lay])
         self.scoef2 = np.concatenate([b.scoef2 for b in lay])
         self.a_r = np.zeros((len(lay), self.m_max, r))
-        self.q_r, self.c_r = np.zeros((len(lay), r)), np.zeros((len(lay), r))
-        for k, (p, b) in enumerate(zip(self.programs, lay)):
+        self.q_r = np.zeros((len(lay), r))
+        for k, b in enumerate(lay):
             self.a_r[k, :b.scol.size, :b.r_idx.size] = b.A_r
             self.q_r[k, :b.r_idx.size] = b.qdiag[b.r_idx]
-            self.c_r[k, :b.r_idx.size] = p.c[b.r_idx]
         self.a_rT = np.ascontiguousarray(self.a_r.transpose(0, 2, 1))
         self.b = np.concatenate([p.b_ineq for p in self.programs])
         self.q_s = np.concatenate([b.q_s for b in lay])
-        self.c_s = np.concatenate([p.c[b.s_idx] for p, b in zip(self.programs, lay)])
+        # where `gather` finds each S and remainder column among every
+        # program's columns laid end to end, and each remainder column's
+        # slot in the (K, r) padding
+        first = np.cumsum([0] + [b.n for b in lay[:-1]])
+        self.s_from = np.concatenate([f + b.s_idx for f, b in zip(first, lay)])
+        self.r_from = np.concatenate([f + b.r_idx for f, b in zip(first, lay)])
+        self.r_at = np.concatenate([k * r + np.arange(b.r_idx.size) for k, b in enumerate(lay)])
         self._index()
         self.scale_b = 1.0 + np.maximum.reduceat(np.abs(self.b), self.row_start)
-        self.scale_c = 1.0 + np.maximum(np.maximum.reduceat(np.abs(self.c_s), self.s_start),
-                                        np.abs(self.c_r).max(axis=1, initial=0.0))
-        self.obj_floor = -UNBOUNDED_OBJECTIVE * self.scale_b * self.scale_c
-        self.stall = np.zeros(self.K, dtype=int)
-        self.done = np.zeros(self.K, dtype=bool)
-        self.failed = np.zeros(self.K, dtype=bool)
 
     def _index(self):
         self.K = self.m.size
@@ -644,6 +695,10 @@ class _Stack:
         self.row_at = (self.rowprog * self.m_max + np.arange(self.rowprog.size)
                        - self.row_start[self.rowprog])
         self.s_at = self.sprog * self.s_max + np.arange(self.n_cols) - self.s_start[self.sprog]
+        self.row_mask = np.zeros(self.K * self.m_max, dtype=bool)
+        self.row_mask[self.row_at] = True
+        self.s_mask = np.zeros(self.K * self.s_max, dtype=bool)
+        self.s_mask[self.s_at] = True
         # A_s' in the padded positions: one row per S column, one entry per
         # row that touches it; factor() fills in the entries scoef * w
         touching = np.flatnonzero(self.scoef)
@@ -655,45 +710,63 @@ class _Stack:
         self.a_sT = sp.csr_matrix((self.s_coef, self.row_at[self.s_rows], indptr),
                                   shape=(self.K * self.s_max, self.K * self.m_max))
 
-    def keep(self, keep):
-        """Drop the programs where `keep` is False; returns the row and the
-        S-column masks, for arrays the caller holds."""
+    def subset(self, keep):
+        """A copy holding the programs where `keep` is True, with their
+        state, for the rest of one solve (it is never started)."""
+        sub = copy.copy(self)
         rows, cols = keep[self.rowprog], keep[self.sprog]
         for names, mask in ((self._ROWS, rows), (self._COLS, cols), (self._PROGS, keep)):
             for name in names:
-                setattr(self, name, getattr(self, name)[mask])
-        self.programs = [p for p, k in zip(self.programs, keep) if k]
-        self.layout = [b for b, k in zip(self.layout, keep) if k]
-        self._index()
-        return rows, cols
+                setattr(sub, name, getattr(self, name)[mask])
+        sub.programs = [p for p, k in zip(self.programs, keep) if k]
+        sub.layout = [b for b, k in zip(self.layout, keep) if k]
+        sub._index()
+        return sub
+
+    def gather(self, v):
+        """Split a vector over every program's columns, laid end to end,
+        into its S part and its (K, r) padded remainder."""
+        v_r = np.zeros(self.K * self.r)
+        v_r[self.r_at] = v[self.r_from]
+        return v[self.s_from], v_r.reshape(self.K, self.r)
 
     def start(self, warms):
-        """Each program's starting point, as `_ip_loop` picks it: the
-        re-centred warm point when its warm start fits, else `_cold_start`
-        on the program's own backend. A program whose cold start fails to
-        factor is marked failed, for `solve` to redo alone."""
+        """Read every program's cost and set its starting point, as
+        `_ip_loop` picks it: the re-centred warm point when its warm start
+        fits, else `_cold_start` on the program's own backend. A program
+        whose cost pulls on a free column, or whose cold start fails to
+        factor, is marked failed, for `solve` to redo alone."""
+        self.c_s, self.c_r = self.gather(np.concatenate([p.c for p in self.programs]))
+        self.scale_c = 1.0 + np.maximum(np.maximum.reduceat(np.abs(self.c_s), self.s_start),
+                                        np.abs(self.c_r).max(axis=1, initial=0.0))
+        self.obj_floor = -UNBOUNDED_OBJECTIVE * self.scale_b * self.scale_c
+        self.stall = np.zeros(self.K, dtype=int)
+        self.done = np.zeros(self.K, dtype=bool)
+        self.failed = np.array([_free_cost(p, _structure(p)[2]) is not None
+                                for p in self.programs])
         self.warm = np.array([_warm_fits(w, p) for w, p in zip(warms, self.programs)])
-        x_s, x_r = np.zeros(self.n_cols), np.zeros((self.K, self.r))
+        x = []
         s, z = np.ones(self.b.size), np.ones(self.b.size)
         for k, (p, lay) in enumerate(zip(self.programs, self.layout)):
             rows = slice(self.row_start[k], self.row_start[k] + self.m[k])
             if self.warm[k]:
-                x = np.asarray(warms[k][0], dtype=float)
+                x.append(np.asarray(warms[k][0], dtype=float))
                 z[rows] = warms[k][1]
-            else:
+                continue
+            if not self.failed[k]:
                 try:
-                    x, _, s[rows], z[rows] = _cold_start(p, _structure(p)[1])
+                    x_k, _, s[rows], z[rows] = _cold_start(p, lay)
+                    x.append(x_k)
+                    continue
                 except np.linalg.LinAlgError:
                     self.failed[k] = True
-                    continue
-            x_s[self.s_start[k]:self.s_start[k] + self.n_s[k]] = x[lay.s_idx]
-            x_r[k, :lay.r_idx.size] = x[lay.r_idx]
-        self.x_s, self.x_r = x_s, x_r
+            x.append(np.zeros(lay.n))
+        self.x_s, self.x_r = self.gather(np.concatenate(x))
         # re-centre the warm points at a moderate complementarity level
         warm = self.warm[self.rowprog]
         lift = np.sqrt(1e-4 * self.scale_b * self.scale_c)[self.rowprog]
         self.z = np.where(warm, np.maximum(z, lift), z)
-        self.s = np.where(warm, np.maximum(self.b - self.a_dot(x_s, x_r), lift), s)
+        self.s = np.where(warm, np.maximum(self.b - self.a_dot(self.x_s, self.x_r), lift), s)
         self.mu0 = self.row_sum(self.s * self.z) / self.m
 
     def row_sum(self, v):
@@ -704,10 +777,11 @@ class _Stack:
         return np.maximum(np.maximum.reduceat(np.abs(v_s), self.s_start),
                           np.abs(v_r).max(axis=1, initial=0.0))
 
-    def pad(self, v, at, width, fill=0.0):
-        """A row or S-column vector in the (K, width) padding."""
+    def pad(self, v, mask, width, fill=0.0):
+        """A row or S-column vector in the (K, width) padding, whose slots
+        `mask` marks (`row_mask` or `s_mask`)."""
         out = np.full(self.K * width, fill)
-        out[at] = v
+        out[mask] = v
         return out.reshape(self.K, width)
 
     def r_dot(self, x_r):
@@ -719,23 +793,26 @@ class _Stack:
 
     def at_dot(self, z):
         return (np.bincount(self.scol, self.scoef * z, minlength=self.n_cols),
-                (self.pad(z, self.row_at, self.m_max)[:, None, :] @ self.a_r)[:, 0])
+                (self.pad(z, self.row_mask, self.m_max)[:, None, :] @ self.a_r)[:, 0])
 
     def factor(self, w):
         """Form every program's Schur complement, as `_SchurBackend.factor`
         does for one, and test it with one batched Cholesky; `newton`
-        solves with the complements in one batched call. Returns the mask
-        of programs whose complement is not positive definite; it is
-        replaced by the identity, so their next direction is meaningless."""
+        solves with the complements in one batched call. The complement of
+        a program that has left is the identity. Returns the mask of
+        programs whose complement is not positive definite; it is replaced
+        by the identity too, so their next direction is meaningless."""
         self.w = w
         self.d_s = self.q_s + np.bincount(self.scol, self.scoef2 * w,
                                           minlength=self.n_cols) + REGULARIZATION
         self.a_sT.data = self.s_coef * w[self.s_rows]
-        self.m_sr = (self.a_sT @ self.a_r.reshape(-1, self.r)).reshape(self.K, self.s_max, self.r)
-        h = self.a_rT @ (self.a_r * self.pad(w, self.row_at, self.m_max)[:, :, None])
+        self.m_sr = (self.a_sT @ self.a_r.reshape(self.K * self.m_max, self.r)
+                     ).reshape(self.K, self.s_max, self.r)
+        h = self.a_rT @ (self.a_r * self.pad(w, self.row_mask, self.m_max)[:, :, None])
         h[:, np.arange(self.r), np.arange(self.r)] += self.q_r + REGULARIZATION
-        m_d = self.m_sr / self.pad(self.d_s, self.s_at, self.s_max, 1.0)[:, :, None]
+        m_d = self.m_sr / self.pad(self.d_s, self.s_mask, self.s_max, 1.0)[:, :, None]
         h -= np.ascontiguousarray(self.m_sr.transpose(0, 2, 1)) @ m_d
+        h[self.done | self.failed] = np.eye(self.r)
         bad = np.zeros(self.K, dtype=bool)
         try:
             np.linalg.cholesky(h)
@@ -750,22 +827,38 @@ class _Stack:
         return bad
 
     def newton(self, rhs_s, rhs_r, g):
-        """`_SchurBackend.solve` for every program: (dx_s, dx_r, dz)."""
+        """`_SchurBackend.solve` for every program: (dx_s, dx_r, dz). A
+        complement that passed the Cholesky test but is singular to the
+        LU solve marks its program failed and is replaced by the identity,
+        so that program's direction is meaningless."""
         wg = self.w * g
         b_s = rhs_s + np.bincount(self.scol, self.scoef * wg, minlength=self.n_cols)
-        b_sd = self.pad(b_s / self.d_s, self.s_at, self.s_max)
-        b_r = (rhs_r + (self.pad(wg, self.row_at, self.m_max)[:, None, :] @ self.a_r)[:, 0]
-               - (b_sd[:, None, :] @ self.m_sr)[:, 0])
-        dx_r = np.linalg.solve(self.h, b_r[:, :, None])[:, :, 0]
+        b_sd = self.pad(b_s / self.d_s, self.s_mask, self.s_max)
+        b_r = (rhs_r + (self.pad(wg, self.row_mask, self.m_max)[:, None, :] @ self.a_r)[:, 0]
+               - (b_sd[:, None, :] @ self.m_sr)[:, 0])[:, :, None]
+        try:
+            dx_r = np.linalg.solve(self.h, b_r)[:, :, 0]
+        except np.linalg.LinAlgError:
+            for k in range(self.K):
+                try:
+                    np.linalg.solve(self.h[k], b_r[k])
+                except np.linalg.LinAlgError:
+                    self.failed[k] = True
+                    self.h[k] = np.eye(self.r)
+            dx_r = np.linalg.solve(self.h, b_r)[:, :, 0]
         dx_s = (b_s - (self.m_sr @ dx_r[:, :, None]).ravel()[self.s_at]) / self.d_s
         dz = self.w * (self.scoef * dx_s[self.scol] + self.r_dot(dx_r) - g)
         return dx_s, dx_r, dz
 
     def max_step(self, ds, dz):
-        """`_max_step` per program."""
-        to_s = np.divide(-self.s, ds, out=np.full(ds.size, np.inf), where=ds < 0)
-        to_z = np.divide(-self.z, dz, out=np.full(dz.size, np.inf), where=dz < 0)
-        return np.minimum.reduceat(np.minimum(to_s, to_z), self.row_start)
+        """`_max_step` per program. Read as unsigned integers, nonnegative
+        doubles keep their order, and the ratio of a component that does
+        not decrease (negative, or NaN) sorts above +inf; so one integer
+        minimum per program finds the nearest boundary without a masked
+        division, and a program with none gets +inf."""
+        ratios = np.minimum((-self.s / ds).view(np.uint64), (-self.z / dz).view(np.uint64))
+        bits = np.minimum.reduceat(ratios, self.row_start)
+        return np.where(bits <= _INF_BITS, bits.view(np.float64), np.inf)
 
     def finish(self, out, k, obj, status, kkt, iterations, message):
         """Record program k's solution at the current iterate."""
@@ -781,44 +874,60 @@ class _Stack:
         self.done[k] = True
 
 
-def solve_stack(programs, warms) -> list:
-    """Solve many programs in one interior-point loop; one SolverSolution
-    per program, in order.
+class ProgramStack:
+    """A fixed list of programs solved together, as often as needed, with
+    only their costs c changing between solves (the structure contract of
+    `solve`): every client QP of an ADMM cross-validation, round after
+    round.
 
-    Each program takes `solve`'s path: the same starting point from its
-    entry of `warms` (an (x0, z0) pair or None), the same exits and
-    messages, and its own mu, step lengths and residuals. Every program
-    that splits for the Schur backend (see `_schur_split`) joins one
-    stack, whatever the width of its dense remainder; one iteration covers
-    the whole stack: rows and S columns laid end to end, segment
-    reductions per program, and batched matmuls, Cholesky tests and solves
-    over the (r, r) Schur complements; a program leaves the stack when it
-    exits. A program that does not split, or whose cost pulls on a free
-    column, goes to `solve`, and so does one whose complement loses
-    positive definiteness in the stack: `solve` redoes it alone and may
-    move it to the sparse backend.
-
-    The products are summed in another order than `solve` sums them, so
-    a solution agrees with `solve`'s to roundoff, not bit for bit; an
-    iterate that ends within roundoff of a tolerance may also exit one
-    iteration apart. `solve` stays the faster path for one program.
+    Every program that splits for the Schur backend (see `_schur_split`)
+    joins one `_Stack`, whatever the width of its dense remainder, laid
+    out once here. One iteration covers the whole stack: rows and S
+    columns laid end to end, segment reductions per program, and batched
+    matmuls, Cholesky tests and solves over the (r, r) Schur complements.
+    A program that does not split, or whose cost pulls on a free column,
+    goes to `solve`, and so does one whose complement loses positive
+    definiteness, or turns out singular, in the stack: `solve` redoes it
+    alone and may move it to the sparse backend.
     """
-    cfg = SolverConfig()
-    programs, warms = list(programs), list(warms)
-    if len(warms) != len(programs):
-        raise ValueError(f"{len(programs)} programs but {len(warms)} warm starts")
-    out = [None] * len(programs)
-    ids = [i for i, (split, _, free) in enumerate(map(_structure, programs))
-           if split is not None and _free_cost(programs[i], free) is None]
-    if ids:
-        st = _Stack(programs, ids)
-        # a program heading for a divergence exit may overflow on the way;
-        # its own exits report that, and it cannot touch the other segments
-        with np.errstate(all="ignore"):
-            st.start([warms[i] for i in ids])
-            _stack_loop(st, cfg, out)
-    return [solve(p, warm=warm) if sol is None else sol
-            for sol, p, warm in zip(out, programs, warms)]
+
+    def __init__(self, programs):
+        self.programs = list(programs)
+        ids = [i for i, p in enumerate(self.programs) if _structure(p)[0] is not None]
+        self.stack = _Stack(self.programs, ids) if ids else None
+
+    def solve(self, warms) -> list:
+        """One SolverSolution per program, in order. Each program takes
+        `solve`'s path: the same starting point from its entry of `warms`
+        (an (x0, z0) pair or None), the same exits and messages, and its
+        own mu, step lengths and residuals.
+
+        The products are summed in another order than `solve` sums them,
+        so a solution agrees with `solve`'s to roundoff, not bit for bit;
+        an iterate that ends within roundoff of a tolerance may also exit
+        one iteration apart. Masking a program that has left changes no
+        byte of the others' solutions."""
+        warms = list(warms)
+        if len(warms) != len(self.programs):
+            raise ValueError(f"{len(self.programs)} programs but {len(warms)} warm starts")
+        out = [None] * len(self.programs)
+        if self.stack is not None:
+            # a program heading for a divergence exit may overflow on the
+            # way; its own exits report that, and it cannot touch the other
+            # segments
+            with np.errstate(all="ignore"):
+                self.stack.start([warms[i] for i in self.stack.ids])
+                _stack_loop(self.stack, SolverConfig(), out)
+        return [solve(p, warm=warm) if sol is None else sol
+                for sol, p, warm in zip(out, self.programs, warms)]
+
+
+def solve_stack(programs, warms) -> list:
+    """Solve many programs in one interior-point loop, once: one
+    SolverSolution per program, in order (see `ProgramStack.solve`). It
+    pays off when many programs are solved together; `solve` stays the
+    faster path for one program."""
+    return ProgramStack(programs).solve(warms)
 
 
 def _stack_loop(st: _Stack, cfg: SolverConfig, out):
@@ -864,17 +973,19 @@ def _stack_loop(st: _Stack, cfg: SolverConfig, out):
                       _FALLING.format(obj=obj[k], x_max=x_max[k]))
         for k in np.flatnonzero(stalled):
             st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1, _STALLED)
-        leave = st.done | st.failed
-        if leave.any():
-            keep = ~leave
-            rows, cols = st.keep(keep)
+        left = st.done | st.failed
+        if 2 * np.count_nonzero(left) >= st.K:
+            keep = ~left
+            if not keep.any():
+                return
+            rows, cols = keep[st.rowprog], keep[st.sprog]
+            st = st.subset(keep)
             r_d_s, r_p = r_d_s[cols], r_p[rows]
             r_d_r, mu, gap_rel = r_d_r[keep], mu[keep], gap_rel[keep]
             obj, kkt = obj[keep], kkt[keep]
             for j, past in enumerate(trail):
                 trail[j] = past[keep]
-        if st.K == 0:
-            return
+            left = left[keep]
 
         st.failed |= st.factor(st.z / st.s)
         minus_r_d_s, minus_r_d_r, sz = -r_d_s, -r_d_r, st.s * st.z
@@ -893,9 +1004,10 @@ def _stack_loop(st: _Stack, cfg: SolverConfig, out):
         ds = (rc - st.s * dz) / st.z
 
         eta = np.where(gap_rel < 1e-3, 0.99995, 0.995)
-        alpha = np.minimum(1.0, eta * st.max_step(ds, dz))
+        # a program that has left stands still
+        alpha = np.where(left, 0.0, np.minimum(1.0, eta * st.max_step(ds, dz)))
         st.stall = np.where(alpha < 1e-10, st.stall + 1, 0)
-        for k in np.flatnonzero((st.stall >= 3) & ~st.failed):
+        for k in np.flatnonzero((st.stall >= 3) & ~(st.done | st.failed)):
             st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it, _COLLAPSED)
         st.x_s = st.x_s + alpha[st.sprog] * dx_s
         st.x_r = st.x_r + alpha[:, None] * dx_r

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fedrosvm import baselines
 from fedrosvm.baselines import (
     CentralDrConfig,
     FedBaselineConfig,
@@ -306,6 +307,29 @@ def test_one_run_view_equals_the_reference_loop():
     ref = reference_run(shards, cfg, 3)
     assert np.array_equal(one_run(shards, cfg, 3), ref)
     assert np.array_equal(model.w, ref[-1])
+
+
+def test_minibatch_calls_per_round_do_not_grow_with_clients(monkeypatch):
+    # shards of 20 rows at batch_fraction 0.2 take five batches of 4 rows
+    # per epoch, so every (fold, client) pair steps in one group
+    real = baselines._minibatch_step
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(baselines, "_minibatch_step", counting)
+    cfg = FedBaselineConfig(variant=FedVariant.FEDAVG, T=3, local_epochs=2,
+                            batch_fraction=0.2)
+    per_round = {}
+    for G in (2, 4):
+        folds = [[make_data(10 * f + g, 20, 2) for g in range(G)] for f in range(3)]
+        calls.clear()
+        train_fed_l2_stack(folds, cfg, 0, [0.1, 1.0])
+        per_round[G] = len(calls) / cfg.T
+        assert set(calls) == {3 * G}
+    assert per_round[2] == per_round[4] == 2 * 5
 
 
 @pytest.mark.parametrize("gamma0", [0.0, -0.1, np.inf, np.nan])

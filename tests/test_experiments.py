@@ -421,16 +421,19 @@ def test_lockstep_stacks_ragged_remainder_widths_together(monkeypatch):
     blank[:, 0] = 0.0
     shards[1] = DatasetView(X=blank, y=shards[1].y)
     folds = [[s.subset(np.arange(k, s.n, 2)) for s in shards] for k in range(2)]
-    widths = []
+    stacks, widths = [], []
     real_start = solver._Stack.start
 
     def record(st, warms):
+        stacks.append(st)
         widths.append(sorted({b.r_idx.size for b in st.layout}))
         return real_start(st, warms)
 
     monkeypatch.setattr(solver._Stack, "start", record)
     assert_lockstep_matches_one_federation_per_run(cfg, grid_points(cfg.grid), folds, [2, 5], 4)
-    # one stack per round, holding both widths
+    # one stack for the whole cross-validation, holding both widths and
+    # started once a round
+    assert all(st is stacks[0] for st in stacks)
     assert widths == [[3, 4]] * 5
 
 

@@ -589,6 +589,94 @@ class TestSolveStack:
         with pytest.raises(ValueError, match="2 programs but 1 warm"):
             solver.solve_stack(stack_group(15, NormKind.L1, 2, 2), [None])
 
+    def test_a_stack_without_remainder_columns_solves_as_solve_does(self):
+        # the split puts the one column in S, so no program in the stack
+        # has a dense remainder
+        p = ConvexProgram(n=1, Q=[[1.0]], c=[1.0], A_ineq=[[-1.0]], b_ineq=[0.0])
+        assert solver._structure(p)[0][1].size == 0
+        alone = solve(p)
+        assert alone.status is SolverStatus.OPTIMAL
+        assert_same_solutions(solver.solve_stack([p, p], [None, None]), [alone, alone])
+
+    def test_a_singular_complement_is_resolved_alone(self, monkeypatch):
+        # program 1's complement passes the Cholesky test at the first
+        # factorization but is singular to the LU solve
+        progs = stack_group(14, NormKind.L1, 2, 4)
+        clean = solver.solve_stack(progs, [None] * 4)
+        real = solver._Stack.factor
+        calls = []
+
+        def singular_once(st, w):
+            bad = real(st, w)
+            if not calls:
+                st.h[1] = 0.0
+            calls.append(st.ids.tolist())
+            return bad
+
+        monkeypatch.setattr(solver._Stack, "factor", singular_once)
+        stacked = solver.solve_stack(progs, [None] * 4)
+        assert len(calls) > 1
+        assert_bitwise_equal(stacked[1], solve(progs[1]))
+        for i in (0, 2, 3):
+            assert_bitwise_equal(stacked[i], clean[i])
+
+    def test_masking_a_program_that_left_moves_no_byte_of_the_rest(self, monkeypatch):
+        # cold, program 3 runs the longest; warm-started at its own optimum
+        # it leaves first and stays in the stack, masked, while the others
+        # iterate on
+        progs = stack_group(31, NormKind.L1, 2, 5)
+        cold = solver.solve_stack(progs, [None] * 5)
+        assert max(range(5), key=lambda i: cold[i].iterations) == 3
+        real = solver._Stack.factor
+        masked = []
+
+        def record(st, w):
+            masked.append(st.K == 5 and bool(st.done[3]))
+            return real(st, w)
+
+        monkeypatch.setattr(solver._Stack, "factor", record)
+        warms = [None, None, None, (cold[3].x_star, cold[3].z_star), None]
+        early = solver.solve_stack(progs, warms)
+        assert early[3].status is SolverStatus.OPTIMAL
+        assert early[3].iterations < min(s.iterations for s in cold)
+        assert any(masked)
+        for i in (0, 1, 2, 4):
+            assert_bitwise_equal(early[i], cold[i])
+
+    def test_a_program_stack_is_laid_out_once_and_solved_again(self, monkeypatch):
+        progs = stack_group(32, NormKind.L1, 2, 4)
+        stack = solver.ProgramStack(progs)
+        first = stack.solve([None] * 4)
+        for got, want in zip(first, solver.solve_stack(progs, [None] * 4)):
+            assert_bitwise_equal(got, want)
+        rng = np.random.default_rng(33)
+        warms = [(s.x_star, s.z_star) for s in first]
+        for p in progs:
+            p.c[:2] += 0.3 * rng.standard_normal(2)
+        expected = solver.solve_stack(progs, warms)
+        built = []
+        monkeypatch.setattr(solver._Stack, "__init__", lambda *args: built.append(args))
+        again = stack.solve(warms)
+        assert built == []
+        for got, want in zip(again, expected):
+            assert_bitwise_equal(got, want)
+
+
+def test_a_twin_with_another_objective_shares_the_analysis_and_solves_the_same():
+    rng = np.random.default_rng(34)
+    data = DatasetView(X=rng.random((30, 3)), y=np.where(rng.random(30) < 0.5, 1, -1))
+    cfg = ClientConfig(epsilon=0.05)
+    first = build_risk_epigraph_qp(data, cfg, rho=0.7, anchor=rng.standard_normal(3))
+    fresh = build_risk_epigraph_qp(data, cfg, rho=0.05, tau=0.3, anchor=rng.standard_normal(3))
+    twin = first.with_objective(fresh.Q.diagonal(), fresh.c)
+    split, backend, _ = solver._structure(twin)
+    assert split is solver._structure(first)[0]
+    assert backend.A_r is solver._structure(first)[1].A_r
+    assert backend.qdiag.tobytes() == fresh.Q.diagonal().tobytes()
+    assert_bitwise_equal(solve(twin), solve(fresh))
+    with pytest.raises(ValueError, match="length n"):
+        first.with_objective(fresh.Q.diagonal()[1:], fresh.c)
+
 
 class TestStackedExits:
     def test_every_exit_leaves_the_stack_as_solve_reports_it(self, monkeypatch):
