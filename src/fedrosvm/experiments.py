@@ -736,8 +736,11 @@ def load_model(path):
 
 
 def time_sm_round(n_total, G, p, runs, seed):
-    """Median wall time of a single SM round (LP solve + subgradient per
-    client, plus aggregation) on normalized synthetic data."""
+    """Median wall time of a single SM round on normalized synthetic data:
+    the clients' exact subgradients of the unbounded-support dual risk the
+    server reports (one closed-form pass over every in-process client, no
+    LP; the LP remains for reference and the demo), the aggregation and
+    the server's objective."""
     data = generate_synthetic(SyntheticSpec(N=n_total, P=p, G=G, seed=seed))
     stats = fit_minmax(data)
     data = apply_minmax(data, stats)

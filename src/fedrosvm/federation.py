@@ -42,18 +42,22 @@ from enum import Enum
 import numpy as np
 
 from .core import GlobalModel
-from .robust import (
+
+# build_sm_lp, extract_worst_case, sm_subgradient, worst_case_risk_dual and
+# solve are imported for perfbench/tracing.py, which rebinds them here to
+# span them; no round calls them
+from .robust import (  # noqa: F401
     ClientModel,
+    WorstCaseDual,
     admm_client_step,
     admm_multiplier_update,
     build_sm_lp,
     extract_worst_case,
     multiplier_step,
-    sm_lp_cost,
     sm_subgradient,
     worst_case_risk_dual,
 )
-from .solver import SolverStatus, solve
+from .solver import solve  # noqa: F401
 from .wire import (
     AdmmResult,
     ProtocolError,
@@ -199,13 +203,14 @@ def warn_above_rho_cap(cfg):
             )
 
 
-def global_objective(w, client_data, client_cfgs):
+def global_objective(w, client_data, client_cfgs, dual=None):
     """Mixture objective sum alpha_g * worst-case risk of client g at w,
-    evaluated through the exact dual."""
-    total = 0.0
-    for data, cfg in zip(client_data, client_cfgs):
-        total += cfg.alpha * worst_case_risk_dual(w, data, cfg)[0]
-    return total
+    evaluated through the exact dual. `dual`, a `robust.WorstCaseDual`
+    over the same clients, saves building one (`run_federation` keeps one
+    for the whole run)."""
+    if dual is None:
+        dual = WorstCaseDual(zip(client_data, client_cfgs))
+    return dual.objective(w, [cfg.alpha for cfg in client_cfgs])
 
 
 # --------------------------------------------------------------- transports
@@ -378,37 +383,37 @@ class FederatedClient:
     program cache. Both transports drive the same object, one
     `RoundStart` in and one result out per round.
 
-    SM rounds: solve the worst-case LP at the received model, extract the
-    extremal distribution, reply with the subgradient. Only the LP's cost
-    depends on the model, so the LP is built on the first round and each
-    later round swaps in its cost (`sm_lp_cost`); the solver keeps its
-    assembled KKT matrix with it. ADMM rounds: fold the received model (the
-    previous round's aggregate) into the local multipliers, solve the
-    proximal QP (warm-started across rounds) and reply with w_g.
+    SM rounds: reply with the exact subgradient, at the received model, of
+    the worst-case risk over unbounded support, the risk the server
+    reports (`robust.WorstCaseDual`, in closed form; no LP is solved).
+    `dual` is a `WorstCaseDual` whose row `row` is this client; the
+    in-process transport gives all its clients one, which computes every
+    row once per model, and by default the client builds its own of one
+    client. Either way the reply has the same bytes. Every round refuses a
+    model that is not a finite vector of the data's length and features
+    outside the unit box. ADMM rounds: fold the
+    received model (the previous round's aggregate) into the local
+    multipliers, solve the proximal QP (warm-started across rounds) and
+    reply with w_g.
     """
 
-    def __init__(self, g, data, cfg, algorithm):
+    def __init__(self, g, data, cfg, algorithm, dual=None, row=0):
         self.g = g
         self.data = data
         self.cfg = cfg
         self.algorithm = algorithm
         self.state = None
         self.cache = {}
-        if algorithm is not Algorithm.SM:
+        if algorithm is Algorithm.SM:
+            if dual is None:
+                dual, row = WorstCaseDual([(data, cfg)]), 0
+            self.dual, self.row = dual, row
+        else:
             self.state = ClientModel(w_g=np.zeros(data.p), mu_g=np.ones(data.p))
 
     def on_round_start(self, msg):
         if self.algorithm is Algorithm.SM:
-            lp = self.cache.get("program")
-            if lp is None:
-                lp = self.cache["program"] = build_sm_lp(msg.w, self.data, self.cfg)
-            else:
-                lp.c = sm_lp_cost(msg.w, self.data, self.cfg)
-            sol = solve(lp)
-            if sol.status is not SolverStatus.OPTIMAL:
-                raise RuntimeError(f"worst-case LP did not converge: {sol.message}")
-            dist = extract_worst_case(sol, self.data, self.cfg)
-            return SmResult(g=self.g, v=sm_subgradient(msg.w, dist))
+            return SmResult(g=self.g, v=self.dual.subgradient(msg.w, self.row))
         self.state = admm_multiplier_update(self.state, msg.w)
         self.state = admm_client_step(
             msg.w, self.state, self.data, self.cfg, cache=self.cache, client_id=self.g,
@@ -462,9 +467,14 @@ def run_federation(cfg, client_data, transport=None):
     w = np.zeros(p)
     warn_above_rho_cap(cfg)
 
+    objective_dual = WorstCaseDual(zip(client_data, cfg.clients))
     if transport is None:
+        # in-process SM clients read their rows off one stack
+        shared = None
+        if cfg.algorithm is Algorithm.SM:
+            shared = WorstCaseDual(zip(client_data, cfg.clients))
         transport = InProcessTransport(
-            FederatedClient(g, client_data[g], cfg.clients[g], cfg.algorithm)
+            FederatedClient(g, client_data[g], cfg.clients[g], cfg.algorithm, shared, g)
             for g in range(G)
         )
     expected = SmResult if cfg.algorithm is Algorithm.SM else AdmmResult
@@ -493,7 +503,7 @@ def run_federation(cfg, client_data, transport=None):
                     float(np.linalg.norm(iterates[g] - w)) for g in range(G)
                 )
                 server_mu = [multiplier_step(server_mu[g], iterates[g], w) for g in range(G)]
-            objective = global_objective(w, client_data, cfg.clients)
+            objective = global_objective(w, client_data, cfg.clients, objective_dual)
             traces.append(RoundTrace(
                 t=t, w_after=w.copy(), global_objective=objective,
                 consensus_residual=consensus,

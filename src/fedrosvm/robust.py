@@ -1,16 +1,21 @@
 """Client-side distributionally robust operations.
 
 Everything a participant computes against its own data lives here: the
-worst-case distribution LP over a Wasserstein ball (with label flips priced
-at kappa), extraction of the extremal distribution from the LP solution, the
-subgradient of the worst-case risk used by the subgradient-method (SM)
-rounds, the closed dual form of the worst-case risk used as the objective
-oracle, the proximal QP solved inside ADMM rounds (one body,
+worst-case hinge risk over a Wasserstein ball (with label flips priced at
+kappa) in closed form through its one-dimensional dual, with its minimizing
+multiplier and an exact subgradient (`WorstCaseDual`, one body for one client
+or many: the subgradient-method (SM) client step and the server's objective
+both read it), the proximal QP solved inside ADMM rounds (one body,
 `ProximalSteps`: a lone client step goes through `solve`, the steps of
 many clients through one `solver.ProgramStack`, laid out once and solved
 every round), and the practical radius rule.
 
-Conventions used throughout (and relied on by the tests):
+The dual is over unbounded support, so an SM reply is an exact subgradient
+of the risk the server reports. The worst-case distribution LP over the
+unit box (`build_sm_lp`, `extract_worst_case`, `sm_subgradient`) remains
+for reference and for the demo; no federation round solves it.
+
+Conventions of the LP (and relied on by the tests):
 
 * the adversary moves mass from the empirical point (x_i, y_i) to two atoms,
   one keeping the label and one flipping it;
@@ -30,7 +35,8 @@ active, which is the regime the duality tests sample from.
 
 The LP requires features in the unit box; the box constraints on q are what
 keep the atoms inside the support, so feeding unnormalized data would
-silently change the geometry. We refuse instead.
+silently change the geometry. We refuse instead, and an SM client refuses
+the same data in every round.
 """
 
 import logging
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import NormKind, dual_norm, hinge_losses
+from .core import NormKind, hinge_losses
 from .solver import ConvexProgram, ProgramStack, SolverStatus, solve
 
 log = logging.getLogger(__name__)
@@ -110,12 +116,25 @@ class ClientModel:
             raise ValueError("w_g and mu_g must have matching shapes")
 
 
-def _require_unit_box(X, tol=1e-9):
+UNIT_BOX_TOL = 1e-9
+
+
+def _require_unit_box(X, tol=UNIT_BOX_TOL):
     if X.size and (X.min() < -tol or X.max() > 1.0 + tol):
         raise ValueError(
             "features must lie in [0, 1]; normalize first "
             f"(observed range [{X.min():.4g}, {X.max():.4g}])"
         )
+
+
+def _check_model(w, p):
+    """w as a float vector, refused unless it is finite with length p."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (p,):
+        raise ValueError(f"w has shape {w.shape}, expected ({p},)")
+    if not np.isfinite(w).all():
+        raise ValueError(f"w must be finite, got {w}")
+    return w
 
 
 def _csr(entries, shape):
@@ -143,32 +162,11 @@ def _sm_lp_layout(N, P, norm):
     return n_aux, off_qp, off_qp + NP, off_qp + 2 * NP
 
 
-def sm_lp_cost(w, data, cfg):
-    """The cost vector of `build_sm_lp` at w, its only part that depends on
-    w: (beta+ - beta-) y<w,x> - y<w, q+ - q->, the negation of the
-    adversary's surrogate gain, averaged over N. Raises ValueError when w
-    is not a finite vector of length P."""
-    w = np.asarray(w, dtype=float)
-    X, y = data.X, data.y
-    N, P = data.n, data.p
-    if w.shape != (P,):
-        raise ValueError(f"w has shape {w.shape}, expected ({P},)")
-    if not np.isfinite(w).all():
-        raise ValueError(f"w must be finite, got {w}")
-    _, off_qp, off_qm, n = _sm_lp_layout(N, P, cfg.norm)
-    margins = y * (X @ w)  # y_i <w, x_i>
-    c = np.zeros(n)
-    c[:N] = margins / N
-    c[N:2 * N] = -margins / N
-    yw = (y[:, None] * w[None, :]).ravel()  # row-major (i, p) -> y_i w_p
-    c[off_qp:off_qm] = -yw / N
-    c[off_qm:] = yw / N
-    return c
-
-
 def build_sm_lp(w, data, cfg):
     """LP over adversary mass splits and transport vectors at fixed w,
-    whose maximizers define the worst-case distribution for an SM round.
+    whose maximizers define the worst-case distribution over the unit box:
+    the reference the closed form is checked against, and the demo's; SM
+    rounds read `WorstCaseDual` instead.
 
     Decision variables, in column order (N samples, P features):
 
@@ -195,19 +193,25 @@ def build_sm_lp(w, data, cfg):
 
     The program minimizes the negated adversary gain
     (1/N) sum_i [(beta+_i - beta-_i) y_i<w, x_i> - y_i<w, q+_i - q-_i>],
-    so the surrogate worst-case risk is 1 - solution.objective. Only this
-    cost depends on w (`sm_lp_cost`), so the LP of a later w is this one
-    with its c swapped. Solve with `solve` and feed the result to
-    `extract_worst_case`.
+    so the surrogate worst-case risk is 1 - solution.objective. Solve with
+    `solve` and feed the result to `extract_worst_case`. Raises ValueError
+    when w is not a finite vector of length P or X leaves the unit box.
     """
-    c = sm_lp_cost(w, data, cfg)
-    X = data.X
+    w = _check_model(w, data.p)
+    X, y = data.X, data.y
     N, P = data.n, data.p
     _require_unit_box(X)
 
     NP = N * P
     n_aux, off_qp, off_qm, n = _sm_lp_layout(N, P, cfg.norm)
     off_aux = 2 * N
+    margins = y * (X @ w)  # y_i <w, x_i>
+    c = np.zeros(n)
+    c[:N] = margins / N
+    c[N:2 * N] = -margins / N
+    yw = (y[:, None] * w[None, :]).ravel()  # row-major (i, p) -> y_i w_p
+    c[off_qp:off_qm] = -yw / N
+    c[off_qm:] = yw / N
 
     entries = [(0, off_aux + np.arange(n_aux), 1.0)]
     if cfg.kappa != 0.0:
@@ -353,33 +357,173 @@ def sm_subgradient(w, dist):
 
 
 def worst_case_risk_dual(w, data, cfg):
-    """Worst-case hinge risk at w through its dual form.
+    """Worst-case hinge risk at w through its dual form, and its minimizing
+    multiplier: (value, lam*), read off a `WorstCaseDual` of one client.
 
     The dual is min over lam >= dualnorm(w) of
     eps*lam + mean_i max(l_plus_i, l_minus_i - kappa*lam), where l_plus /
     l_minus are the hinge losses at the sample with its label kept /
-    flipped. The objective is piecewise linear in lam, so the minimum sits
-    at the dual-norm floor or at one of the crossing points
-    (l_minus_i - l_plus_i) / kappa; we evaluate all candidates exactly
-    rather than searching. Returns (value, argmin lam).
-
-    Assumes unbounded support, which upper-bounds the boxed primal; the two
-    agree whenever the extremal atoms stay interior with active hinges, and
-    the acceptance instances are drawn in that regime.
+    flipped. Assumes unbounded support, which upper-bounds the boxed
+    primal; the two agree whenever the extremal atoms stay interior with
+    active hinges, and the acceptance instances are drawn in that regime.
     """
-    w = np.asarray(w, dtype=float)
-    lam_floor = dual_norm(w, cfg.norm)
-    lp = hinge_losses(w, data.X, data.y)
-    lm = hinge_losses(w, data.X, -data.y)
-    if cfg.kappa == 0.0:
-        cands = np.array([lam_floor])
-    else:
-        cross = (lm - lp) / cfg.kappa
-        cands = np.unique(np.concatenate([[lam_floor], cross[cross > lam_floor]]))
-    inner = np.maximum(lp[None, :], lm[None, :] - cfg.kappa * cands[:, None])
-    vals = cfg.epsilon * cands + inner.mean(axis=1)
-    best = int(np.argmin(vals))
-    return float(vals[best]), float(cands[best])
+    point = WorstCaseDual([(data, cfg)]).at(w)
+    return float(point.risk[0]), float(point.lam[0])
+
+
+@dataclass(frozen=True)
+class DualPoint:
+    """`WorstCaseDual` at one w, one row per client: the worst-case risk,
+    its minimizing multiplier lam*, and a subgradient of the risk (None
+    when only the risk was asked for)."""
+
+    risk: np.ndarray  # (G,)
+    lam: np.ndarray  # (G,)
+    v: np.ndarray = None  # (G, P)
+
+
+class WorstCaseDual:
+    """The worst-case hinge risk of a fixed list of clients in closed form,
+    with lam* and an exact subgradient: the one body of the SM client step
+    (`subgradient`) and of the server's objective (`objective`).
+
+    `clients` holds one (data, cfg) per client. Per client, with margins
+    m_i = y_i<w, x_i>, l+_i = max(0, 1 - m_i), l-_i = max(0, 1 + m_i) and the
+    crossings c_i = (l-_i - l+_i) / kappa, the dual
+    phi(lam) = eps*lam + mean_i max(l+_i, l-_i - kappa*lam) falls until at
+    most K = floor(eps*n/kappa) crossings lie above lam, so
+    lam* = max(||w||_*, the (K+1)-th largest crossing). One lexsort over
+    (client, -crossing) finds every client's selection at once. With
+    kappa = 0 lam* is the floor and a sample is flipped iff l- > l+.
+
+    The subgradient is the w-part of a subgradient of the joint dual at
+    (w, lam*) whose lam-part vanishes. Samples with c_i > lam* are flipped
+    and add +y x where their flipped hinge is active; the rest are kept and
+    add -y x where their hinge is active; a hinge at its kink takes the
+    active endpoint, as `sm_subgradient` does. Off the floor the samples at
+    lam* (pinned) carry flipped weight (eps*n/kappa - #flipped) / #pinned,
+    which zeroes the lam-part. On the floor the pinned samples are kept and
+    (eps - kappa*#flipped/n)_+ times a subgradient of the dual norm is
+    added: the sign at the first peak coordinate for l1 transport, sign(w)
+    for l-infinity, 0 at w = 0.
+
+    Every step is local to a client's rows (margins as a sum over columns,
+    segment sums by `np.add.reduceat`, values picked from the one sort),
+    so a client's row has the same bytes in a stack of one and a stack of
+    many. The last point is kept and reused while the bytes of w stay the
+    same.
+    """
+
+    def __init__(self, clients):
+        self.clients = list(clients)
+        if not self.clients:
+            raise ValueError("at least one client is required")
+        dims = {data.p for data, _ in self.clients}
+        if len(dims) != 1:
+            raise ValueError(f"clients disagree on feature dimension: {sorted(dims)}")
+        self.p = dims.pop()
+        n = np.array([data.n for data, _ in self.clients])
+        if (n < 1).any():
+            raise ValueError("every client needs at least one sample")
+        self.counts = n
+        self.n = n.astype(float)
+        self.eps = eps = np.array([cfg.epsilon for _, cfg in self.clients])
+        self.kappa = kappa = np.array([cfg.kappa for _, cfg in self.clients])
+        self.starts = np.concatenate([[0], np.cumsum(n)[:-1]])
+        self.seg = np.repeat(np.arange(len(n)), n)
+        X = np.concatenate([data.X for data, _ in self.clients])
+        y = np.concatenate([data.y for data, _ in self.clients])
+        # y_i x_i, one row per feature: y = +-1, so every product below has
+        # the bytes it would have with y applied last
+        self.yx = np.ascontiguousarray((y[:, None] * X).T)
+        # the clients whose replies refuse their features for leaving the
+        # unit box, found for all at once here so that no round pays for it
+        self.outside_box = (
+            (np.minimum.reduceat(X, self.starts).min(axis=1, initial=0.0) < -UNIT_BOX_TOL)
+            | (np.maximum.reduceat(X, self.starts).max(axis=1, initial=0.0)
+               > 1.0 + UNIT_BOX_TOL))
+        self.kappa_rows = np.repeat(kappa, n)
+        self.priced = self.kappa_rows > 0.0
+        # eps*n/kappa, the flipped mass the budget buys (inf when flips are free)
+        self.budget = np.divide(eps * n, kappa, out=np.full(len(n), np.inf),
+                                where=kappa > 0.0)
+        k = np.floor(np.minimum(self.budget, n)).astype(int)
+        self.selects = k < n
+        # sorted position of the (K+1)-th largest crossing of each client that selects
+        self.picks = (self.starts + k)[self.selects]
+        self.linf = np.array([cfg.norm is NormKind.LINF for _, cfg in self.clients])
+        self._key = None
+        self._point = None
+
+    def at(self, w, subgradient=True):
+        """The `DualPoint` at w; with subgradient=False only its risk and
+        lam* are computed. Raises ValueError when w is not a finite vector
+        of length P."""
+        w = np.asarray(w, dtype=float)
+        key = w.tobytes()
+        if w.shape != (self.p,) or key != self._key or (subgradient and self._point.v is None):
+            self._point = self._evaluate(_check_model(w, self.p), subgradient)
+            self._key = key
+        return self._point
+
+    def subgradient(self, w, row):
+        """Client `row`'s SM reply at w, a copy of its row of `at(w).v`.
+        Raises ValueError, as the LP does, when the client's features leave
+        the unit box."""
+        v = self.at(w).v[row].copy()
+        if self.outside_box[row]:
+            _require_unit_box(self.clients[row][0].X)
+        return v
+
+    def objective(self, w, alphas):
+        """sum_g alphas[g] * risk_g(w), added in client order."""
+        total = 0.0
+        for alpha, risk in zip(alphas, self.at(w, subgradient=False).risk.tolist()):
+            total += alpha * risk
+        return total
+
+    def _evaluate(self, w, subgradient):
+        margins = self.yx[0] * w[0]
+        for p in range(1, self.p):
+            margins = margins + self.yx[p] * w[p]
+        kept_residual, flipped_residual = 1.0 - margins, 1.0 + margins
+        lp = np.maximum(0.0, kept_residual)
+        lm = np.maximum(0.0, flipped_residual)
+        diff = lm - lp
+        cross = np.divide(diff, self.kappa_rows, where=self.priced,
+                          out=np.where(diff > 0.0, np.inf, -np.inf))
+
+        aw = np.abs(w)  # the dual norm: sum for l-infinity transport, max for l1
+        floor = np.where(self.linf, aw.sum(), aw.max(initial=0.0))
+        picked = cross[np.lexsort((-cross, self.seg))[self.picks]]
+        lam = floor.copy()
+        lam[self.selects] = np.maximum(floor[self.selects], picked)
+        off = lam > floor
+        lam_rows = np.repeat(lam, self.counts)
+        risk = self.eps * lam + np.add.reduceat(
+            np.maximum(lp, lm - self.kappa_rows * lam_rows), self.starts) / self.n
+        if not subgradient:
+            return DualPoint(risk=risk, lam=lam)
+
+        flipped = cross > lam_rows
+        pinned = (cross == lam_rows) & np.repeat(off, self.counts)
+        n_flipped = np.add.reduceat(flipped, self.starts)
+        n_pinned = np.add.reduceat(pinned, self.starts)
+        share = np.divide(self.budget - n_flipped, n_pinned, out=np.zeros(len(lam)),
+                          where=off & (n_pinned > 0))
+        theta = np.where(pinned, np.repeat(share, self.counts), flipped)
+        kept_active = kept_residual >= -KINK_TOL
+        flipped_active = flipped_residual >= -KINK_TOL
+        coef = theta * flipped_active - (1.0 - theta) * kept_active
+        v = np.add.reduceat(self.yx * coef, self.starts, axis=1).T / self.n[:, None]
+
+        # on the floor, the multiplier of lam >= ||w||_* times a subgradient of it
+        nu = np.where(off, 0.0, np.maximum(self.eps - self.kappa * n_flipped / self.n, 0.0))
+        peak = np.zeros(self.p)
+        top = int(np.argmax(aw))
+        peak[top] = np.sign(w[top])
+        norm_sub = np.where(self.linf[:, None], np.sign(w)[None, :], peak[None, :])
+        return DualPoint(risk=risk, lam=lam, v=v + nu[:, None] * norm_sub)
 
 
 def build_risk_epigraph_qp(data, cfg, rho=0.0, tau=0.0, anchor=None):

@@ -256,11 +256,11 @@ def test_tcp_serve_and_clients_match_in_process_run(tmp_path):
 
 
 def test_tcp_serve_scores_the_sm_model_train_keeps(tmp_path):
-    # at this point the best objective is reached in round 3 of 4
+    # at this point the best objective is reached in round 2 of 4
     cfg_path = write_config(tmp_path / "cfg.json", model="sm",
                             grid={"gamma0": [100.0], "T": [4]})
     report = serve_over_tcp(cfg_path)
-    assert report["best_round"] == 3
+    assert report["best_round"] == 2
 
     cfg = ExperimentConfig.from_file(cfg_path)
     shards, test, _ = prepare_repetition(cfg, cfg.base_seed)

@@ -27,10 +27,8 @@ from fedrosvm.federation import (
 )
 from fedrosvm.robust import (
     ClientConfig,
+    WorstCaseDual,
     build_risk_epigraph_qp,
-    build_sm_lp,
-    extract_worst_case,
-    sm_subgradient,
     worst_case_risk_dual,
 )
 from fedrosvm.solver import SolverStatus, solve
@@ -208,34 +206,36 @@ def test_sm_best_objective_monotone_in_horizon():
         prev = res.best_objective
 
 
-def test_sm_client_builds_its_lp_once_and_answers_as_a_fresh_lp(monkeypatch):
-    shards = make_shards(14, 2, 9, 2)
-    cfg = FederationConfig(clients=toy_cfg(2, epsilon=2e-3), T=4, algorithm=Algorithm.SM,
+def test_in_process_sm_replies_equal_a_lone_client_and_the_closed_form(monkeypatch):
+    # in-process clients read their rows off one shared stack; a lone client
+    # (as run_client builds over TCP) computes a stack of one, with the same bytes
+    shards = make_shards(14, 3, 9, 2)
+    cfg = FederationConfig(clients=toy_cfg(3, epsilon=2e-3), T=4, algorithm=Algorithm.SM,
                            gamma0=0.5)
-    builds, answers = [], []
-    building = federation.build_sm_lp
-
-    def counted(w, data, client_cfg):
-        builds.append(data)
-        return building(w, data, client_cfg)
-
+    answers = []
     answering = FederatedClient.handle
 
     def recorded(self, msg):
         reply = answering(self, msg)
-        answers.append((self.g, msg.w.copy(), reply.v))
+        answers.append((self.g, msg.t, msg.w.copy(), reply.v))
         return reply
 
-    monkeypatch.setattr(federation, "build_sm_lp", counted)
     monkeypatch.setattr(FederatedClient, "handle", recorded)
     run_federation(cfg, shards)
-    assert [id(d) for d in builds] == [id(s) for s in shards]
-    assert len(answers) == 2 * 4
-    for g, w, v in answers:
+    monkeypatch.undo()
+    assert len(answers) == 3 * 4
+    rng = np.random.default_rng(14)
+    for g, t, w, v in answers:
         data, client_cfg = shards[g], cfg.clients[g]
-        sol = solve(build_sm_lp(w, data, client_cfg))
-        fresh = sm_subgradient(w, extract_worst_case(sol, data, client_cfg))
-        assert v.tobytes() == fresh.tobytes(), g
+        lone = FederatedClient(g, data, client_cfg, Algorithm.SM)
+        assert v.tobytes() == lone.handle(wire.RoundStart(t=t, w=w)).v.tobytes(), (g, t)
+        closed = WorstCaseDual([(data, client_cfg)]).at(w)
+        assert v.tobytes() == closed.v[0].tobytes(), (g, t)
+        risk, _ = worst_case_risk_dual(w, data, client_cfg)
+        for _ in range(20):
+            w2 = w + rng.standard_normal(2)
+            slack = worst_case_risk_dual(w2, data, client_cfg)[0] - risk - v @ (w2 - w)
+            assert slack >= -1e-12, (g, t, slack)
 
 
 @pytest.mark.parametrize("w,named", [
@@ -250,6 +250,22 @@ def test_sm_client_rejects_a_bad_model_in_every_round(w, named):
     for client, t in ((first, 1), (later, 2)):
         with pytest.raises(ValueError, match=re.escape(named)):
             client.handle(wire.RoundStart(t=t, w=w))
+
+
+def test_sm_client_refuses_features_outside_the_unit_box_in_every_round():
+    shards = make_shards(16, 2, 6, 2)
+    bad = DatasetView(X=shards[1].X + 2.0, y=shards[1].y)
+    cfgs = toy_cfg(2)
+    shared = WorstCaseDual([(shards[0], cfgs[0]), (bad, cfgs[1])])
+    good = FederatedClient(0, shards[0], cfgs[0], Algorithm.SM, shared, 0)
+    clients = [FederatedClient(1, bad, cfgs[1], Algorithm.SM, shared, 1),
+               FederatedClient(1, bad, cfgs[1], Algorithm.SM)]
+    for t in (1, 2):
+        w = np.full(2, 0.1 * t)
+        assert good.handle(wire.RoundStart(t=t, w=w)).v.shape == (2,)
+        for client in clients:
+            with pytest.raises(ValueError, match=re.escape("features must lie in [0, 1]")):
+                client.handle(wire.RoundStart(t=t, w=w))
 
 
 def test_objective_shuffle_invariant():

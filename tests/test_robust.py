@@ -14,6 +14,7 @@ provably coincide.
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from fedrosvm.robust import (
     sm_subgradient,
     worst_case_risk_dual,
     WorstCaseDistribution,
+    WorstCaseDual,
 )
 from fedrosvm.solver import (
     SolverConfig,
@@ -588,6 +590,249 @@ def test_subgradient_finite_difference():
         np.testing.assert_allclose(fd, v, atol=1e-3)
         smooth_checks += 1
     assert smooth_checks >= 15
+
+
+# ---------------------------------------------- closed form of the dual
+
+
+def candidate_dual(w, data, cfg):
+    """The candidate evaluation the closed form replaced, kept as the
+    reference: the dual at the floor and at every crossing above it, the
+    smallest value and its multiplier. Returns (value, lam, phi) with phi
+    the dual as a function of lam."""
+    w = np.asarray(w, dtype=float)
+    lam_floor = dual_norm(w, cfg.norm)
+    lp = hinge_losses(w, data.X, data.y)
+    lm = hinge_losses(w, data.X, -data.y)
+    if cfg.kappa == 0.0:
+        cands = np.array([lam_floor])
+    else:
+        cross = (lm - lp) / cfg.kappa
+        cands = np.unique(np.concatenate([[lam_floor], cross[cross > lam_floor]]))
+    inner = np.maximum(lp[None, :], lm[None, :] - cfg.kappa * cands[:, None])
+    vals = cfg.epsilon * cands + inner.mean(axis=1)
+    best = int(np.argmin(vals))
+
+    def phi(lam):
+        return cfg.epsilon * lam + float(np.maximum(lp, lm - cfg.kappa * lam).mean())
+
+    return float(vals[best]), float(cands[best]), phi
+
+
+KAPPAS = (0.0, 0.1, 1.0, 3.0)
+
+
+def out_of_regime_instance(rng, i):
+    """Instance i of the closed-form sweep: any margins (hinges inactive,
+    at their kinks or active), kappa cycling through KAPPAS, both norms,
+    every tenth instance a single sample, every seventeenth w = 0, every
+    third on a coarse grid (tied margins and crossings), and every fifth
+    with kappa >= 1 a budget eps*n/kappa that is exactly an integer."""
+    kappa = KAPPAS[i % 4]
+    norm = (NormKind.L1, NormKind.LINF)[(i // 4) % 2]
+    n = 1 if i % 10 == 0 else int(rng.integers(2, 25))
+    p = int(rng.integers(1, 5))
+    X = rng.random((n, p))
+    w = rng.standard_normal(p) * float(rng.choice([0.3, 1.0, 4.0]))
+    if i % 3 == 0:
+        X = np.round(4.0 * X) / 4.0
+        w = np.round(2.0 * w) / 2.0
+    if i % 17 == 0:
+        w = np.zeros(p)
+    eps = float(rng.choice([1e-3, 1e-2, 0.1, 0.5]))
+    if i % 5 == 0 and kappa >= 1.0:  # exact in binary with n a power of two
+        n = int(rng.choice([1, 2, 4, 8, 16]))
+        X = X[:1].repeat(n, axis=0) if X.shape[0] < n else X[:n]
+        eps = int(rng.integers(0, n + 1)) * kappa / n or kappa / n
+        assert (eps * n / kappa).is_integer()
+    y = np.where(rng.random(n) < 0.5, 1, -1)
+    return make_data(X, y), w, ClientConfig(epsilon=eps, kappa=kappa, norm=norm)
+
+
+def budget_is_integer(data, cfg):
+    if cfg.kappa == 0.0:
+        return False
+    budget = cfg.epsilon * data.n / cfg.kappa
+    return abs(budget - round(budget)) <= 1e-9 * max(1.0, budget)
+
+
+@pytest.fixture(scope="module")
+def closed_form_sweep():
+    rng = np.random.default_rng(4242)
+    out = []
+    with np.errstate(all="raise"):
+        for i in range(240):
+            data, w, cfg = out_of_regime_instance(rng, i)
+            out.append((data, w, cfg, WorstCaseDual([(data, cfg)]).at(w)))
+    return out
+
+
+def test_closed_form_sweep_covers_the_edges(closed_form_sweep):
+    cases = [(data, w, cfg) for data, w, cfg, _ in closed_form_sweep]
+    assert len(cases) >= 200
+    assert {cfg.kappa for _, _, cfg in cases} == set(KAPPAS)
+    assert {cfg.norm for _, _, cfg in cases} == {NormKind.L1, NormKind.LINF}
+    assert any(data.n == 1 for data, _, _ in cases)
+    assert any(not w.any() for _, w, _ in cases)
+    assert sum(budget_is_integer(data, cfg) for data, _, cfg in cases) >= 20
+    tied = 0
+    for data, w, cfg in cases:
+        if cfg.kappa > 0.0:
+            lp = hinge_losses(w, data.X, data.y)
+            lm = hinge_losses(w, data.X, -data.y)
+            tied += np.unique((lm - lp) / cfg.kappa).size < data.n
+    assert tied >= 20
+    # both sides of the floor, and hinges off their active piece
+    floors = [pt.lam[0] == dual_norm(w, cfg.norm) for _, w, cfg, pt in closed_form_sweep]
+    assert 20 <= sum(floors) <= len(floors) - 20
+    assert any((data.y * (data.X @ w) > 1.0).any() for data, w, _ in cases)
+
+
+def test_closed_form_risk_and_multiplier_match_the_candidates(closed_form_sweep):
+    for k, (data, w, cfg, point) in enumerate(closed_form_sweep):
+        value, lam, phi = candidate_dual(w, data, cfg)
+        risk = point.risk[0]
+        assert abs(risk - value) <= 1e-12 * (1.0 + abs(value)), (k, risk, value)
+        if budget_is_integer(data, cfg):
+            # the dual is flat between two crossings, and both ends minimize
+            # it; the closed form takes the left end
+            assert point.lam[0] <= lam * (1.0 + 1e-12) + 1e-12, k
+            assert abs(phi(point.lam[0]) - value) <= 1e-12 * (1.0 + abs(value)), k
+        else:
+            assert abs(point.lam[0] - lam) <= 1e-12 * (1.0 + abs(lam)), (k, point.lam[0], lam)
+        assert worst_case_risk_dual(w, data, cfg) == (float(risk), float(point.lam[0]))
+
+
+def test_closed_form_subgradient_inequality_against_the_candidates(closed_form_sweep):
+    rng = np.random.default_rng(4243)
+    probes = 0
+    for k, (data, w, cfg, point) in enumerate(closed_form_sweep):
+        value, _, _ = candidate_dual(w, data, cfg)
+        v = point.v[0]
+        for _ in range(25):
+            w2 = w + rng.standard_normal(w.size) * float(rng.choice([1e-4, 1e-2, 0.3, 3.0]))
+            slack = candidate_dual(w2, data, cfg)[0] - value - v @ (w2 - w)
+            assert slack >= -1e-10 * (1.0 + abs(value)), (k, slack)
+            probes += 1
+    assert probes >= 5000
+
+
+def smooth_closed_form_point(data, w, cfg, lam):
+    """True when the dual risk is differentiable at w, decided from its
+    structure: every hinge clear of its kink, and either one sample pinning
+    lam* strictly inside a slope sign change with the rest clear of lam*,
+    or lam* on the floor with every sample clear of it, a strictly positive
+    right slope and a dual norm that is smooth at w."""
+    m = data.y * (data.X @ w)
+    if np.min(np.abs(np.abs(m) - 1.0)) < 1e-4:
+        return False
+    lp = hinge_losses(w, data.X, data.y)
+    lm = hinge_losses(w, data.X, -data.y)
+    d = (lm - lp) - cfg.kappa * lam
+    n = data.n
+    if lam > dual_norm(w, cfg.norm) + 1e-8:
+        pins = np.abs(d) <= 1e-9
+        if pins.sum() != 1 or (~pins).any() and np.abs(d[~pins]).min() < 1e-4:
+            return False
+        above = int(np.sum(d > 1e-9))
+        budget = cfg.epsilon * n / cfg.kappa
+        return above + 1e-6 < budget < above + 1 - 1e-6
+    if np.min(np.abs(d)) < 1e-4 or cfg.epsilon - cfg.kappa * np.sum(d > 0) / n <= 1e-8:
+        return False
+    aw = np.abs(w)
+    if cfg.norm is NormKind.L1:
+        top = np.sort(aw)[::-1]
+        return top[0] >= 1e-4 and (top.size == 1 or top[0] - top[1] >= 1e-4)
+    return aw.min() >= 1e-4
+
+
+def test_closed_form_subgradient_matches_central_differences():
+    rng = np.random.default_rng(4244)
+    h = 1e-6
+    checked = {True: 0, False: 0}  # off the floor / on it
+    for i in range(3000):
+        data, w, cfg = out_of_regime_instance(rng, i)
+        point = WorstCaseDual([(data, cfg)]).at(w)
+        if not smooth_closed_form_point(data, w, cfg, point.lam[0]):
+            continue
+        fd = np.empty(w.size)
+        for j in range(w.size):
+            e = np.zeros(w.size)
+            e[j] = h
+            fd[j] = (candidate_dual(w + e, data, cfg)[0]
+                     - candidate_dual(w - e, data, cfg)[0]) / (2 * h)
+        np.testing.assert_allclose(point.v[0], fd, atol=1e-6 * (1.0 + np.abs(fd).max()))
+        checked[bool(point.lam[0] > dual_norm(w, cfg.norm))] += 1
+        if min(checked.values()) >= 40:
+            break
+    assert min(checked.values()) >= 40, checked
+
+
+def test_closed_form_stack_rows_equal_their_stacks_of_one():
+    rng = np.random.default_rng(4245)
+    rows = 0
+    with np.errstate(all="raise"):
+        for i in range(120):
+            G = int(rng.integers(2, 7))
+            p = int(rng.integers(1, 4))
+            clients = []
+            while len(clients) < G:
+                data, _, cfg = out_of_regime_instance(rng, int(rng.integers(0, 10 ** 6)))
+                if data.p == p:
+                    clients.append((data, cfg))
+            w = rng.standard_normal(p) * float(rng.choice([0.3, 1.0, 4.0]))
+            if i % 10 == 0:
+                w = np.round(2.0 * w) / 2.0
+            stacked = WorstCaseDual(clients).at(w)
+            for g, client in enumerate(clients):
+                alone = WorstCaseDual([client]).at(w)
+                assert stacked.v[g].tobytes() == alone.v[0].tobytes(), (i, g)
+                assert stacked.risk[g].tobytes() == alone.risk[0].tobytes(), (i, g)
+                assert stacked.lam[g].tobytes() == alone.lam[0].tobytes(), (i, g)
+                rows += 1
+    assert rows >= 400
+
+
+def test_closed_form_hand_instances():
+    # x = 1, y = +1, w = 1.5, eps = 0.1, kappa = 1: the flipped hinge 2.5
+    # crosses above the floor 1.5 and pins lam* = 2.5 with flipped weight
+    # eps*n/kappa = 0.1; the kept hinge is inactive, so v = 0.1 * (+y x)
+    point = WorstCaseDual([(make_data([[1.0]], [1]), ClientConfig(epsilon=0.1))]).at([1.5])
+    assert point.lam[0] == 2.5
+    assert point.v[0] == pytest.approx([0.1], abs=1e-15)
+    # x = 0.5, w = 1, eps = 0.1, kappa = 10: the crossing 0.1 lies below the
+    # floor 1, the kept hinge gives -y x = -0.5 and the floor multiplier
+    # eps = 0.1 times sign(w) at the peak coordinate adds 0.1
+    data = make_data([[0.5]], [1])
+    point = WorstCaseDual([(data, ClientConfig(epsilon=0.1, kappa=10.0))]).at([1.0])
+    assert (point.risk[0], point.lam[0]) == (pytest.approx(0.6, abs=1e-15), 1.0)
+    assert point.v[0] == pytest.approx([-0.4], abs=1e-15)
+    # the same sample at w = 2 sits at its kept hinge's kink (margin 1),
+    # which takes its active endpoint -y x, as sm_subgradient does
+    point = WorstCaseDual([(data, ClientConfig(epsilon=0.1, kappa=10.0))]).at([2.0])
+    assert point.lam[0] == 2.0
+    assert point.v[0] == pytest.approx([-0.4], abs=1e-15)
+    # w = 0 with free flips: l- = l+ = 1, so no sample flips and both kept
+    # hinges give -y x, (-(0.2, 0.4) + (0.6, 0.8)) / 2; the floor term
+    # vanishes with the dual-norm subgradient 0 at w = 0
+    data = make_data([[0.2, 0.4], [0.6, 0.8]], [1, -1])
+    for norm in (NormKind.L1, NormKind.LINF):
+        cfg = ClientConfig(epsilon=0.3, kappa=0.0, norm=norm)
+        point = WorstCaseDual([(data, cfg)]).at(np.zeros(2))
+        assert (point.risk[0], point.lam[0]) == (1.0, 0.0)
+        np.testing.assert_allclose(point.v[0], [0.2, 0.2], atol=1e-15)
+
+
+def test_closed_form_keeps_its_point_while_w_is_unchanged():
+    data, w = random_instance(np.random.default_rng(4246), 6, 2)
+    dual = WorstCaseDual([(data, ClientConfig(epsilon=0.05))])
+    first = dual.at(w)
+    assert dual.at(w.copy()) is first
+    assert dual.at(w + 1e-3) is not first
+    with pytest.raises(ValueError, match=re.escape("w has shape (3,), expected (2,)")):
+        dual.at(np.zeros(3))
+    with pytest.raises(ValueError, match="w must be finite"):
+        dual.at(np.array([np.nan, 0.0]))
 
 
 # ------------------------------------------------------------- client QP

@@ -100,10 +100,9 @@ def test_every_traced_admm_client_step_spans_a_solver_call(monkeypatch):
     assert all(solves_under[s[tracing.ID]] >= 1 for s in steps)
 
 
-def test_traced_sm_federation_records_every_extraction_the_gate_validates(monkeypatch):
-    # sm-oracle's traced gate validates every distribution the tracer sees
-    # pass through robust.extract_worst_case; an extraction hidden from the
-    # tracer would leave that gate with nothing to check
+def test_traced_sm_federation_solves_no_lp_and_replies_with_subgradients(monkeypatch):
+    # SM rounds answer in closed form: a traced run shows no LP build or
+    # solve, and every reply is a subgradient of the risk the server reports
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     rng = np.random.default_rng(8)
@@ -113,7 +112,15 @@ def test_traced_sm_federation_records_every_extraction_the_gate_validates(monkey
     fed = federation.FederationConfig(
         clients=[robust.ClientConfig(epsilon=2e-3, kappa=0.5, alpha=1.0 / G)] * G, T=T,
         algorithm=federation.Algorithm.SM, gamma0=0.5)
+    replies = []
+    answering = federation.FederatedClient.handle
 
+    def recorded(self, msg):
+        reply = answering(self, msg)
+        replies.append((self.g, msg.w.copy(), reply.v))
+        return reply
+
+    monkeypatch.setattr(federation.FederatedClient, "handle", recorded)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -122,8 +129,14 @@ def test_traced_sm_federation_records_every_extraction_the_gate_validates(monkey
         tracer.uninstall()
 
     spans = Counter(s[tracing.NAME] for s in tracer.spans)
-    assert spans["robust.extract_worst_case"] == G * T
-    assert spans["robust.build_sm_lp"] == G
-    assert spans["solver.solve"] == G * T
-    assert len(tracer.distributions) == G * T
-    assert tracer.validate_distributions() == []
+    assert spans["federation.run_federation"] == 1
+    assert spans["solver.solve"] == 0
+    assert spans["robust.build_sm_lp"] == 0
+    assert len(replies) == G * T
+    for g, w, v in replies:
+        data, cfg = shards[g], fed.clients[g]
+        risk, _ = robust.worst_case_risk_dual(w, data, cfg)
+        for _ in range(50):
+            w2 = w + rng.standard_normal(2) * rng.uniform(0.01, 2.0)
+            slack = robust.worst_case_risk_dual(w2, data, cfg)[0] - risk - v @ (w2 - w)
+            assert slack >= -1e-10 * (1.0 + abs(risk)), (g, slack)
