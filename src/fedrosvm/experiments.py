@@ -23,9 +23,11 @@ fold and every step size in one stacked run (baselines.train_fed_l2_stack),
 with the same iterates as one run per fold and point. ADMM and ADMM-SC
 cross-validation advances every (fold, grid point) federation in
 lockstep: each round solves all of their client QPs together in one
-stacked interior-point solve (robust.ProximalSteps over one
-solver.ProgramStack, laid out once per cross-validation), then each
-federation makes its server update. Those models agree with one
+stacked interior-point solve (one robust.ProximalSteps over every client
+of every federation, which keeps their QPs and warm starts and lays out
+one solver.ProgramStack per cross-validation), then each federation makes
+its server update with federation.admm_server_update, the rule
+run_federation aggregates with. Those models agree with one
 run_federation per fold and point to solver roundoff. The final fit at
 the chosen point, like every other lone run, goes through run_federation.
 """
@@ -63,6 +65,7 @@ from .federation import (
     Algorithm,
     FederationConfig,
     RoundTrace,
+    admm_server_update,
     run_federation,
     warn_above_rho_cap,
 )
@@ -470,33 +473,31 @@ def _admm_lockstep(feds, client_data):
     The state is held in arrays, one row per (federation, client) pair:
     its multipliers mu_g and its new w_g. Every round takes the client
     steps of all federations together, through one `robust.ProximalSteps`
-    kept for the whole run: one `solver.ProgramStack` laid out on the
-    first round, or `solve` when there is a single QP. Then each
-    federation aggregates as `admm_server_update` does, adding its
-    clients in client order, and folds the new model into its clients'
-    multipliers (`robust.multiplier_step`), as `run_federation` does. With
-    no wire between them, the server reads the clients' own multipliers,
-    which its mirror in `run_federation` equals bit for bit. The models
-    agree with `run_federation`'s to solver roundoff. `run_federation`
-    stays the wire runtime; this loop has no transport and evaluates no
-    objective."""
+    kept for the whole run, which owns every client's QP and warm start:
+    one `solver.ProgramStack` laid out on the first round, or `solve` when
+    there is a single QP. Then each federation aggregates its own rows
+    with `federation.admm_server_update`, and one `robust.multiplier_step`
+    call folds every new model into its clients' multipliers, as
+    `run_federation` does. With no wire between them, the server reads the
+    clients' own multipliers, which its mirror in `run_federation` equals
+    bit for bit. The models agree with `run_federation`'s to solver
+    roundoff. `run_federation` stays the wire runtime; this loop has no
+    transport and evaluates no objective."""
     for fed in feds:
         warn_above_rho_cap(fed)
-    steps = ProximalSteps([(data, fed.clients[g], {}, g)
+    steps = ProximalSteps([(data, fed.clients[g], g)
                            for fed, shards in zip(feds, client_data)
                            for g, data in enumerate(shards)])
-    fed_of = np.repeat(np.arange(len(feds)), [len(shards) for shards in client_data])
-    client = np.concatenate([np.arange(len(shards)) for shards in client_data])
-    by_client = [np.flatnonzero(client == g) for g in range(client.max() + 1)]
-    alpha = np.array([cfg.alpha for _, cfg, _, _ in steps.clients])[:, None]
+    sizes = [len(shards) for shards in client_data]
+    fed_of = np.repeat(np.arange(len(feds)), sizes)
+    rows = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
     w = np.zeros((len(feds), client_data[0][0].p))
     mu = np.ones((fed_of.size, w.shape[1]))
     traces = [[] for _ in feds]
     for t in range(1, feds[0].T + 1):
         w_g = np.array(steps(w[fed_of] - mu))
-        w = np.zeros_like(w)
-        for pairs in by_client:
-            w[fed_of[pairs]] += alpha[pairs] * (w_g[pairs] + mu[pairs])
+        w = np.array([admm_server_update(fed.alphas, w_g[r], mu[r])
+                      for fed, r in zip(feds, rows)])
         mu = multiplier_step(mu, w_g, w[fed_of])
         for f, trace in enumerate(traces):
             trace.append(RoundTrace(t=t, w_after=w[f].copy(), global_objective=math.nan,

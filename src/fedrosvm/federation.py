@@ -23,14 +23,18 @@ so the two produce bit-identical models on the same inputs.
 
 The model starts at zeros and every ADMM multiplier at ones.
 
-ADMM bookkeeping: multipliers live at the clients (the wire only ever
-carries w_g). A client folds the aggregate w of the previous round, which
-its `RoundStart` carries, into them (mu_g + w_g - w; a no-op in round 1,
-where w = w_g = 0) before its proximal step. The server keeps its own mirror
-of them by calling the same rule (`robust.multiplier_step`) on the same w_g
-and w right after aggregating, so the mirror equals every client's
-multipliers bit for bit. That is what lets it form the Prop.-5-style
-weighted sum without extra traffic.
+ADMM bookkeeping: each client holds its w_g and multipliers mu_g as plain
+arrays, and one `robust.ProximalSteps` for the whole run that keeps its QP
+and warm start (the wire only ever carries w_g). A client folds the
+aggregate w of the previous round, which its `RoundStart` carries, into
+its multipliers (mu_g + w_g - w; a no-op in round 1, where w = w_g = 0)
+before its proximal step. The server keeps its own mirror of them, one row
+per client, and updates it with one call of the same rule
+(`robust.multiplier_step`) on the same w_g and w right after aggregating,
+so the mirror equals every client's multipliers bit for bit. That is what
+lets it form the Prop.-5-style weighted sum (`admm_server_update`, the
+one aggregation rule, which the cross-validation lockstep calls too)
+without extra traffic.
 """
 
 import socket
@@ -47,8 +51,9 @@ from .core import GlobalModel
 # solve are imported for perfbench/tracing.py, which rebinds them here to
 # span them; no round calls them
 from .robust import (  # noqa: F401
-    ClientModel,
+    ProximalSteps,
     WorstCaseDual,
+    _check_model,
     admm_client_step,
     admm_multiplier_update,
     build_sm_lp,
@@ -157,14 +162,15 @@ def sm_server_update(w, subgradients, t, gamma0):
     return w - (gamma0 / t) * step
 
 
-def admm_server_update(pairs):
-    """Weighted consensus: w = sum alpha_g (w_g + mu_g)."""
-    if not pairs:
+def admm_server_update(alphas, w_g, mu_g):
+    """Weighted consensus w = sum_g alphas[g] * (w_g[g] + mu_g[g]), added
+    in client order. `alphas` is (G,); `w_g` and `mu_g` are (G, p), one row
+    per client."""
+    if len(w_g) == 0:
         raise ValueError("no client iterates to aggregate (barrier violated)")
-    first = np.asarray(pairs[0][1], dtype=float)
-    w = np.zeros_like(first)
-    for alpha, w_g, mu_g in pairs:
-        w += alpha * (np.asarray(w_g, dtype=float) + np.asarray(mu_g, dtype=float))
+    w = np.zeros(w_g.shape[1])
+    for alpha, row in zip(alphas, w_g + mu_g):
+        w += alpha * row
     return w
 
 
@@ -379,9 +385,9 @@ def transport_tcp_connect(address):
 
 
 class FederatedClient:
-    """State machine of one client: its shard, config, ADMM state and
-    program cache. Both transports drive the same object, one
-    `RoundStart` in and one result out per round.
+    """State machine of one client: its shard, its config and its round
+    state. Both transports drive the same object, one `RoundStart` in and
+    one result out per round.
 
     SM rounds: reply with the exact subgradient, at the received model, of
     the worst-case risk over unbounded support, the risk the server
@@ -391,10 +397,14 @@ class FederatedClient:
     row once per model, and by default the client builds its own of one
     client. Either way the reply has the same bytes. Every round refuses a
     model that is not a finite vector of the data's length and features
-    outside the unit box. ADMM rounds: fold the
-    received model (the previous round's aggregate) into the local
-    multipliers, solve the proximal QP (warm-started across rounds) and
-    reply with w_g.
+    outside the unit box.
+
+    ADMM rounds: the client holds its last w_g (zeros before round 1) and
+    its multipliers mu_g (ones) as arrays, and one `robust.ProximalSteps`
+    of one client, built here and kept for the whole run, which owns its
+    QP and warm start. Each round refuses a model that is not a finite
+    vector of the data's length, folds it (the previous round's
+    aggregate) into mu_g, takes the proximal step and replies with w_g.
     """
 
     def __init__(self, g, data, cfg, algorithm, dual=None, row=0):
@@ -402,23 +412,21 @@ class FederatedClient:
         self.data = data
         self.cfg = cfg
         self.algorithm = algorithm
-        self.state = None
-        self.cache = {}
         if algorithm is Algorithm.SM:
             if dual is None:
                 dual, row = WorstCaseDual([(data, cfg)]), 0
             self.dual, self.row = dual, row
         else:
-            self.state = ClientModel(w_g=np.zeros(data.p), mu_g=np.ones(data.p))
+            self.steps = ProximalSteps([(data, cfg, g)])
+            self.w_g, self.mu_g = np.zeros(data.p), np.ones(data.p)
 
     def on_round_start(self, msg):
         if self.algorithm is Algorithm.SM:
             return SmResult(g=self.g, v=self.dual.subgradient(msg.w, self.row))
-        self.state = admm_multiplier_update(self.state, msg.w)
-        self.state = admm_client_step(
-            msg.w, self.state, self.data, self.cfg, cache=self.cache, client_id=self.g,
-        )
-        return AdmmResult(g=self.g, w_g=self.state.w_g)
+        w = _check_model(msg.w, self.data.p)
+        self.mu_g = admm_multiplier_update(self.mu_g, self.w_g, w)
+        self.w_g = admm_client_step(self.steps, w, self.mu_g)
+        return AdmmResult(g=self.g, w_g=self.w_g)
 
     def handle(self, msg):
         """Answer one `RoundStart` with this round's result."""
@@ -467,18 +475,16 @@ def run_federation(cfg, client_data, transport=None):
     w = np.zeros(p)
     warn_above_rho_cap(cfg)
 
-    objective_dual = WorstCaseDual(zip(client_data, cfg.clients))
+    # the server's objective, and the stack in-process SM clients read
+    # their rows off
+    dual = WorstCaseDual(zip(client_data, cfg.clients))
     if transport is None:
-        # in-process SM clients read their rows off one stack
-        shared = None
-        if cfg.algorithm is Algorithm.SM:
-            shared = WorstCaseDual(zip(client_data, cfg.clients))
         transport = InProcessTransport(
-            FederatedClient(g, client_data[g], cfg.clients[g], cfg.algorithm, shared, g)
+            FederatedClient(g, client_data[g], cfg.clients[g], cfg.algorithm, dual, g)
             for g in range(G)
         )
     expected = SmResult if cfg.algorithm is Algorithm.SM else AdmmResult
-    server_mu = [np.ones(p) for _ in range(G)]
+    server_mu = np.ones((G, p))
     traces = []
     try:
         # inside the try: clients that connected before a failed start still
@@ -495,15 +501,11 @@ def run_federation(cfg, client_data, transport=None):
                 )
                 consensus = 0.0
             else:
-                iterates = [results[g].w_g for g in range(G)]
-                w = admm_server_update(
-                    [(cfg.clients[g].alpha, iterates[g], server_mu[g]) for g in range(G)]
-                )
-                consensus = max(
-                    float(np.linalg.norm(iterates[g] - w)) for g in range(G)
-                )
-                server_mu = [multiplier_step(server_mu[g], iterates[g], w) for g in range(G)]
-            objective = global_objective(w, client_data, cfg.clients, objective_dual)
+                iterates = np.array([results[g].w_g for g in range(G)])
+                w = admm_server_update(cfg.alphas, iterates, server_mu)
+                consensus = max(float(np.linalg.norm(w_g - w)) for w_g in iterates)
+                server_mu = multiplier_step(server_mu, iterates, w)
+            objective = global_objective(w, client_data, cfg.clients, dual)
             traces.append(RoundTrace(
                 t=t, w_after=w.copy(), global_objective=objective,
                 consensus_residual=consensus,

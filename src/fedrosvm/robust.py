@@ -6,9 +6,11 @@ kappa) in closed form through its one-dimensional dual, with its minimizing
 multiplier and an exact subgradient (`WorstCaseDual`, one body for one client
 or many: the subgradient-method (SM) client step and the server's objective
 both read it), the proximal QP solved inside ADMM rounds (one body,
-`ProximalSteps`: a lone client step goes through `solve`, the steps of
-many clients through one `solver.ProgramStack`, laid out once and solved
-every round), and the practical radius rule.
+`ProximalSteps`, which owns each client's QP and warm start for the whole
+run: a lone client step goes through `solve`, the steps of many clients
+through one `solver.ProgramStack`, laid out once and solved every round),
+the scaled multiplier rule (`multiplier_step`), and the practical radius
+rule.
 
 The dual is over unbounded support, so an SM reply is an exact subgradient
 of the risk the server reports. The worst-case distribution LP over the
@@ -97,23 +99,6 @@ class ClientConfig:
             raise ValueError(f"tau must be nonnegative and finite, got {self.tau}")
         if not (self.rho > 0.0 and np.isfinite(self.rho)):
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
-
-
-@dataclass
-class ClientModel:
-    """Local consensus state: the client's weight vector and its scaled
-    multipliers against the global model."""
-
-    w_g: np.ndarray
-    mu_g: np.ndarray
-
-    def __post_init__(self):
-        self.w_g = np.asarray(self.w_g, dtype=float)
-        self.mu_g = np.asarray(self.mu_g, dtype=float)
-        if not (np.isfinite(self.w_g).all() and np.isfinite(self.mu_g).all()):
-            raise ValueError("client model state must be finite")
-        if self.w_g.shape != self.mu_g.shape:
-            raise ValueError("w_g and mu_g must have matching shapes")
 
 
 UNIT_BOX_TOL = 1e-9
@@ -600,40 +585,37 @@ def _epigraph_objective(data, cfg, rho, tau, anchor):
     return qd, c
 
 
-def admm_client_step(w_global, client, data, cfg, cache, client_id=None):
-    """One client proximal step: solve the local QP anchored at
-    w_global - mu_g and return a ClientModel with w_g updated and mu_g
-    untouched.
-
-    `cache` is a dict owned by the client, empty before its first round.
-    It keeps the assembled program and the last primal-dual point, so
-    repeated rounds reuse the solver's factorization backend and
-    warm-start. Only the linear term changes between rounds, which the
-    solver's program-structure contract allows.
-    """
-    anchor = np.asarray(w_global, dtype=float) - client.mu_g
-    w_g, = ProximalSteps([(data, cfg, cache, client_id)])(anchor[None])
-    return ClientModel(w_g=w_g, mu_g=client.mu_g)
+def admm_client_step(steps, w_global, mu_g):
+    """One client's proximal step: its new w_g, from the QP anchored at
+    w_global - mu_g. `steps` is the client's `ProximalSteps` of one, which
+    keeps its QP and warm start from round to round."""
+    anchor = np.asarray(w_global, dtype=float) - mu_g
+    w_g, = steps(anchor[None])
+    return w_g
 
 
 class ProximalSteps:
     """The proximal steps of a fixed list of ADMM clients, round after
-    round: the one body of the client step (`admm_client_step` takes a
-    list of one).
+    round: the one body of the client step (`admm_client_step` drives a
+    list of one), and the owner of each client's QP and warm start.
 
-    `clients` holds one (data, cfg, cache, client_id) per client, the
-    arguments of `admm_client_step`; the caches must be distinct. Each
-    client's QP is built on its first round and only its anchor term is
-    swapped after that. Clients whose QPs have the same constraint rows
-    (the same data object, kappa and norm, as one fold's client has at
-    every rho of a cross-validation) build them once and share their
-    analysis (`ConvexProgram.with_objective`). A lone QP is solved by
-    `solve`; two or more by one `solver.ProgramStack`, laid out on the
-    first round and reused on every later one.
+    `clients` holds one (data, cfg, client_id) per client; the id names
+    the client in the warm-retry warning and the convergence error, and
+    may be None. Each client's QP is built on the first round and only its
+    anchor term is swapped after that, which the solver's program-structure
+    contract allows; its last primal-dual point warm-starts its next round.
+    Clients whose QPs have the same constraint rows (the same data object,
+    kappa and norm, as one fold's client has at every rho of a
+    cross-validation) build them once and share their analysis
+    (`ConvexProgram.with_objective`). A lone QP is solved by `solve`; two
+    or more by one `solver.ProgramStack`, laid out on the first round and
+    reused on every later one.
     """
 
     def __init__(self, clients):
         self.clients = list(clients)
+        self.programs = None
+        self.warms = [None] * len(self.clients)
         self.stack = None
 
     def __call__(self, anchors):
@@ -642,18 +624,16 @@ class ProximalSteps:
         raises when its QP still does not converge, and keeps its solution
         as the next warm start. Returns the new w_g, one per client."""
         progs = self._programs(anchors)
-        warms = [cache.get("warm") for _, _, cache, _ in self.clients]
         if len(progs) == 1:
-            sols = [solve(progs[0], warm=warms[0])]
+            sols = [solve(progs[0], warm=self.warms[0])]
         else:
             if self.stack is None:
                 self.stack = ProgramStack(progs)
-            sols = self.stack.solve(warms)
+            sols = self.stack.solve(self.warms)
         steps = []
-        for sol, prog, warm, (data, _, cache, client_id) in zip(sols, progs, warms,
-                                                                 self.clients):
+        for k, (sol, prog, (data, _, client_id)) in enumerate(zip(sols, progs, self.clients)):
             who = "client" if client_id is None else f"client {client_id}"
-            if sol.status is not SolverStatus.OPTIMAL and warm is not None:
+            if sol.status is not SolverStatus.OPTIMAL and self.warms[k] is not None:
                 # a stale warm point can stall the solver when the anchor jumps
                 # far between rounds (small rho lets the multipliers drift)
                 log.warning("%s: warm-started proximal QP failed (%s); retrying cold",
@@ -661,41 +641,43 @@ class ProximalSteps:
                 sol = solve(prog)
             if sol.status is not SolverStatus.OPTIMAL:
                 raise RuntimeError(f"{who}: proximal QP failed to converge: {sol.message}")
-            cache["warm"] = (sol.x_star, sol.z_star)
+            self.warms[k] = (sol.x_star, sol.z_star)
             steps.append(sol.x_star[:data.p].copy())
         return steps
 
     def _programs(self, anchors):
         """Each client's QP at its anchor: built on the first round, its
         anchor term swapped on later ones."""
-        progs, built = [], {}
-        for anchor, (data, cfg, cache, _) in zip(anchors, self.clients):
-            prog = cache.get("program")
-            if prog is not None:
+        if self.programs is not None:
+            for prog, anchor, (data, cfg, _) in zip(self.programs, anchors, self.clients):
                 prog.c[:data.p] = -cfg.rho * anchor
+            return self.programs
+        progs, built = [], {}
+        for anchor, (data, cfg, _) in zip(anchors, self.clients):
+            rows = (id(data), cfg.kappa, cfg.norm)
+            if rows in built:
+                progs.append(built[rows].with_objective(
+                    *_epigraph_objective(data, cfg, cfg.rho, cfg.tau, anchor)))
             else:
-                rows = (id(data), cfg.kappa, cfg.norm)
-                if rows in built:
-                    prog = built[rows].with_objective(
-                        *_epigraph_objective(data, cfg, cfg.rho, cfg.tau, anchor))
-                else:
-                    prog = built[rows] = build_risk_epigraph_qp(
-                        data, cfg, rho=cfg.rho, tau=cfg.tau, anchor=anchor)
-                cache["program"] = prog
-            progs.append(prog)
+                progs.append(build_risk_epigraph_qp(
+                    data, cfg, rho=cfg.rho, tau=cfg.tau, anchor=anchor))
+                built[rows] = progs[-1]
+        self.programs = progs
         return progs
 
 
 def multiplier_step(mu_g, w_g, w_global):
-    """The scaled dual ascent rule mu_g + w_g - w, summed left to right.
-    The client and the server's mirror of its multipliers both apply it,
-    so the two stay equal bit for bit."""
+    """The scaled dual ascent rule mu_g + w_g - w, summed left to right, on
+    one client's multipliers or on an array of them with one row per
+    client. A client (as `admm_multiplier_update`), the server's mirror in
+    `run_federation` and the cross-validation lockstep all apply it, so the
+    mirror equals every client's multipliers bit for bit."""
     return (mu_g + w_g) - np.asarray(w_global, dtype=float)
 
 
-def admm_multiplier_update(client, w_global):
-    """Scaled dual ascent after the broadcast: mu_g <- mu_g + w_g - w."""
-    return ClientModel(w_g=client.w_g, mu_g=multiplier_step(client.mu_g, client.w_g, w_global))
+# the client's name for the rule, after the broadcast; perfbench's tracer
+# spans it apart from the server's mirror
+admm_multiplier_update = multiplier_step
 
 
 def radius_heuristic(n_samples, beta=10.0):

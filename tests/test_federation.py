@@ -81,25 +81,21 @@ def test_sm_update_rejects_bad_round_index():
 
 
 def test_admm_update_weighted_average():
-    pairs = [
-        (0.5, np.array([1.0, 0.0]), np.zeros(2)),
-        (0.5, np.array([0.0, 1.0]), np.zeros(2)),
-    ]
-    assert np.allclose(admm_server_update(pairs), [0.5, 0.5])
+    w_g = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert np.allclose(admm_server_update([0.5, 0.5], w_g, np.zeros((2, 2))), [0.5, 0.5])
 
 
 def test_admm_update_consensus_fixed_point():
     w = np.array([0.2, -0.7, 1.1])
-    pairs = [(0.3, w, np.zeros(3)), (0.7, w, np.zeros(3))]
-    assert np.allclose(admm_server_update(pairs), w)
+    assert np.allclose(admm_server_update([0.3, 0.7], np.array([w, w]), np.zeros((2, 3))), w)
 
 
 def test_admm_update_linear_in_multipliers():
     rng = np.random.default_rng(7)
-    ws = [rng.normal(size=3) for _ in range(2)]
-    mus = [rng.normal(size=3) for _ in range(2)]
-    base = admm_server_update([(0.5, ws[0], mus[0]), (0.5, ws[1], mus[1])])
-    doubled = admm_server_update([(0.5, ws[0], 2 * mus[0]), (0.5, ws[1], 2 * mus[1])])
+    ws = rng.normal(size=(2, 3))
+    mus = rng.normal(size=(2, 3))
+    base = admm_server_update([0.5, 0.5], ws, mus)
+    doubled = admm_server_update([0.5, 0.5], ws, 2 * mus)
     shift = 0.5 * mus[0] + 0.5 * mus[1]
     assert np.allclose(doubled - base, shift)
 
@@ -238,14 +234,18 @@ def test_in_process_sm_replies_equal_a_lone_client_and_the_closed_form(monkeypat
             assert slack >= -1e-12, (g, t, slack)
 
 
+@pytest.mark.parametrize("algorithm", [Algorithm.SM, Algorithm.ADMM])
 @pytest.mark.parametrize("w,named", [
     (np.zeros(3), "w has shape (3,), expected (2,)"),
+    (np.array([0.3]), "w has shape (1,), expected (2,)"),
     (np.array([np.inf, 0.0]), "w must be finite"),
-], ids=["wrong-shape", "infinite"])
-def test_sm_client_rejects_a_bad_model_in_every_round(w, named):
+], ids=["wrong-shape", "length-1", "infinite"])
+def test_client_rejects_a_bad_model_in_every_round(w, named, algorithm):
+    # a length-1 model would broadcast silently against an ADMM client's
+    # multipliers if nothing checked it
     data = make_shards(15, 1, 6, 2)[0]
-    first = FederatedClient(0, data, toy_cfg(1)[0], Algorithm.SM)
-    later = FederatedClient(0, data, toy_cfg(1)[0], Algorithm.SM)
+    first = FederatedClient(0, data, toy_cfg(1)[0], algorithm)
+    later = FederatedClient(0, data, toy_cfg(1)[0], algorithm)
     later.handle(wire.RoundStart(t=1, w=np.zeros(2)))
     for client, t in ((first, 1), (later, 2)):
         with pytest.raises(ValueError, match=re.escape(named)):
@@ -324,10 +324,10 @@ def test_server_multiplier_mirror_equals_every_client_bit_for_bit(monkeypatch, a
     clients = [FederatedClient(g, shards[g], cfg.clients[g], algorithm) for g in range(G)]
     compared = []
 
-    def checking(pairs):
-        for client, (_, _, mu) in zip(clients, pairs):
-            compared.append(client.state.mu_g.tobytes() == np.asarray(mu).tobytes())
-        return admm_server_update(pairs)
+    def checking(alphas, w_g, mu_g):
+        for client, mu in zip(clients, mu_g):
+            compared.append(client.mu_g.tobytes() == mu.tobytes())
+        return admm_server_update(alphas, w_g, mu_g)
 
     monkeypatch.setattr(federation, "admm_server_update", checking)
     run_federation(cfg, shards, transport=InProcessTransport(clients))

@@ -23,7 +23,7 @@ from fedrosvm import robust, solver
 from fedrosvm.core import DatasetView, NormKind, dual_norm, hinge_losses
 from fedrosvm.robust import (
     ClientConfig,
-    ClientModel,
+    ProximalSteps,
     admm_client_step,
     admm_multiplier_update,
     build_risk_epigraph_qp,
@@ -87,15 +87,6 @@ def test_client_config_validation():
 def test_client_config_rejects_a_non_finite_knob(knob, value):
     with pytest.raises(ValueError, match=f"{knob} must be .* finite"):
         ClientConfig(epsilon=0.1, **{knob: value})
-
-
-def test_client_model_validation():
-    m = ClientModel(w_g=[1.0, 2.0], mu_g=[0.0, 0.0])
-    assert m.w_g.dtype == float
-    with pytest.raises(ValueError):
-        ClientModel(w_g=[np.inf], mu_g=[0.0])
-    with pytest.raises(ValueError):
-        ClientModel(w_g=[1.0, 2.0], mu_g=[0.0])
 
 
 # ------------------------------------------------------- worst-case LP
@@ -912,7 +903,6 @@ def test_admm_qp_objective_identity():
     data, _ = random_instance(rng, 5, 3)
     w_global = rng.standard_normal(3)
     mu = rng.standard_normal(3)
-    client = ClientModel(w_g=np.zeros(3), mu_g=mu)
     anchor = w_global - mu
     for tau in (0.0, 2.5):
         cfg = ClientConfig(epsilon=0.07, kappa=0.4, rho=1.3, tau=tau)
@@ -935,13 +925,13 @@ def test_admm_qp_objective_identity():
 def test_admm_qp_objective_monotone_in_tau():
     rng = np.random.default_rng(2035)
     data, _ = random_instance(rng, 6, 2)
-    client = ClientModel(w_g=np.zeros(2), mu_g=np.array([0.1, -0.3]))
+    mu = np.array([0.1, -0.3])
     w_global = np.array([0.5, 0.2])
     prev = -np.inf
     for tau in (0.0, 0.5, 2.0, 8.0):
         cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=1.0, tau=tau)
         sol = solve(build_risk_epigraph_qp(data, cfg, rho=cfg.rho, tau=tau,
-                                           anchor=w_global - client.mu_g))
+                                           anchor=w_global - mu))
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.objective >= prev - 1e-9
         prev = sol.objective
@@ -951,67 +941,65 @@ def test_admm_prox_dominates_with_large_rho():
     rng = np.random.default_rng(2032)
     data, _ = random_instance(rng, 6, 2)
     w_global = np.array([0.3, -0.7])
-    client = ClientModel(w_g=np.zeros(2), mu_g=np.zeros(2))
+    mu = np.zeros(2)
     cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=1e6)
-    updated = admm_client_step(w_global, client, data, cfg, {})
-    assert np.max(np.abs(updated.w_g - w_global)) <= 1e-3
-    np.testing.assert_array_equal(updated.mu_g, client.mu_g)
+    w_g = admm_client_step(ProximalSteps([(data, cfg, None)]), w_global, mu)
+    assert np.max(np.abs(w_g - w_global)) <= 1e-3
+    np.testing.assert_array_equal(mu, np.zeros(2))
 
 
 def test_admm_huge_radius_zeroes_client_w():
     rng = np.random.default_rng(2036)
     data, _ = random_instance(rng, 6, 2)
-    client = ClientModel(w_g=np.zeros(2), mu_g=np.zeros(2))
     cfg = ClientConfig(epsilon=1e3, kappa=0.5, rho=1.0)
-    updated = admm_client_step(np.zeros(2), client, data, cfg, {})
-    assert np.max(np.abs(updated.w_g)) <= 1e-4
+    w_g = admm_client_step(ProximalSteps([(data, cfg, None)]), np.zeros(2), np.zeros(2))
+    assert np.max(np.abs(w_g)) <= 1e-4
 
 
 def test_admm_client_step_cache_reuse():
     rng = np.random.default_rng(2033)
     data, _ = random_instance(rng, 8, 3)
     cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=2.0, tau=1.0)
-    client = ClientModel(w_g=np.zeros(3), mu_g=np.zeros(3))
-    cache = {}
-    admm_client_step(np.ones(3), client, data, cfg, cache=cache)
-    assert "program" in cache and "warm" in cache
+    mu = np.zeros(3)
+    steps = ProximalSteps([(data, cfg, None)])
+    admm_client_step(steps, np.ones(3), mu)
+    assert steps.programs is not None and steps.warms[0] is not None
     # warm-started re-solve with a different anchor must agree with a
     # fresh build to solver accuracy
     w_next = np.array([0.1, -0.2, 0.5])
-    upd_cached = admm_client_step(w_next, client, data, cfg, cache=cache)
-    upd_fresh = admm_client_step(w_next, client, data, cfg, {})
-    np.testing.assert_allclose(upd_cached.w_g, upd_fresh.w_g, atol=1e-5)
-    # same inputs, fresh cache: bitwise repeatable
-    upd_again = admm_client_step(w_next, client, data, cfg, {})
-    np.testing.assert_array_equal(upd_fresh.w_g, upd_again.w_g)
+    kept = admm_client_step(steps, w_next, mu)
+    fresh = admm_client_step(ProximalSteps([(data, cfg, None)]), w_next, mu)
+    np.testing.assert_allclose(kept, fresh, atol=1e-5)
+    # same inputs, fresh build: bitwise repeatable
+    again = admm_client_step(ProximalSteps([(data, cfg, None)]), w_next, mu)
+    np.testing.assert_array_equal(fresh, again)
 
 
 def test_admm_client_step_cache_survives_anchor_drift():
     # with small rho the multipliers drift and the anchor can jump far
-    # between rounds; the cached path must still land on the fresh answer
-    # every round (a stale warm point once stalled the solver here)
+    # between rounds; the kept QP and warm start must still land on the
+    # fresh answer every round (a stale warm point once stalled the solver
+    # here)
     rng = np.random.default_rng(2038)
     data, _ = random_instance(rng, 20, 3)
     cfg = ClientConfig(epsilon=1.0 / (10 * data.n), kappa=1.0, rho=1e-2)
-    client = ClientModel(w_g=np.zeros(3), mu_g=np.zeros(3))
-    cache = {}
+    mu = np.zeros(3)
+    steps = ProximalSteps([(data, cfg, None)])
     for k in range(6):
         w_global = rng.standard_normal(3) * (3.0 ** k)
-        upd_cached = admm_client_step(w_global, client, data, cfg, cache=cache)
-        upd_fresh = admm_client_step(w_global, client, data, cfg, {})
+        kept = admm_client_step(steps, w_global, mu)
+        fresh = admm_client_step(ProximalSteps([(data, cfg, None)]), w_global, mu)
         # iterate norms grow with the anchor here, so compare at solver
         # accuracy relative to scale
-        np.testing.assert_allclose(upd_cached.w_g, upd_fresh.w_g,
-                                   rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(kept, fresh, rtol=1e-4, atol=1e-5)
 
 
 def test_admm_warm_to_cold_retry_is_logged(monkeypatch, caplog):
     rng = np.random.default_rng(2039)
     data, _ = random_instance(rng, 8, 2)
     cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=1.0)
-    client = ClientModel(w_g=np.zeros(2), mu_g=np.zeros(2))
-    cache = {}
-    admm_client_step(np.ones(2), client, data, cfg, cache=cache, client_id=3)
+    steps = ProximalSteps([(data, cfg, 3)])
+    admm_client_step(steps, np.ones(2), np.zeros(2))
     real_solve = robust.solve
     calls = []
 
@@ -1025,7 +1013,7 @@ def test_admm_warm_to_cold_retry_is_logged(monkeypatch, caplog):
 
     monkeypatch.setattr(robust, "solve", stall_when_warm)
     with caplog.at_level(logging.WARNING, logger="fedrosvm.robust"):
-        admm_client_step(np.zeros(2), client, data, cfg, cache=cache, client_id=3)
+        admm_client_step(steps, np.zeros(2), np.zeros(2))
     assert calls == [True, False]
     assert "client 3" in caplog.text
     assert "iteration cap reached" in caplog.text
@@ -1046,10 +1034,9 @@ STALL_ANCHORS = ([4.228, -6.589], [4.006, -6.768])
 def test_stalled_warm_start_gives_up_early_and_retries_cold(monkeypatch, caplog):
     data = make_data(STALL_X, STALL_Y)
     cfg = ClientConfig(epsilon=1.0 / 140.0, kappa=1.0, rho=0.01)
-    client = ClientModel(w_g=np.zeros(2), mu_g=np.zeros(2))
-    cache = {}
-    admm_client_step(np.array(STALL_ANCHORS[0]), client, data, cfg, cache=cache)
-    warm_point = cache["warm"]
+    steps = ProximalSteps([(data, cfg, 1)])
+    admm_client_step(steps, np.array(STALL_ANCHORS[0]), np.zeros(2))
+    warm_point = steps.warms[0]
     real_solve = robust.solve
     calls = []
 
@@ -1060,20 +1047,19 @@ def test_stalled_warm_start_gives_up_early_and_retries_cold(monkeypatch, caplog)
 
     monkeypatch.setattr(robust, "solve", recording)
     with caplog.at_level(logging.WARNING, logger="fedrosvm.robust"):
-        step = admm_client_step(np.array(STALL_ANCHORS[1]), client, data, cfg,
-                                cache=cache, client_id=1)
+        step = admm_client_step(steps, np.array(STALL_ANCHORS[1]), np.zeros(2))
     (was_warm, stalled), (retry_warm, cold) = calls
     assert was_warm and not retry_warm
     assert stalled.status is not SolverStatus.OPTIMAL
     assert stalled.message == "warm start stalled"
     assert stalled.iterations < 20
     assert cold.status is SolverStatus.OPTIMAL
-    np.testing.assert_array_equal(step.w_g, cold.x_star[:2])
+    np.testing.assert_array_equal(step, cold.x_star[:2])
     assert "client 1" in caplog.text and "warm start stalled" in caplog.text
 
     # without the stall exit the same warm start runs to the iteration cap
     monkeypatch.setattr(solver, "WARM_STALL_WINDOW", 10**9)
-    capped = real_solve(cache["program"], warm=warm_point)
+    capped = real_solve(steps.programs[0], warm=warm_point)
     assert capped.status is SolverStatus.MAX_ITERATIONS
     assert capped.iterations == SolverConfig().max_iterations
 
@@ -1085,17 +1071,14 @@ def test_client_qp_requires_anchor_with_rho():
 
 
 def test_multiplier_update():
-    client = ClientModel(w_g=np.array([1.0, 2.0]), mu_g=np.array([0.1, -0.2]))
+    w_g, mu = np.array([1.0, 2.0]), np.array([0.1, -0.2])
     w_global = np.array([0.5, 2.5])
-    updated = admm_multiplier_update(client, w_global)
-    np.testing.assert_allclose(updated.mu_g, [0.6, -0.7])
-    np.testing.assert_array_equal(updated.w_g, client.w_g)
+    np.testing.assert_allclose(admm_multiplier_update(mu, w_g, w_global), [0.6, -0.7])
     # consensus reached: multipliers unchanged
-    settled = admm_multiplier_update(client, client.w_g)
-    np.testing.assert_allclose(settled.mu_g, client.mu_g)
+    np.testing.assert_allclose(admm_multiplier_update(mu, w_g, w_g), mu)
     # two successive updates compose additively
-    twice = admm_multiplier_update(admm_multiplier_update(client, w_global), w_global)
-    np.testing.assert_allclose(twice.mu_g, client.mu_g + 2 * (client.w_g - w_global))
+    twice = admm_multiplier_update(admm_multiplier_update(mu, w_g, w_global), w_g, w_global)
+    np.testing.assert_allclose(twice, mu + 2 * (w_g - w_global))
 
 
 # ----------------------------------------------------------------- radius

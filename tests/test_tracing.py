@@ -76,7 +76,10 @@ def test_traced_experiments_record_the_spans_noisy_cv_reads(monkeypatch):
 def test_every_traced_admm_client_step_spans_a_solver_call(monkeypatch):
     # perfbench's per-layer solver metrics and its cold-retry count read the
     # solver.solve spans under each client step; a lone step that bypassed
-    # robust.solve would leave them empty
+    # robust.solve would leave them empty. The multiplier fold and the
+    # server's aggregation are spanned by the names federation looks up per
+    # client step and per round; a runtime that stopped calling them would
+    # leave those spans empty too
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     cfg = experiments.ExperimentConfig.from_dict({
@@ -93,6 +96,9 @@ def test_every_traced_admm_client_step_spans_a_solver_call(monkeypatch):
     finally:
         tracer.uninstall()
 
+    spans = Counter(s[tracing.NAME] for s in tracer.spans)
+    assert spans["robust.admm_multiplier_update"] == 2 * 3
+    assert spans["federation.aggregate"] == 3
     steps = [s for s in tracer.spans if s[tracing.NAME] == "robust.admm_client_step"]
     assert len(steps) == 2 * 3
     solves_under = Counter(s[tracing.PARENT] for s in tracer.spans
