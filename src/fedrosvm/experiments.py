@@ -24,10 +24,10 @@ with the same iterates as one run per fold and point. ADMM and ADMM-SC
 cross-validation advances every (fold, grid point) federation in
 lockstep: each round solves all of their client QPs together in one
 stacked interior-point solve (one robust.ProximalSteps over every client
-of every federation, which keeps their QPs and warm starts and lays out
-one solver.ProgramStack per cross-validation), then each federation makes
-its server update with federation.admm_server_update, the rule
-run_federation aggregates with. Those models agree with one
+of every federation, which keeps their QPs, warm starts and multipliers
+and lays out one solver.ProgramStack per cross-validation), then each
+federation makes its server update with federation.admm_server_update,
+the rule run_federation aggregates with. Those models agree with one
 run_federation per fold and point to solver roundoff. The final fit at
 the chosen point, like every other lone run, goes through run_federation.
 """
@@ -75,6 +75,7 @@ from .robust import (
     multiplier_step,
     radius_heuristic,
 )
+from .solver import ProgramStack
 
 
 class ConfigError(ValueError):
@@ -470,35 +471,37 @@ def _admm_lockstep(feds, client_data):
     objective, the residual and the wall time are not measured and read
     NaN).
 
-    The state is held in arrays, one row per (federation, client) pair:
-    its multipliers mu_g and its new w_g. Every round takes the client
-    steps of all federations together, through one `robust.ProximalSteps`
-    kept for the whole run, which owns every client's QP and warm start:
-    one `solver.ProgramStack` laid out on the first round, or `solve` when
-    there is a single QP. Then each federation aggregates its own rows
-    with `federation.admm_server_update`, and one `robust.multiplier_step`
-    call folds every new model into its clients' multipliers, as
-    `run_federation` does. With no wire between them, the server reads the
-    clients' own multipliers, which its mirror in `run_federation` equals
-    bit for bit. The models agree with `run_federation`'s to solver
-    roundoff. `run_federation` stays the wire runtime; this loop has no
+    One `robust.ProximalSteps`, kept for the whole run, holds one row per
+    (federation, client) pair: its QP, warm start, multipliers mu_g and
+    last w_g. Every round one `robust.multiplier_step` call folds each
+    federation's last model into its clients' multipliers, as each client
+    of `run_federation` does, and the steps of all federations are taken
+    together through one `solver.ProgramStack`, laid out on the first
+    round (or `solve` when there is a single QP). Then each federation
+    aggregates its own rows with `federation.admm_server_update`. With no
+    wire between them, the server reads the clients' own multipliers,
+    which its mirror in `run_federation` equals bit for bit. The stack
+    sums in another order than `solve`, so the models agree with
+    `run_federation`'s to solver roundoff: the runtime's exact
+    `solver.ProgramBatch` would give `run_federation`'s bytes, but it
+    steps this lockstep's many layouts about 20% slower than the padded
+    stack. `run_federation` stays the wire runtime; this loop has no
     transport and evaluates no objective."""
     for fed in feds:
         warn_above_rho_cap(fed)
     steps = ProximalSteps([(data, fed.clients[g], g)
                            for fed, shards in zip(feds, client_data)
-                           for g, data in enumerate(shards)])
+                           for g, data in enumerate(shards)], joint=ProgramStack)
     sizes = [len(shards) for shards in client_data]
     fed_of = np.repeat(np.arange(len(feds)), sizes)
     rows = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
     w = np.zeros((len(feds), client_data[0][0].p))
-    mu = np.ones((fed_of.size, w.shape[1]))
     traces = [[] for _ in feds]
     for t in range(1, feds[0].T + 1):
-        w_g = np.array(steps(w[fed_of] - mu))
-        w = np.array([admm_server_update(fed.alphas, w_g[r], mu[r])
+        steps.mu_g = multiplier_step(steps.mu_g, steps.w_g, w[fed_of])
+        w_g = steps(w[fed_of] - steps.mu_g)
+        w = np.array([admm_server_update(fed.alphas, w_g[r], steps.mu_g[r])
                       for fed, r in zip(feds, rows)])
-        mu = multiplier_step(mu, w_g, w[fed_of])
         for f, trace in enumerate(traces):
             trace.append(RoundTrace(t=t, w_after=w[f].copy(), global_objective=math.nan,
                                     consensus_residual=math.nan, wall_time=math.nan))

@@ -23,18 +23,23 @@ so the two produce bit-identical models on the same inputs.
 
 The model starts at zeros and every ADMM multiplier at ones.
 
-ADMM bookkeeping: each client holds its w_g and multipliers mu_g as plain
-arrays, and one `robust.ProximalSteps` for the whole run that keeps its QP
-and warm start (the wire only ever carries w_g). A client folds the
-aggregate w of the previous round, which its `RoundStart` carries, into
-its multipliers (mu_g + w_g - w; a no-op in round 1, where w = w_g = 0)
-before its proximal step. The server keeps its own mirror of them, one row
-per client, and updates it with one call of the same rule
-(`robust.multiplier_step`) on the same w_g and w right after aggregating,
-so the mirror equals every client's multipliers bit for bit. That is what
-lets it form the Prop.-5-style weighted sum (`admm_server_update`, the
-one aggregation rule, which the cross-validation lockstep calls too)
-without extra traffic.
+ADMM bookkeeping: each client's w_g, multipliers mu_g, QP and warm start
+are its row of a `robust.ProximalSteps` kept for the whole run (the wire
+only ever carries w_g). A TCP client holds a `ProximalSteps` of one; the
+in-process transport's clients share one, so the round's first client
+folds the aggregate w of the previous round, which its `RoundStart`
+carries, into every row's multipliers (mu_g + w_g - w; a no-op in round
+1, where w = w_g = 0) and takes every client's proximal step, equal-size
+shards through one `solver.ProgramBatch`; each client then replies with
+its own row, and a failed step raises in its own client's call. The
+batch's rows are `solve`'s bytes and the fold is elementwise, so a
+client's replies are the same bytes either way. The server keeps its
+own mirror of the multipliers, one row per client, and updates it with
+one call of the same rule (`robust.multiplier_step`) on the same w_g and
+w right after aggregating, so the mirror equals every client's
+multipliers bit for bit. That is what lets it form the Prop.-5-style
+weighted sum (`admm_server_update`, the one aggregation rule, which the
+cross-validation lockstep calls too) without extra traffic.
 """
 
 import socket
@@ -392,41 +397,53 @@ class FederatedClient:
     SM rounds: reply with the exact subgradient, at the received model, of
     the worst-case risk over unbounded support, the risk the server
     reports (`robust.WorstCaseDual`, in closed form; no LP is solved).
-    `dual` is a `WorstCaseDual` whose row `row` is this client; the
+    `shared` is a `WorstCaseDual` whose row `row` is this client; the
     in-process transport gives all its clients one, which computes every
     row once per model, and by default the client builds its own of one
     client. Either way the reply has the same bytes. Every round refuses a
     model that is not a finite vector of the data's length and features
     outside the unit box.
 
-    ADMM rounds: the client holds its last w_g (zeros before round 1) and
-    its multipliers mu_g (ones) as arrays, and one `robust.ProximalSteps`
-    of one client, built here and kept for the whole run, which owns its
-    QP and warm start. Each round refuses a model that is not a finite
-    vector of the data's length, folds it (the previous round's
-    aggregate) into mu_g, takes the proximal step and replies with w_g.
+    ADMM rounds: the client's last w_g (zeros before round 1), its
+    multipliers mu_g (ones), its QP and its warm start are its row `row`
+    of `shared`, a `robust.ProximalSteps` kept for the whole run. The
+    in-process transport gives all its clients one, which steps every
+    client of a round in the first client's call, and by default the
+    client builds its own of one client; either way its replies have the
+    same bytes. Each round refuses a model that is not a finite vector of
+    the data's length, folds it (the previous round's aggregate) into
+    mu_g, takes the proximal step and replies with w_g; a failed step
+    raises in its own client's call.
     """
 
-    def __init__(self, g, data, cfg, algorithm, dual=None, row=0):
+    def __init__(self, g, data, cfg, algorithm, shared=None, row=0):
         self.g = g
         self.data = data
         self.cfg = cfg
         self.algorithm = algorithm
-        if algorithm is Algorithm.SM:
-            if dual is None:
-                dual, row = WorstCaseDual([(data, cfg)]), 0
-            self.dual, self.row = dual, row
-        else:
-            self.steps = ProximalSteps([(data, cfg, g)])
-            self.w_g, self.mu_g = np.zeros(data.p), np.ones(data.p)
+        if shared is None:
+            shared, row = (WorstCaseDual([(data, cfg)]) if algorithm is Algorithm.SM
+                           else ProximalSteps([(data, cfg, g)])), 0
+        self.shared, self.row = shared, row
+
+    @property
+    def w_g(self):
+        return self.shared.w_g[self.row]
+
+    @property
+    def mu_g(self):
+        return self.shared.mu_g[self.row]
 
     def on_round_start(self, msg):
         if self.algorithm is Algorithm.SM:
-            return SmResult(g=self.g, v=self.dual.subgradient(msg.w, self.row))
+            return SmResult(g=self.g, v=self.shared.subgradient(msg.w, self.row))
         w = _check_model(msg.w, self.data.p)
-        self.mu_g = admm_multiplier_update(self.mu_g, self.w_g, w)
-        self.w_g = admm_client_step(self.steps, w, self.mu_g)
-        return AdmmResult(g=self.g, w_g=self.w_g)
+        steps = self.shared
+        if steps.t != msg.t:
+            # the round's first client folds w into every row's multipliers;
+            # its step then takes every row's proximal step
+            steps.mu_g = admm_multiplier_update(steps.mu_g, steps.w_g, w)
+        return AdmmResult(g=self.g, w_g=admm_client_step(steps, self.row, msg.t, w))
 
     def handle(self, msg):
         """Answer one `RoundStart` with this round's result."""
@@ -459,7 +476,8 @@ def run_federation(cfg, client_data, transport=None):
     `client_data` is one DatasetView per client (also used to evaluate the
     global objective after each round). With the default in-process
     transport every client step runs on the caller's thread, inside the
-    round's `collect`; no thread is started. With a TCP server transport
+    round's `collect`; no thread is started, and the ADMM clients share
+    one `robust.ProximalSteps`. With a TCP server transport
     the clients connect on their own (see `run_client` /
     `transport_tcp_connect`), `start` waits for all of them and each
     `collect` reads their replies on the caller's thread.
@@ -479,8 +497,10 @@ def run_federation(cfg, client_data, transport=None):
     # their rows off
     dual = WorstCaseDual(zip(client_data, cfg.clients))
     if transport is None:
+        shared = dual if cfg.algorithm is Algorithm.SM else ProximalSteps(
+            (client_data[g], cfg.clients[g], g) for g in range(G))
         transport = InProcessTransport(
-            FederatedClient(g, client_data[g], cfg.clients[g], cfg.algorithm, dual, g)
+            FederatedClient(g, client_data[g], cfg.clients[g], cfg.algorithm, shared, g)
             for g in range(G)
         )
     expected = SmResult if cfg.algorithm is Algorithm.SM else AdmmResult

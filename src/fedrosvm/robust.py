@@ -6,9 +6,11 @@ kappa) in closed form through its one-dimensional dual, with its minimizing
 multiplier and an exact subgradient (`WorstCaseDual`, one body for one client
 or many: the subgradient-method (SM) client step and the server's objective
 both read it), the proximal QP solved inside ADMM rounds (one body,
-`ProximalSteps`, which owns each client's QP and warm start for the whole
-run: a lone client step goes through `solve`, the steps of many clients
-through one `solver.ProgramStack`, laid out once and solved every round),
+`ProximalSteps`, which owns each client's QP, warm start, w_g and
+multipliers for the whole run: a lone client step goes through `solve`,
+the steps of many clients through one `solver.ProgramBatch`, whose rows
+are `solve`'s bytes, or, in the cross-validation lockstep, one
+`solver.ProgramStack`; either is laid out once and solved every round),
 the scaled multiplier rule (`multiplier_step`), and the practical radius
 rule.
 
@@ -48,7 +50,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import NormKind, hinge_losses
-from .solver import ConvexProgram, ProgramStack, SolverStatus, solve
+from .solver import ConvexProgram, ProgramBatch, SolverStatus, solve
 
 log = logging.getLogger(__name__)
 
@@ -585,19 +587,23 @@ def _epigraph_objective(data, cfg, rho, tau, anchor):
     return qd, c
 
 
-def admm_client_step(steps, w_global, mu_g):
-    """One client's proximal step: its new w_g, from the QP anchored at
-    w_global - mu_g. `steps` is the client's `ProximalSteps` of one, which
-    keeps its QP and warm start from round to round."""
-    anchor = np.asarray(w_global, dtype=float) - mu_g
-    w_g, = steps(anchor[None])
-    return w_g
+def admm_client_step(steps, row, t, w_global):
+    """Client `row`'s new w_g in ADMM round t, from `steps`, the
+    `ProximalSteps` that holds its QP, warm start and multipliers mu_g
+    (already folded for round t). The first call of round t takes every
+    row's step, each anchored at w_global - mu_g; every call returns a copy
+    of its own row's w_g, or raises its own row's failure."""
+    if steps.t != t:
+        steps.step(np.asarray(w_global, dtype=float) - steps.mu_g)
+        steps.t = t
+    return steps.reply(row)
 
 
 class ProximalSteps:
     """The proximal steps of a fixed list of ADMM clients, round after
-    round: the one body of the client step (`admm_client_step` drives a
-    list of one), and the owner of each client's QP and warm start.
+    round: the one body of the client step, and the owner of each client's
+    QP, warm start, last w_g (zeros before round 1) and multipliers mu_g
+    (ones), one row of `w_g` and `mu_g` per client.
 
     `clients` holds one (data, cfg, client_id) per client; the id names
     the client in the warm-retry warning and the convergence error, and
@@ -608,29 +614,46 @@ class ProximalSteps:
     kappa and norm, as one fold's client has at every rho of a
     cross-validation) build them once and share their analysis
     (`ConvexProgram.with_objective`). A lone QP is solved by `solve`; two
-    or more by one `solver.ProgramStack`, laid out on the first round and
-    reused on every later one.
+    or more by one `joint` solver laid out on the first round and reused
+    on every later one: by default a `solver.ProgramBatch`, whose
+    solutions are `solve`'s bytes, so a client's row is the same in a
+    `ProximalSteps` of one and of many; or a `solver.ProgramStack`, which
+    agrees with `solve` to roundoff.
     """
 
-    def __init__(self, clients):
+    def __init__(self, clients, joint=ProgramBatch):
         self.clients = list(clients)
+        self.joint = joint
         self.programs = None
         self.warms = [None] * len(self.clients)
-        self.stack = None
+        self.together = None
+        shape = (len(self.clients), self.clients[0][0].p)
+        self.w_g, self.mu_g = np.zeros(shape), np.ones(shape)
+        self.failures = [None] * len(self.clients)
+        self.t = 0  # the last round `admm_client_step` stepped
 
     def __call__(self, anchors):
+        """Every client's step (see `step`); returns `w_g`, or raises the
+        first client's failure."""
+        self.step(anchors)
+        for failure in self.failures:
+            if failure is not None:
+                raise failure
+        return self.w_g
+
+    def step(self, anchors):
         """Every client's step from its anchor w_global - mu_g, one row of
-        `anchors` per client. Each step retries a failed warm start cold,
-        raises when its QP still does not converge, and keeps its solution
-        as the next warm start. Returns the new w_g, one per client."""
+        `anchors` per client, into its row of `w_g`. Each step retries a
+        failed warm start cold and keeps its solution as the next warm
+        start. A QP that still does not converge leaves its row as it was,
+        and its error in `failures` for `reply` to raise."""
         progs = self._programs(anchors)
         if len(progs) == 1:
             sols = [solve(progs[0], warm=self.warms[0])]
         else:
-            if self.stack is None:
-                self.stack = ProgramStack(progs)
-            sols = self.stack.solve(self.warms)
-        steps = []
+            if self.together is None:
+                self.together = self.joint(progs)
+            sols = self.together.solve(self.warms)
         for k, (sol, prog, (data, _, client_id)) in enumerate(zip(sols, progs, self.clients)):
             who = "client" if client_id is None else f"client {client_id}"
             if sol.status is not SolverStatus.OPTIMAL and self.warms[k] is not None:
@@ -640,10 +663,19 @@ class ProximalSteps:
                             who, sol.message)
                 sol = solve(prog)
             if sol.status is not SolverStatus.OPTIMAL:
-                raise RuntimeError(f"{who}: proximal QP failed to converge: {sol.message}")
+                self.failures[k] = RuntimeError(
+                    f"{who}: proximal QP failed to converge: {sol.message}")
+                continue
+            self.failures[k] = None
             self.warms[k] = (sol.x_star, sol.z_star)
-            steps.append(sol.x_star[:data.p].copy())
-        return steps
+            self.w_g[k] = sol.x_star[:data.p]
+
+    def reply(self, k):
+        """A copy of client k's row of `w_g`; raises its failure instead
+        when its last step failed."""
+        if self.failures[k] is not None:
+            raise self.failures[k]
+        return self.w_g[k].copy()
 
     def _programs(self, anchors):
         """Each client's QP at its anchor: built on the first round, its

@@ -28,16 +28,29 @@ The reduction is exact; backend choice affects speed and floating-point
 roundoff only. Identical inputs take identical paths, so results are
 deterministic within one build.
 
-`ProgramStack` runs the same iteration over many programs at once: every
-Schur-eligible one in one stack, their rows and S columns laid end to
-end, per-program reductions through `np.ufunc.reduceat`, and batched
-matmuls and solves over the small dense blocks of all programs, the
-narrower remainders zero-padded to the widest. The stack is laid out
-once and solved as often as the costs change (every client QP of an ADMM
-cross-validation, round after round); `solve_stack` solves a list of
-programs once. A program that does not split goes to `solve`. On a
-single program its set-up and indexing make it several times slower
-than `solve`, which stays the single-program path.
+Two solvers run the iteration over many programs at once. Each is laid
+out once and solved as often as the costs change, round after round.
+
+* `ProgramBatch` steps the Schur programs of one row layout (the client
+  QPs of equal-size shards) through `_batch_loop`, one row per program:
+  every operation of `_ip_loop` runs on all rows in one call, in the
+  memory order and summation order of the single-program call, and the
+  Cholesky factorization and solves run per program. So each row's
+  solution is `solve`'s, byte for byte. A row that would leave `_ip_loop`
+  short of OPTIMAL, or might, goes to `solve`, and the last row left is
+  taken on by `_ip_loop` where it stands. The in-process clients of a
+  federation step through it.
+* `ProgramStack` lays every Schur-eligible program end to end in one
+  stack, whatever its layout: per-program reductions through
+  `np.ufunc.reduceat`, and batched matmuls and solves over the small
+  dense blocks of all programs, the narrower remainders zero-padded to
+  the widest. It sums in another order than `solve`, so it agrees with
+  `solve` to roundoff. The ADMM cross-validation steps through it;
+  `solve_stack` solves a list of programs once.
+
+Each sends a program that does not split to `solve`. On a single
+program their set-up and indexing make them slower than `solve`, which
+stays the single-program path.
 """
 
 from __future__ import annotations
@@ -62,6 +75,7 @@ __all__ = [
     "SolverStatus",
     "SolverSolution",
     "solve",
+    "ProgramBatch",
     "ProgramStack",
     "solve_stack",
     "solve_lp_by_enumeration",
@@ -517,32 +531,48 @@ def _cold_start(p: ConvexProgram, backend):
     return x, y, s, z
 
 
-def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverSolution:
-    m, k = p.m, p.k
+def _scales(p: ConvexProgram):
+    """(scale_b, scale_c): 1 plus the largest right-hand side, and 1 plus
+    the largest cost, in absolute value."""
     scale_b = 1.0 + max(
         np.max(np.abs(p.b_ineq), initial=0.0), np.max(np.abs(p.b_eq), initial=0.0)
     )
-    scale_c = 1.0 + np.max(np.abs(p.c), initial=0.0)
+    return scale_b, 1.0 + np.max(np.abs(p.c), initial=0.0)
+
+
+def _start(p: ConvexProgram, backend, warm, scale_b, scale_c):
+    """The starting point of `_ip_loop`: (warm_started, x, y, s, z)."""
+    if not _warm_fits(warm, p):
+        return (False,) + _cold_start(p, backend)
+    # re-center the previous optimum at a moderate complementarity level so
+    # the first Newton steps can absorb the changed objective
+    x = np.asarray(warm[0], dtype=float).copy()
+    lift = np.sqrt(1e-4 * scale_b * scale_c)
+    z = np.maximum(np.asarray(warm[1], dtype=float), lift)
+    s = np.maximum(p.b_ineq - backend.a_dot(x), lift)
+    return True, x, np.zeros(p.k), s, z
+
+
+def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None,
+             resume=None) -> SolverSolution:
+    """The interior-point iteration from `_start`'s point, or, with
+    `resume` = (it, warm_started, x, s, z, mu0, trail), from iteration it
+    of a solve that `_batch_loop` has taken that far with no short step
+    (a program without equality rows)."""
+    m, k = p.m, p.k
+    scale_b, scale_c = _scales(p)
     obj_floor = -UNBOUNDED_OBJECTIVE * scale_b * scale_c
-
-    warm_started = _warm_fits(warm, p)
-    if warm_started:
-        # re-center the previous optimum at a moderate complementarity level
-        # so the first Newton steps can absorb the changed objective
-        x = np.asarray(warm[0], dtype=float).copy()
-        lift = np.sqrt(1e-4 * scale_b * scale_c)
-        z = np.maximum(np.asarray(warm[1], dtype=float), lift)
-        s = np.maximum(p.b_ineq - backend.a_dot(x), lift)
-        y = np.zeros(k)
+    if resume is None:
+        warm_started, x, y, s, z = _start(p, backend, warm, scale_b, scale_c)
+        mu0 = (s @ z) / m
+        first, trail = 1, []  # KKT residuals of a warm-started solve, for the stall exit
     else:
-        x, y, s, z = _cold_start(p, backend)
-
-    mu0 = (s @ z) / m
+        first, warm_started, x, s, z, mu0, trail = resume
+        y = np.zeros(0)
     stall = 0
     kkt_resid = np.inf
-    trail = []  # KKT residuals of a warm-started solve, for the stall exit
     no_eq = np.zeros(0)
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(first, cfg.max_iterations + 1):
         qx = backend.q_dot(x)
         r_d = qx + p.c + backend.at_dot(z)
         if k:
@@ -614,6 +644,314 @@ def _ip_loop(p: ConvexProgram, cfg: SolverConfig, backend, warm=None) -> SolverS
 
     return SolverSolution(x, p.objective(x), SolverStatus.MAX_ITERATIONS, float(kkt_resid),
                           cfg.max_iterations, _CAPPED, z_star=z, y_star=y)
+
+
+# ---------------------------------------------------------------------------
+# many programs of one row layout, byte for byte
+
+
+_LINALG_ERRORS = (scipy.linalg.LinAlgError, RuntimeError, np.linalg.LinAlgError)
+
+
+def _row_layout(backend: _SchurBackend):
+    """What programs stepped by one `_Batch` share: the size, the S and
+    remainder columns, and each row's S column and coefficient."""
+    return (backend.n, backend.scol.size, backend.s_idx.tobytes(), backend.r_idx.tobytes(),
+            backend.scol.tobytes(), backend.scoef.tobytes())
+
+
+def _dots(a, b):
+    """The dot product of every row of a with the same row of b, each by
+    the BLAS call that `a[k] @ b[k]` makes."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+class _Batch:
+    """Schur programs of a `ProgramBatch` with one row layout
+    (`_row_layout`), stepped together by `_batch_loop`, one row per
+    program.
+
+    The layout's index arrays are kept once; a gather of columns is a
+    `take`, which keeps the rows C-ordered (a fancy index along the
+    second axis would return them F-ordered). A_r' is stacked as (K, r, m) in each program's own C order,
+    and A_r is its transposed view, each program's F-ordered A_r: a
+    batched matmul over such blocks makes, program by program, the BLAS
+    call that `_SchurBackend`'s product makes. The bins of each
+    `np.bincount` are laid out program after program (`col_at`, `scol_at`,
+    `sr_at`), so every bin adds its terms in `_SchurBackend`'s order, and a
+    prefix of those indices serves the first K' rows once others have
+    left."""
+
+    def __init__(self, programs, ids):
+        self.ids = list(ids)
+        self.programs = [programs[i] for i in ids]
+        self.backends = [_structure(p)[1] for p in self.programs]
+        self.free = [_structure(p)[2] for p in self.programs]
+        lay = self.layout = self.backends[0]
+        self.a_rT = np.stack([b.A_rT for b in self.backends])
+        self.qdiag = np.stack([b.qdiag for b in self.backends])
+        self.q_s = np.stack([b.q_s for b in self.backends])
+        self.h_diag = np.stack([b.h_diag for b in self.backends])
+        self.b = np.stack([p.b_ineq for p in self.programs])
+        self.scale_b = np.array([_scales(p)[0] for p in self.programs])
+        k = np.arange(len(ids))[:, None]
+        self.col_at = (lay.col_of_row + lay.n * k).ravel()
+        self.scol_at = (lay.scol + lay.n_s * k).ravel()
+        self.sr_at = (lay.sr_index + lay.sr_size * k).ravel()
+        self.scoef_col = lay.scoef[:, None]
+
+    def a_dot(self, a_r, x):
+        """`_SchurBackend.a_dot` of every row of x."""
+        lay = self.layout
+        return (lay.scoef * x.take(lay.col_of_row, 1)
+                + (a_r @ x.take(lay.r_idx, 1)[:, :, None])[:, :, 0])
+
+    def start(self, warms):
+        """The rows of `_batch_loop` at `_ip_loop`'s starting points
+        (`_start`), with s and z side by side in v; None when no row
+        starts. A program whose cost pulls on a free column, or whose
+        cold start fails to factor, is left out for `solve` to redo."""
+        lay = self.layout
+        m = lay.scol.size
+        c = np.array([p.c for p in self.programs])
+        scale_c = 1.0 + np.abs(c).max(axis=1, initial=0.0)
+        warm = np.array([_warm_fits(w, p) for w, p in zip(warms, self.programs)])
+        started = np.ones(len(self.ids), dtype=bool)
+        x, v = np.zeros(c.shape), np.ones((len(self.ids), 2 * m))
+        for k, (p, warm_k) in enumerate(zip(self.programs, warms)):
+            if _free_cost(p, self.free[k]) is not None:
+                started[k] = False
+            elif warm[k]:
+                x[k], v[k, m:] = warm_k
+            else:
+                try:
+                    x[k], _, v[k, :m], v[k, m:] = _cold_start(p, self.backends[k])
+                except _LINALG_ERRORS:
+                    started[k] = False
+        if warm.any():
+            lift = np.sqrt(1e-4 * self.scale_b * scale_c)[:, None]
+            s_warm = np.maximum(self.b - self.a_dot(self.a_rT.transpose(0, 2, 1), x), lift)
+            z_warm = np.maximum(v[:, m:], lift)
+            if warm.all():
+                v[:, :m], v[:, m:] = s_warm, z_warm
+            else:
+                v[:, :m] = np.where(warm[:, None], s_warm, v[:, :m])
+                v[:, m:] = np.where(warm[:, None], z_warm, v[:, m:])
+        if not started.any():
+            return None
+        rows = _Rows(k=np.arange(len(self.ids)), x=x, v=v, c=c, scale_c=scale_c, warm=warm,
+                     scale_b=self.scale_b, obj_floor=-UNBOUNDED_OBJECTIVE * self.scale_b * scale_c,
+                     a_rT=self.a_rT, qdiag=self.qdiag, q_s=self.q_s, h_diag=self.h_diag,
+                     b=self.b, dead=np.zeros(len(self.ids), dtype=bool))
+        if not started.all():
+            rows.keep(started)
+        rows.mu0 = _dots(rows.v[:, :m], rows.v[:, m:]) / m
+        rows.mu_cap = 1e10 * (1.0 + rows.mu0)
+        return rows
+
+
+class _Rows:
+    """Per-row arrays of a `_batch_loop`, one leading row per program;
+    `keep` drops the rows that have left."""
+
+    def __init__(self, **arrays):
+        vars(self).update(arrays)
+
+    def keep(self, mask):
+        for name, value in vars(self).items():
+            setattr(self, name, value[mask])
+
+
+def _max_steps(v, dv):
+    """`_max_step` of every row of v = [s | z] > 0 and dv = [ds | dz]. The
+    components with dv < 0 give v / -dv > 0, which as unsigned integers
+    keep their order, while the others give a negative number or NaN,
+    which sort above +inf; one integer minimum per row finds the nearest
+    boundary, and a row with none gets +inf."""
+    bits = (v / -dv).view(np.uint64).min(axis=1)
+    return np.where(bits <= _INF_BITS, bits.view(np.float64), np.inf)
+
+
+def _batch_loop(bt: _Batch, cfg: SolverConfig, warms, out):
+    """`_ip_loop` over a `_Batch`, with the warm starts of its programs.
+    Each row performs `_ip_loop`'s operations on the same bytes. A row
+    that reaches OPTIMAL gets, in its entry of `out`, the solution `solve`
+    returns; a row that would exit `_ip_loop` in any other way, or fall
+    back to the sparse backend, or whose next step could differ from
+    `_ip_loop`'s (a NaN step length, or one below 1e-10), leaves with
+    None, for `solve` to redo alone. A batch of one is slower than
+    `_ip_loop`: when one row is left, returns (i, resume), its program's
+    index and the point to resume `_ip_loop` from; else None."""
+    lay = bt.layout
+    S, R = lay.s_idx, lay.r_idx
+    m, n, n_s, r = lay.scol.size, lay.n, lay.n_s, lay.r_idx.size
+    st = bt.start(warms)
+    if st is None:
+        return
+    trail = deque(maxlen=WARM_STALL_WINDOW + 1)  # KKT residuals, for the stall exit
+    for it in range(1, cfg.max_iterations + 1):
+        K = st.k.size
+        x, v, c = st.x, st.v, st.c
+        if K == 1:
+            return bt.ids[st.k[0]], (it, st.warm[0], x[0].copy(), v[0, :m].copy(),
+                                     v[0, m:].copy(), st.mu0[0], [past[0] for past in trail])
+        s, z = v[:, :m], v[:, m:]
+        a_r = st.a_rT.transpose(0, 2, 1)
+        qx = st.qdiag * x
+        r_d = np.bincount(bt.col_at[:K * m], (lay.scoef * z).ravel(),
+                          minlength=K * n).reshape(K, n)
+        r_d[:, R] = (st.a_rT @ z[:, :, None])[:, :, 0]
+        r_d = qx + c + r_d
+        r_p = bt.a_dot(a_r, x) + s - st.b
+        mu = _dots(s, z) / m
+        obj = 0.5 * _dots(x, qx) + _dots(c, x)
+
+        rd_rel = np.abs(r_d).max(axis=1) / (st.scale_c + np.abs(qx).max(axis=1))
+        rp_rel = np.abs(r_p).max(axis=1) / st.scale_b
+        gap_rel = mu / (1.0 + np.abs(obj))
+        kkt = np.maximum(np.maximum(rd_rel, rp_rel), gap_rel)
+        optimal = (kkt <= cfg.eps2) & ~st.dead
+        # a row stays unless it has left, or `_ip_loop` would exit here, or
+        # might
+        stay = (~(optimal | st.dead) & np.isfinite(kkt) & (mu <= st.mu_cap)
+                & (np.abs(x).max(axis=1) <= 1e13) & (obj >= st.obj_floor))
+        trail.append(kkt)
+        if len(trail) > WARM_STALL_WINDOW:
+            stay &= ~(st.warm & (kkt * WARM_STALL_DROP > trail[0]))
+        if not stay.all():
+            for j in np.flatnonzero(optimal):
+                out[bt.ids[st.k[j]]] = SolverSolution(
+                    x[j].copy(), float(obj[j]), SolverStatus.OPTIMAL, float(kkt[j]), it - 1,
+                    "", z_star=z[j].copy(), y_star=np.zeros(0))
+            # a row that has left goes on, unread, until half the rows have
+            st.dead |= ~stay
+            if 2 * np.count_nonzero(st.dead) >= K:
+                stay = ~st.dead
+                if not stay.any():
+                    return
+                st.keep(stay)
+                trail = deque((past[stay] for past in trail), maxlen=trail.maxlen)
+                r_d, r_p, mu, gap_rel = r_d[stay], r_p[stay], mu[stay], gap_rel[stay]
+                K = st.k.size
+                x, v = st.x, st.v
+                s, z = v[:, :m], v[:, m:]
+                a_r = st.a_rT.transpose(0, 2, 1)
+
+        # the Schur complements, as `_SchurBackend.factor` forms them
+        w = z / s
+        d_s = st.q_s + np.bincount(bt.scol_at[:K * m], (lay.scoef2 * w).ravel(),
+                                   minlength=K * n_s).reshape(K, n_s) + REGULARIZATION
+        arw = a_r * w[:, :, None]
+        m_sr = np.bincount(bt.sr_at[:K * m * r], (arw * bt.scoef_col).ravel(),
+                           minlength=K * lay.sr_size).reshape(K, n_s, r)
+        m_srT = m_sr.transpose(0, 2, 1)
+        h = st.a_rT @ arw + st.h_diag
+        h -= m_srT @ (m_sr / d_s[:, :, None])
+        factors = []
+        for j in range(K):
+            h_fac, info = dpotrf(h[j], lower=False, clean=False)
+            if info > 0:
+                # `solve` falls back to the sparse backend here
+                st.dead[j] = True
+                h_fac = np.eye(r)
+            factors.append(h_fac)
+
+        def newton(g, dz):
+            # `_SchurBackend.solve` with rhs_x = -r_d, writing dz into `dz`:
+            # (dx_s, dx_r)
+            wg = w * g
+            b_s = minus_r_d_s + np.bincount(bt.scol_at[:K * m], (lay.scoef * wg).ravel(),
+                                            minlength=K * n_s).reshape(K, n_s)
+            b_r = (minus_r_d_r + (st.a_rT @ wg[:, :, None])[:, :, 0]
+                   - (m_srT @ (b_s / d_s)[:, :, None])[:, :, 0])
+            dx_r = np.array([dpotrs(f, b, lower=False)[0] for f, b in zip(factors, b_r)])
+            dx_s = (b_s - (m_sr @ dx_r[:, :, None])[:, :, 0]) / d_s
+            np.multiply(w, lay.scoef * dx_s.take(lay.scol, 1) + (a_r @ dx_r[:, :, None])[:, :, 0]
+                        - g, out=dz)
+            return dx_s, dx_r
+
+        minus_r_d, minus_r_p, sz = -r_d, -r_p, s * z
+        minus_r_d_s, minus_r_d_r = minus_r_d.take(S, 1), minus_r_d.take(R, 1)
+        dv = np.empty((K, 2 * m))  # [ds | dz]
+        ds, dz = dv[:, :m], dv[:, m:]
+
+        # predictor (affine scaling) direction
+        rc = -sz
+        newton(minus_r_p - rc / z, dz)
+        np.divide(rc - s * dz, z, out=ds)
+        alpha_a = np.minimum(1.0, _max_steps(v, dv))
+        moved = v + alpha_a[:, None] * dv
+        mu_aff = _dots(moved[:, :m], moved[:, m:]) / m
+        # on scalars: an array's ** 3 may round differently
+        sigma = np.array([min(max((a / b) ** 3, 1e-10), 1.0 - 1e-10)
+                          for a, b in zip(mu_aff, mu)])
+
+        # corrector
+        rc = (sigma * mu)[:, None] - sz - ds * dz
+        dx_s, dx_r = newton(minus_r_p - rc / z, dz)
+        np.divide(rc - s * dz, z, out=ds)
+
+        eta = np.where(gap_rel < 1e-3, 0.99995, 0.995)
+        alpha = np.minimum(1.0, eta * _max_steps(v, dv))
+        # `_ip_loop` takes min(1, NaN) as 1, and counts short steps towards
+        # its collapse exit
+        st.dead |= np.isnan(alpha_a + sigma + alpha) | (alpha < 1e-10)
+        dx = np.empty((K, n))
+        dx[:, S] = dx_s
+        dx[:, R] = dx_r
+        step = alpha[:, None]
+        st.x = x + step * dx
+        st.v = v + step * dv
+
+
+class ProgramBatch:
+    """A fixed list of programs solved together, as often as needed, with
+    only their costs c changing between solves (the structure contract of
+    `solve`), each solution byte-equal to `solve`'s.
+
+    Programs that split for the Schur backend with one row layout
+    (`_row_layout`: the client QPs of shards of one size) form one
+    `_Batch`, laid out once here, and advance through one interior-point
+    iteration together: `_batch_loop`, which repeats `_ip_loop`'s
+    operations row by row on the same bytes. The last row left in a
+    batch goes on in `_ip_loop`. A program alone in its layout, one that
+    does not split, and one that leaves the batch short of OPTIMAL (see
+    `_batch_loop`) go to `solve`.
+    """
+
+    def __init__(self, programs):
+        self.programs = list(programs)
+        layouts = {}
+        for i, p in enumerate(self.programs):
+            split, backend, _ = _structure(p)
+            # `_Batch` reads each A_r as the transpose of its C-ordered A_r'
+            if split is not None and backend.r_idx.size and backend.A_r.flags.f_contiguous:
+                layouts.setdefault(_row_layout(backend), []).append(i)
+        self.batches = [_Batch(self.programs, ids) for ids in layouts.values() if len(ids) > 1]
+
+    def solve(self, warms) -> list:
+        """One SolverSolution per program, in order, byte-equal to
+        `solve(p, warm=w)` with its entry w of `warms` (an (x0, z0) pair
+        or None)."""
+        warms = list(warms)
+        if len(warms) != len(self.programs):
+            raise ValueError(f"{len(self.programs)} programs but {len(warms)} warm starts")
+        out = [None] * len(self.programs)
+        cfg = SolverConfig()
+        lone = []
+        # a row heading for a divergence exit may overflow on the way, and
+        # `_max_steps` divides by every component; `solve` redoes such rows
+        with np.errstate(all="ignore"):
+            for batch in self.batches:
+                lone.append(_batch_loop(batch, cfg, [warms[i] for i in batch.ids], out))
+        for i, resume in filter(None, lone):
+            try:
+                out[i] = _ip_loop(self.programs[i], cfg, _structure(self.programs[i])[1],
+                                  resume=resume)
+            except _LINALG_ERRORS:
+                pass  # `solve` redoes it, and falls back to the sparse backend
+        return [solve(p, warm=warm) if sol is None else sol
+                for sol, p, warm in zip(out, self.programs, warms)]
 
 
 # ---------------------------------------------------------------------------

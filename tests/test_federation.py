@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from fedrosvm import federation, wire
+from fedrosvm import federation, robust, solver, wire
 from fedrosvm.core import DatasetView, NormKind
 from fedrosvm.federation import (
     Algorithm,
@@ -31,7 +31,7 @@ from fedrosvm.robust import (
     build_risk_epigraph_qp,
     worst_case_risk_dual,
 )
-from fedrosvm.solver import SolverStatus, solve
+from fedrosvm.solver import SolverSolution, SolverStatus, solve
 from fedrosvm.wire import FRAME_CAP, AdmmResult, ProtocolError, Shutdown, SmResult
 
 
@@ -333,6 +333,85 @@ def test_server_multiplier_mirror_equals_every_client_bit_for_bit(monkeypatch, a
     run_federation(cfg, shards, transport=InProcessTransport(clients))
     assert len(compared) == G * T
     assert all(compared), f"{compared.count(False)} of {G * T} client-rounds differ"
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.ADMM, Algorithm.ADMM_SC])
+def test_in_process_admm_replies_equal_lone_clients_on_uneven_shards(monkeypatch, algorithm):
+    # the two shards of one size step as one exact batch, the third alone;
+    # every reply and every trace must have the bytes of lone clients, whose
+    # steps are the TCP path's
+    G, T = 3, 20
+    shards = [make_shards(27 + g, 1, n, 2)[0] for g, n in enumerate((10, 12, 10))]
+    cfg = FederationConfig(clients=toy_cfg(G, tau=0.0 if algorithm is Algorithm.ADMM else 1.0),
+                           T=T, algorithm=algorithm, rho=0.05)
+    replies = []
+    answering = FederatedClient.handle
+
+    def recorded(self, msg):
+        reply = answering(self, msg)
+        replies.append((self.g, msg.t, reply.w_g.tobytes()))
+        return reply
+
+    batched = []
+    stepping = solver._batch_loop
+
+    def counted(batch, *args):
+        batched.append(batch.ids)
+        return stepping(batch, *args)
+
+    monkeypatch.setattr(FederatedClient, "handle", recorded)
+    monkeypatch.setattr(solver, "_batch_loop", counted)
+    shared = run_federation(cfg, shards)
+    shared_replies = replies[:]
+    assert batched == [[0, 2]] * T
+    replies.clear()
+    lone = run_federation(cfg, shards, transport=InProcessTransport(
+        FederatedClient(g, shards[g], cfg.clients[g], algorithm) for g in range(G)))
+    assert batched == [[0, 2]] * T
+    assert len(replies) == G * T and shared_replies == replies
+    for a, b in zip(shared.traces, lone.traces, strict=True):
+        assert a.w_after.tobytes() == b.w_after.tobytes()
+        assert (a.global_objective, a.consensus_residual) == (b.global_objective,
+                                                               b.consensus_residual)
+
+
+def test_a_failed_step_in_a_shared_batch_aborts_naming_its_client(monkeypatch):
+    G = 3
+    shards = make_shards(28, G, 8, 2)
+    cfg = FederationConfig(clients=toy_cfg(G), T=4, algorithm=Algorithm.ADMM, rho=0.05)
+    rounds = []
+    real = solver.ProgramBatch.solve
+
+    def forced(prog):
+        return SolverSolution(np.full(prog.n, np.nan), np.nan, SolverStatus.NUMERICAL_FAILURE,
+                              np.inf, 0, "forced failure")
+
+    def third_fails_in_round_2(self, warms):
+        sols = real(self, warms)
+        rounds.append(len(sols))
+        if len(rounds) == 2:
+            sols[2] = forced(self.programs[2])
+        return sols
+
+    monkeypatch.setattr(solver.ProgramBatch, "solve", third_fails_in_round_2)
+    # the cold retry fails too
+    monkeypatch.setattr(robust, "solve", lambda prog, cfg=None, warm=None: forced(prog))
+    replied = []
+    answering = FederatedClient.handle
+
+    def recorded(self, msg):
+        reply = answering(self, msg)
+        replied.append((msg.t, self.g))
+        return reply
+
+    monkeypatch.setattr(FederatedClient, "handle", recorded)
+    with pytest.raises(RuntimeError, match="federation aborted: client 2 failed") as info:
+        run_federation(cfg, shards)
+    assert rounds == [G, G]
+    assert replied[-2:] == [(2, 0), (2, 1)]
+    assert isinstance(info.value.__cause__, RuntimeError)
+    assert str(info.value.__cause__) == ("client 2: proximal QP failed to converge: "
+                                         "forced failure")
 
 
 def test_strongly_convex_warns_above_penalty_bound():

@@ -937,13 +937,20 @@ def test_admm_qp_objective_monotone_in_tau():
         prev = sol.objective
 
 
+def lone_step(steps, w_global, mu):
+    """The step of the one client of `steps`, anchored at w_global - mu, as
+    `admm_client_step` takes it in a round of its own."""
+    steps.mu_g[0] = mu
+    return admm_client_step(steps, 0, steps.t + 1, w_global)
+
+
 def test_admm_prox_dominates_with_large_rho():
     rng = np.random.default_rng(2032)
     data, _ = random_instance(rng, 6, 2)
     w_global = np.array([0.3, -0.7])
     mu = np.zeros(2)
     cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=1e6)
-    w_g = admm_client_step(ProximalSteps([(data, cfg, None)]), w_global, mu)
+    w_g = lone_step(ProximalSteps([(data, cfg, None)]), w_global, mu)
     assert np.max(np.abs(w_g - w_global)) <= 1e-3
     np.testing.assert_array_equal(mu, np.zeros(2))
 
@@ -952,7 +959,7 @@ def test_admm_huge_radius_zeroes_client_w():
     rng = np.random.default_rng(2036)
     data, _ = random_instance(rng, 6, 2)
     cfg = ClientConfig(epsilon=1e3, kappa=0.5, rho=1.0)
-    w_g = admm_client_step(ProximalSteps([(data, cfg, None)]), np.zeros(2), np.zeros(2))
+    w_g = lone_step(ProximalSteps([(data, cfg, None)]), np.zeros(2), np.zeros(2))
     assert np.max(np.abs(w_g)) <= 1e-4
 
 
@@ -962,16 +969,16 @@ def test_admm_client_step_cache_reuse():
     cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=2.0, tau=1.0)
     mu = np.zeros(3)
     steps = ProximalSteps([(data, cfg, None)])
-    admm_client_step(steps, np.ones(3), mu)
+    lone_step(steps, np.ones(3), mu)
     assert steps.programs is not None and steps.warms[0] is not None
     # warm-started re-solve with a different anchor must agree with a
     # fresh build to solver accuracy
     w_next = np.array([0.1, -0.2, 0.5])
-    kept = admm_client_step(steps, w_next, mu)
-    fresh = admm_client_step(ProximalSteps([(data, cfg, None)]), w_next, mu)
+    kept = lone_step(steps, w_next, mu)
+    fresh = lone_step(ProximalSteps([(data, cfg, None)]), w_next, mu)
     np.testing.assert_allclose(kept, fresh, atol=1e-5)
     # same inputs, fresh build: bitwise repeatable
-    again = admm_client_step(ProximalSteps([(data, cfg, None)]), w_next, mu)
+    again = lone_step(ProximalSteps([(data, cfg, None)]), w_next, mu)
     np.testing.assert_array_equal(fresh, again)
 
 
@@ -987,8 +994,8 @@ def test_admm_client_step_cache_survives_anchor_drift():
     steps = ProximalSteps([(data, cfg, None)])
     for k in range(6):
         w_global = rng.standard_normal(3) * (3.0 ** k)
-        kept = admm_client_step(steps, w_global, mu)
-        fresh = admm_client_step(ProximalSteps([(data, cfg, None)]), w_global, mu)
+        kept = lone_step(steps, w_global, mu)
+        fresh = lone_step(ProximalSteps([(data, cfg, None)]), w_global, mu)
         # iterate norms grow with the anchor here, so compare at solver
         # accuracy relative to scale
         np.testing.assert_allclose(kept, fresh, rtol=1e-4, atol=1e-5)
@@ -999,7 +1006,7 @@ def test_admm_warm_to_cold_retry_is_logged(monkeypatch, caplog):
     data, _ = random_instance(rng, 8, 2)
     cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=1.0)
     steps = ProximalSteps([(data, cfg, 3)])
-    admm_client_step(steps, np.ones(2), np.zeros(2))
+    lone_step(steps, np.ones(2), np.zeros(2))
     real_solve = robust.solve
     calls = []
 
@@ -1013,7 +1020,7 @@ def test_admm_warm_to_cold_retry_is_logged(monkeypatch, caplog):
 
     monkeypatch.setattr(robust, "solve", stall_when_warm)
     with caplog.at_level(logging.WARNING, logger="fedrosvm.robust"):
-        admm_client_step(steps, np.zeros(2), np.zeros(2))
+        lone_step(steps, np.zeros(2), np.zeros(2))
     assert calls == [True, False]
     assert "client 3" in caplog.text
     assert "iteration cap reached" in caplog.text
@@ -1035,7 +1042,7 @@ def test_stalled_warm_start_gives_up_early_and_retries_cold(monkeypatch, caplog)
     data = make_data(STALL_X, STALL_Y)
     cfg = ClientConfig(epsilon=1.0 / 140.0, kappa=1.0, rho=0.01)
     steps = ProximalSteps([(data, cfg, 1)])
-    admm_client_step(steps, np.array(STALL_ANCHORS[0]), np.zeros(2))
+    lone_step(steps, np.array(STALL_ANCHORS[0]), np.zeros(2))
     warm_point = steps.warms[0]
     real_solve = robust.solve
     calls = []
@@ -1047,7 +1054,7 @@ def test_stalled_warm_start_gives_up_early_and_retries_cold(monkeypatch, caplog)
 
     monkeypatch.setattr(robust, "solve", recording)
     with caplog.at_level(logging.WARNING, logger="fedrosvm.robust"):
-        step = admm_client_step(steps, np.array(STALL_ANCHORS[1]), np.zeros(2))
+        step = lone_step(steps, np.array(STALL_ANCHORS[1]), np.zeros(2))
     (was_warm, stalled), (retry_warm, cold) = calls
     assert was_warm and not retry_warm
     assert stalled.status is not SolverStatus.OPTIMAL

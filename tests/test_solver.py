@@ -712,7 +712,10 @@ def assert_bitwise_equal(a, b):
     assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
     assert np.float64(a.kkt_residual).tobytes() == np.float64(b.kkt_residual).tobytes()
     for got, want in ((a.x_star, b.x_star), (a.z_star, b.z_star), (a.y_star, b.y_star)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if got is None or want is None:  # a failure found before the iteration
+            assert got is want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestWarmStartContract:
@@ -753,3 +756,143 @@ def test_solve_stack_matches_solve_on_random_epigraph_qps(shapes, kappa, rho_tau
         p.c[:P] += 0.3 * rng.standard_normal(P)
     assert_same_solutions(solver.solve_stack(progs, warms),
                           [solve(p, warm=w) for p, w in zip(progs, warms)])
+
+
+def equal_layout_group(rng, norm, kappa, rho, tau, count, N, P):
+    """Proximal risk epigraphs on `count` random shards of N samples: one
+    row layout, so `ProgramBatch` steps them as one batch."""
+    cfg = ClientConfig(epsilon=0.05, kappa=kappa, norm=norm)
+    return [build_risk_epigraph_qp(
+        DatasetView(X=rng.random((N, P)), y=np.where(rng.random(N) < 0.5, 1, -1)),
+        cfg, rho=rho, tau=tau, anchor=rng.standard_normal(P)) for _ in range(count)]
+
+
+def solved_alone(monkeypatch):
+    """The ids of the programs that `ProgramBatch` hands to `solve`."""
+    alone = []
+    real = solver.solve
+
+    def recording(p, cfg=None, warm=None):
+        alone.append(id(p))
+        return real(p, cfg, warm)
+
+    monkeypatch.setattr(solver, "solve", recording)
+    return alone
+
+
+class TestProgramBatch:
+    @pytest.mark.parametrize("rho_tau", [(0.7, 0.0), (0.7, 0.3), (0.05, 0.0)])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("norm", [NormKind.L1, NormKind.LINF])
+    def test_every_row_has_the_bytes_of_solve_cold_then_warm(self, monkeypatch, norm, kappa,
+                                                              rho_tau):
+        # with P = 3 the l-infinity epigraph's S columns are not a range
+        rng = np.random.default_rng([71, norm is NormKind.LINF, int(kappa), int(100 * rho_tau[0]),
+                                     int(10 * rho_tau[1])])
+        P = 3
+        progs = equal_layout_group(rng, norm, kappa, *rho_tau, count=4, N=25, P=P)
+        batch = solver.ProgramBatch(progs)
+        assert [b.ids for b in batch.batches] == [[0, 1, 2, 3]]
+        alone = solved_alone(monkeypatch)
+        warms = [None] * len(progs)
+        for _ in range(3):
+            expected = [solve(p, warm=w) for p, w in zip(progs, warms)]
+            for got, want in zip(batch.solve(warms), expected):
+                assert_bitwise_equal(got, want)
+            warms = [(s.x_star, s.z_star) for s in expected]
+            for p in progs:
+                p.c[:P] += 0.3 * rng.standard_normal(P)
+        assert alone == []
+
+    def test_a_stalled_warm_start_answers_as_solve(self, monkeypatch):
+        # the stalling warm start of tests/test_robust.py next to a healthy
+        # shard of the same size: left alone once the other row is done, it
+        # is taken on by `_ip_loop`; with a twin, both stall in the batch
+        # and go back to `solve`
+        from test_robust import STALL_ANCHORS, STALL_X, STALL_Y
+        cfg = ClientConfig(epsilon=1.0 / 140.0, kappa=1.0)
+        stalling = DatasetView(X=np.array(STALL_X), y=np.array(STALL_Y))
+        other = DatasetView(X=np.random.default_rng(72).random((14, 2)), y=np.array(STALL_Y))
+        for shards, handed_back in (((stalling, other), []), ((stalling, stalling, other), [0, 1])):
+            anchor = np.array(STALL_ANCHORS[0])
+            progs = [build_risk_epigraph_qp(data, cfg, rho=0.01, anchor=anchor) for data in shards]
+            warms = [(s.x_star, s.z_star) for s in map(solve, progs)]
+            for p in progs:
+                p.c[:2] = -0.01 * np.array(STALL_ANCHORS[1])
+            batch = solver.ProgramBatch(progs)
+            assert [b.ids for b in batch.batches] == [list(range(len(progs)))]
+            alone = solved_alone(monkeypatch)
+            got = batch.solve(warms)
+            want = [solve(p, warm=w) for p, w in zip(progs, warms)]
+            assert want[0].message == "warm start stalled"
+            assert want[-1].status is SolverStatus.OPTIMAL
+            for a, b in zip(got, want):
+                assert_bitwise_equal(a, b)
+            assert alone == [id(progs[i]) for i in handed_back]
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["in-the-iteration", "at-the-cold-start"])
+    def test_a_schur_failure_goes_to_the_logged_sparse_fallback(self, monkeypatch, caplog, warm):
+        rng = np.random.default_rng(73)
+        progs = equal_layout_group(rng, NormKind.L1, 1.0, 0.7, 0.0, count=3, N=20, P=2)
+        warms = [(s.x_star, s.z_star) if warm else None for s in map(solve, progs)]
+        for p in progs:
+            p.c[:2] += 0.3 * rng.standard_normal(2)
+        # the first Schur complement of program 1's solve fails to factor
+        real = solver.dpotrf
+        factored = []
+
+        def recording(h, **kwargs):
+            factored.append(h.tobytes())
+            return real(h, **kwargs)
+
+        monkeypatch.setattr(solver, "dpotrf", recording)
+        solve(progs[1], warm=warms[1])
+
+        def fails_on_it(h, **kwargs):
+            return (h, 1) if h.tobytes() == factored[0] else real(h, **kwargs)
+
+        monkeypatch.setattr(solver, "dpotrf", fails_on_it)
+        want = [solve(p, warm=w) for p, w in zip(progs, warms)]
+        alone = solved_alone(monkeypatch)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fedrosvm.solver"):
+            got = solver.ProgramBatch(progs).solve(warms)
+        for a, b in zip(got, want):
+            assert_bitwise_equal(a, b)
+        assert alone == [id(progs[1])]
+        assert got[1].status is SolverStatus.OPTIMAL
+        assert len(caplog.records) == 1
+        assert "Schur backend failed" in caplog.text
+        assert "re-solving on the sparse KKT backend" in caplog.text
+
+    def test_a_costed_free_column_answers_as_solve(self, monkeypatch):
+        # one more column, in no row and without curvature, costed in the
+        # middle program only
+        rng = np.random.default_rng(74)
+        progs = [ConvexProgram(n=p.n + 1, Q=sp.diags(np.append(p.Q.diagonal(), 0.0)),
+                               c=np.append(p.c, cost),
+                               A_ineq=sp.hstack([p.A_ineq, sp.csr_matrix((p.m, 1))]),
+                               b_ineq=p.b_ineq)
+                 for p, cost in zip(equal_layout_group(rng, NormKind.L1, 1.0, 0.7, 0.0,
+                                                       count=3, N=12, P=2), (0.0, 2.5, 0.0))]
+        batch = solver.ProgramBatch(progs)
+        assert [b.ids for b in batch.batches] == [[0, 1, 2]]
+        alone = solved_alone(monkeypatch)
+        got = batch.solve([None] * 3)
+        want = [solve(p) for p in progs]
+        assert want[1].message.startswith(f"column {progs[1].n - 1} is in no constraint row")
+        assert want[0].status is want[2].status is SolverStatus.OPTIMAL
+        for a, b in zip(got, want):
+            assert_bitwise_equal(a, b)
+        assert alone == [id(progs[1])]
+
+    def test_a_program_alone_in_its_layout_goes_to_solve(self, monkeypatch):
+        rng = np.random.default_rng(75)
+        progs = (equal_layout_group(rng, NormKind.L1, 1.0, 0.7, 0.0, count=2, N=10, P=2)
+                 + equal_layout_group(rng, NormKind.L1, 1.0, 0.7, 0.0, count=1, N=11, P=2))
+        batch = solver.ProgramBatch(progs)
+        assert [b.ids for b in batch.batches] == [[0, 1]]
+        alone = solved_alone(monkeypatch)
+        for a, b in zip(batch.solve([None] * 3), [solve(p) for p in progs]):
+            assert_bitwise_equal(a, b)
+        assert alone == [id(progs[2])]

@@ -73,37 +73,44 @@ def test_traced_experiments_record_the_spans_noisy_cv_reads(monkeypatch):
         assert spans["data.prepare"] == 1
 
 
-def test_every_traced_admm_client_step_spans_a_solver_call(monkeypatch):
-    # perfbench's per-layer solver metrics and its cold-retry count read the
-    # solver.solve spans under each client step; a lone step that bypassed
-    # robust.solve would leave them empty. The multiplier fold and the
-    # server's aggregation are spanned by the names federation looks up per
-    # client step and per round; a runtime that stopped calling them would
-    # leave those spans empty too
+def test_traced_admm_steps_are_spanned_and_a_lone_step_spans_its_solve(monkeypatch):
+    # perfbench's per-layer metrics read the spans of the names federation
+    # looks up: a robust.admm_client_step per client and round, and per
+    # round one federation.aggregate and one robust.admm_multiplier_update,
+    # the fold of every client's multipliers that the round's first client
+    # makes. In-process clients of one shard size step as one
+    # solver.ProgramBatch inside the first client's step, which the tracer
+    # does not span; a lone client's step spans its solver.solve, which the
+    # per-layer solver metrics and the cold-retry count read
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
-    cfg = experiments.ExperimentConfig.from_dict({
-        "name": "admm", "model": "admm", "dataset": {"kind": "synthetic", "N": 40, "P": 2},
-        "partition": {"scheme": "even", "G": 2}, "grid": {"rho": [1e-1], "T": [3]},
-        "repetitions": 1})
-    shards, _, _ = experiments.prepare_repetition(cfg, 0)
-    fed = experiments.federation_config(cfg, {"rho": 1e-1}, shards, 3)
+    T = 3
+    for G in (2, 1):
+        cfg = experiments.ExperimentConfig.from_dict({
+            "name": "admm", "model": "admm", "dataset": {"kind": "synthetic", "N": 40, "P": 2},
+            "partition": {"scheme": "even", "G": G}, "grid": {"rho": [1e-1], "T": [T]},
+            "repetitions": 1})
+        shards, _, _ = experiments.prepare_repetition(cfg, 0)
+        fed = experiments.federation_config(cfg, {"rho": 1e-1}, shards, T)
 
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        federation.run_federation(fed, shards)
-    finally:
-        tracer.uninstall()
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            federation.run_federation(fed, shards)
+        finally:
+            tracer.uninstall()
 
-    spans = Counter(s[tracing.NAME] for s in tracer.spans)
-    assert spans["robust.admm_multiplier_update"] == 2 * 3
-    assert spans["federation.aggregate"] == 3
-    steps = [s for s in tracer.spans if s[tracing.NAME] == "robust.admm_client_step"]
-    assert len(steps) == 2 * 3
-    solves_under = Counter(s[tracing.PARENT] for s in tracer.spans
-                           if s[tracing.NAME] == "solver.solve")
-    assert all(solves_under[s[tracing.ID]] >= 1 for s in steps)
+        spans = Counter(s[tracing.NAME] for s in tracer.spans)
+        assert spans["robust.admm_client_step"] == G * T
+        assert spans["federation.aggregate"] == T
+        assert spans["robust.admm_multiplier_update"] == T
+        steps = [s for s in tracer.spans if s[tracing.NAME] == "robust.admm_client_step"]
+        solves_under = Counter(s[tracing.PARENT] for s in tracer.spans
+                               if s[tracing.NAME] == "solver.solve")
+        if G == 1:
+            assert all(solves_under[s[tracing.ID]] == 1 for s in steps)
+        else:
+            assert spans["solver.solve"] == 0
 
 
 def test_traced_sm_federation_solves_no_lp_and_replies_with_subgradients(monkeypatch):
