@@ -235,12 +235,17 @@ def _minibatch_step(W, W_round, Yb, length, two_c, step, prox_mu):
     arithmetic as w - step * (l2_hinge_subgradient(w, yb, c) +
     prox_mu * (w - w_round)) per run at P >= 2; the margins come from one
     gemv per run over exactly its batch (one dot for a single row), as
-    yb @ w does. At P = 1 numpy sums the active column pairwise, so there
-    the masked row sum is a few ulps off that rule."""
-    shared = Yb[:, None]
-    active = shared @ W[..., None] < 1.0
-    # inactive rows add exact zeros to the row-by-row sum
-    sums = np.add.reduce(active * shared, axis=2)
+    yb @ w does. The masked rows are added one after the other, as a
+    reduction over the rows of a (rows, P) block adds them at P >= 2; at
+    P = 1 numpy sums such a block pairwise, so there the masked row sum is
+    a few ulps off that rule."""
+    active = (Yb[:, None] @ W[..., None] < 1.0).transpose(0, 1, 3, 2).astype(float)
+    # (pairs, step sizes, P, rows): inactive rows add exact zeros, and the
+    # last of the running sums along the rows is their row-by-row sum; a
+    # reduction starts from +0.0, which the added 0.0 supplies for a sum of
+    # zeros only
+    terms = active * Yb.transpose(0, 2, 1)[:, None]
+    sums = np.add.accumulate(terms, axis=3)[..., -1] + 0.0
     grad = two_c * W - sums / length
     if prox_mu > 0.0:
         grad = grad + prox_mu * (W - W_round)

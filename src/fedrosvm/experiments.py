@@ -22,10 +22,12 @@ points differ only in the step size, so cross-validation trains every
 fold and every step size in one stacked run (baselines.train_fed_l2_stack),
 with the same iterates as one run per fold and point. ADMM and ADMM-SC
 cross-validation advances every (fold, grid point) federation in
-lockstep: each round solves all of their client QPs together in one
-stacked interior-point solve (one robust.ProximalSteps over every client
-of every federation, which keeps their QPs, warm starts and multipliers
-and lays out one solver.ProgramStack per cross-validation), then each
+lockstep: each round solves all of their client QPs together, by the
+active-set polish where the last active set still verifies and in one
+stacked interior-point solve otherwise (one robust.ProximalSteps over
+every client of every federation, which keeps their QPs, warm starts and
+multipliers and lays out one solver.ProgramStack per cross-validation),
+then each
 federation makes its server update with federation.admm_server_update,
 the rule run_federation aggregates with. Those models agree with one
 run_federation per fold and point to solver roundoff. The final fit at
@@ -476,8 +478,9 @@ def _admm_lockstep(feds, client_data):
     last w_g. Every round one `robust.multiplier_step` call folds each
     federation's last model into its clients' multipliers, as each client
     of `run_federation` does, and the steps of all federations are taken
-    together through one `solver.ProgramStack`, laid out on the first
-    round (or `solve` when there is a single QP). Then each federation
+    together: first by the active-set polish, then the rest through one
+    `solver.ProgramStack`, laid out on the first round (or `solve` when
+    there is a single QP). Then each federation
     aggregates its own rows with `federation.admm_server_update`. With no
     wire between them, the server reads the clients' own multipliers,
     which its mirror in `run_federation` equals bit for bit. The stack

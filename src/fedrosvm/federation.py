@@ -80,6 +80,22 @@ from .wire import (
 
 
 class Algorithm(Enum):
+    """The federated training rule.
+
+    SM       subgradient method: each client replies with a subgradient of
+             its worst-case risk at the broadcast model.
+    ADMM     consensus ADMM: each client replies with its proximal step,
+             the minimizer of its worst-case risk plus
+             (rho/2)||w - w_global + mu_g||^2.
+    ADMM_SC  the strongly convex variant of ADMM. Each client minimizes
+             its worst-case risk plus tau_g||w||^2 (tau_g > 0) plus the
+             same proximal term, so its step is strongly convex in w
+             however small rho is. The server does not add the tau term:
+             its objective, the best iterate w_best chosen by it, and the
+             benchmark's objective_ratio all use sum_g alpha_g R_g(w), the
+             risk alone.
+    """
+
     SM = "sm"
     ADMM = "admm"
     ADMM_SC = "admm_sc"

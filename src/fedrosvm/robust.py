@@ -7,10 +7,12 @@ multiplier and an exact subgradient (`WorstCaseDual`, one body for one client
 or many: the subgradient-method (SM) client step and the server's objective
 both read it), the proximal QP solved inside ADMM rounds (one body,
 `ProximalSteps`, which owns each client's QP, warm start, w_g and
-multipliers for the whole run: a lone client step goes through `solve`,
-the steps of many clients through one `solver.ProgramBatch`, whose rows
-are `solve`'s bytes, or, in the cross-validation lockstep, one
-`solver.ProgramStack`; either is laid out once and solved every round),
+multipliers for the whole run: a step whose last active set still
+verifies is taken by `solver.ActiveSetPolish`, a lone client step that
+does not goes through `solve`, the steps of many clients through one
+`solver.ProgramBatch`, whose rows are `solve`'s bytes, or, in the
+cross-validation lockstep, one `solver.ProgramStack`; each is laid out
+once and used every round),
 the scaled multiplier rule (`multiplier_step`), and the practical radius
 rule.
 
@@ -50,7 +52,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import NormKind, hinge_losses
-from .solver import ConvexProgram, ProgramBatch, SolverStatus, solve
+from .solver import ActiveSetPolish, ConvexProgram, ProgramBatch, SolverStatus, solve
 
 log = logging.getLogger(__name__)
 
@@ -613,12 +615,23 @@ class ProximalSteps:
     Clients whose QPs have the same constraint rows (the same data object,
     kappa and norm, as one fold's client has at every rho of a
     cross-validation) build them once and share their analysis
-    (`ConvexProgram.with_objective`). A lone QP is solved by `solve`; two
-    or more by one `joint` solver laid out on the first round and reused
-    on every later one: by default a `solver.ProgramBatch`, whose
-    solutions are `solve`'s bytes, so a client's row is the same in a
-    `ProximalSteps` of one and of many; or a `solver.ProgramStack`, which
-    agrees with `solve` to roundoff.
+    (`ConvexProgram.with_objective`).
+
+    Each step with a warm point is first tried by one
+    `solver.ActiveSetPolish`: the rows active at the last solution are
+    taken as equalities, the resulting equality QP is solved by one small
+    linear solve, and the point is kept only if it verifies as optimal
+    (nonnegative multipliers, the other rows satisfied, and the solver's
+    KKT residual within its tolerance). The QP is strongly convex in w
+    (rho > 0), so w* is unique and a verified point is the step. The
+    steps that do not verify go to the solver from the same warm start: a
+    lone QP to `solve`; two or more to one `joint` solver laid out on the
+    first round and reused on every later one, which leaves the polished
+    rows out: by default a `solver.ProgramBatch`, whose solutions are
+    `solve`'s bytes; or a `solver.ProgramStack`, which agrees with `solve`
+    to roundoff. The polish works row by row, so with the default a
+    client's row is the same in a `ProximalSteps` of one and of many.
+    `polished` and `solved` count the steps each took, over the run.
     """
 
     def __init__(self, clients, joint=ProgramBatch):
@@ -626,7 +639,8 @@ class ProximalSteps:
         self.joint = joint
         self.programs = None
         self.warms = [None] * len(self.clients)
-        self.together = None
+        self.polish = self.together = None
+        self.polished = self.solved = 0  # steps taken by the polish, by the solver
         shape = (len(self.clients), self.clients[0][0].p)
         self.w_g, self.mu_g = np.zeros(shape), np.ones(shape)
         self.failures = [None] * len(self.clients)
@@ -648,12 +662,20 @@ class ProximalSteps:
         start. A QP that still does not converge leaves its row as it was,
         and its error in `failures` for `reply` to raise."""
         progs = self._programs(anchors)
+        if self.polish is None:
+            self.polish = ActiveSetPolish(progs)
+        sols = self.polish.solve(self.warms)
+        left = np.array([sol is None for sol in sols])
+        self.solved += int(left.sum())
+        self.polished += len(sols) - int(left.sum())
         if len(progs) == 1:
-            sols = [solve(progs[0], warm=self.warms[0])]
-        else:
+            if left[0]:
+                sols = [solve(progs[0], warm=self.warms[0])]
+        elif left.any():
             if self.together is None:
                 self.together = self.joint(progs)
-            sols = self.together.solve(self.warms)
+            solved = self.together.solve(self.warms, skip=~left)
+            sols = [sol if sol is not None else other for sol, other in zip(sols, solved)]
         for k, (sol, prog, (data, _, client_id)) in enumerate(zip(sols, progs, self.clients)):
             who = "client" if client_id is None else f"client {client_id}"
             if sol.status is not SolverStatus.OPTIMAL and self.warms[k] is not None:

@@ -50,7 +50,20 @@ out once and solved as often as the costs change, round after round.
 
 Each sends a program that does not split to `solve`. On a single
 program their set-up and indexing make them slower than `solve`, which
-stays the single-program path.
+stays the single-program path. Both take a mask of programs to leave out,
+which they neither start nor solve.
+
+`ActiveSetPolish` is tried before a warm-started solve. It takes the
+active set a warm point suggests (the rows whose multiplier exceeds their
+slack), solves the program with those rows as equalities, and keeps the
+answer only if it checks out as optimal: every multiplier nonnegative,
+every other row satisfied, and `_ip_loop`'s KKT residual at most eps2.
+On the Schur split that equality program is one small dense saddle
+system. While the active set holds from one solve to the next, as it does
+in late ADMM rounds, a solve costs one linear solve instead of an
+interior-point run; otherwise the program goes to the solver from the same
+warm start. This is the warm start of parametric active-set QP solvers
+and the solution polishing of OSQP.
 """
 
 from __future__ import annotations
@@ -70,6 +83,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
+    "ActiveSetPolish",
     "ConvexProgram",
     "SolverConfig",
     "SolverStatus",
@@ -706,19 +720,22 @@ class _Batch:
         return (lay.scoef * x.take(lay.col_of_row, 1)
                 + (a_r @ x.take(lay.r_idx, 1)[:, :, None])[:, :, 0])
 
-    def start(self, warms):
+    def start(self, warms, skip):
         """The rows of `_batch_loop` at `_ip_loop`'s starting points
         (`_start`), with s and z side by side in v; None when no row
-        starts. A program whose cost pulls on a free column, or whose
-        cold start fails to factor, is left out for `solve` to redo."""
+        starts. A program marked in `skip` is left out unstarted. A
+        program whose cost pulls on a free column, or whose cold start
+        fails to factor, is left out for `solve` to redo."""
         lay = self.layout
         m = lay.scol.size
         c = np.array([p.c for p in self.programs])
         scale_c = 1.0 + np.abs(c).max(axis=1, initial=0.0)
         warm = np.array([_warm_fits(w, p) for w, p in zip(warms, self.programs)])
-        started = np.ones(len(self.ids), dtype=bool)
+        started = ~skip
         x, v = np.zeros(c.shape), np.ones((len(self.ids), 2 * m))
         for k, (p, warm_k) in enumerate(zip(self.programs, warms)):
+            if skip[k]:
+                continue
             if _free_cost(p, self.free[k]) is not None:
                 started[k] = False
             elif warm[k]:
@@ -772,9 +789,10 @@ def _max_steps(v, dv):
     return np.where(bits <= _INF_BITS, bits.view(np.float64), np.inf)
 
 
-def _batch_loop(bt: _Batch, cfg: SolverConfig, warms, out):
-    """`_ip_loop` over a `_Batch`, with the warm starts of its programs.
-    Each row performs `_ip_loop`'s operations on the same bytes. A row
+def _batch_loop(bt: _Batch, cfg: SolverConfig, warms, out, skip):
+    """`_ip_loop` over a `_Batch`, with the warm starts of its programs,
+    leaving out those marked in `skip`. Each row performs `_ip_loop`'s
+    operations on the same bytes. A row
     that reaches OPTIMAL gets, in its entry of `out`, the solution `solve`
     returns; a row that would exit `_ip_loop` in any other way, or fall
     back to the sparse backend, or whose next step could differ from
@@ -785,7 +803,7 @@ def _batch_loop(bt: _Batch, cfg: SolverConfig, warms, out):
     lay = bt.layout
     S, R = lay.s_idx, lay.r_idx
     m, n, n_s, r = lay.scol.size, lay.n, lay.n_s, lay.r_idx.size
-    st = bt.start(warms)
+    st = bt.start(warms, skip)
     if st is None:
         return
     trail = deque(maxlen=WARM_STALL_WINDOW + 1)  # KKT residuals, for the stall exit
@@ -929,13 +947,15 @@ class ProgramBatch:
                 layouts.setdefault(_row_layout(backend), []).append(i)
         self.batches = [_Batch(self.programs, ids) for ids in layouts.values() if len(ids) > 1]
 
-    def solve(self, warms) -> list:
+    def solve(self, warms, skip=None) -> list:
         """One SolverSolution per program, in order, byte-equal to
         `solve(p, warm=w)` with its entry w of `warms` (an (x0, z0) pair
-        or None)."""
+        or None); None for a program marked in `skip`, a boolean mask,
+        which is neither started nor solved."""
         warms = list(warms)
         if len(warms) != len(self.programs):
             raise ValueError(f"{len(self.programs)} programs but {len(warms)} warm starts")
+        skip = _skip_mask(skip, len(self.programs))
         out = [None] * len(self.programs)
         cfg = SolverConfig()
         lone = []
@@ -943,15 +963,235 @@ class ProgramBatch:
         # `_max_steps` divides by every component; `solve` redoes such rows
         with np.errstate(all="ignore"):
             for batch in self.batches:
-                lone.append(_batch_loop(batch, cfg, [warms[i] for i in batch.ids], out))
+                lone.append(_batch_loop(batch, cfg, [warms[i] for i in batch.ids], out,
+                                        skip[batch.ids]))
         for i, resume in filter(None, lone):
             try:
                 out[i] = _ip_loop(self.programs[i], cfg, _structure(self.programs[i])[1],
                                   resume=resume)
             except _LINALG_ERRORS:
                 pass  # `solve` redoes it, and falls back to the sparse backend
-        return [solve(p, warm=warm) if sol is None else sol
-                for sol, p, warm in zip(out, self.programs, warms)]
+        return [None if left_out else solve(p, warm=warm) if sol is None else sol
+                for sol, p, warm, left_out in zip(out, self.programs, warms, skip)]
+
+
+def _skip_mask(skip, count):
+    """The boolean mask of the programs a joint solve leaves out."""
+    if skip is None:
+        return np.zeros(count, dtype=bool)
+    skip = np.asarray(skip, dtype=bool)
+    if skip.shape != (count,):
+        raise ValueError(f"{count} programs but a skip mask of shape {skip.shape}")
+    return skip
+
+
+# ---------------------------------------------------------------------------
+# active-set polish
+
+
+def _guess_active(slack, z):
+    """The active set a primal-dual point suggests, row by row of `slack`
+    (b - Ax) and `z`: the rows whose multiplier exceeds their slack."""
+    return z > slack
+
+
+class _PolishGroup:
+    """The polishable programs of one row layout (`_row_layout`), laid out
+    once as `_Batch` lays them out: one row per program, the per-row
+    arrays as (K, m) and A_r as (K, m, r), C-ordered. `rows_of` lists the
+    rows of each S column, padded with the row index m, which is never
+    active."""
+
+    def __init__(self, programs, ids):
+        self.ids = list(ids)
+        self.programs = [programs[i] for i in ids]
+        backends = [_structure(p)[1] for p in self.programs]
+        lay = self.layout = backends[0]
+        m = lay.scol.size
+        self.a_r = np.stack([b.A_r for b in backends])
+        self.qdiag = np.stack([b.qdiag for b in backends])
+        self.b = np.stack([p.b_ineq for p in self.programs])
+        self.scale_b = np.array([_scales(p)[0] for p in self.programs])
+        self.s_row = lay.scoef != 0.0
+        s_rows = np.flatnonzero(self.s_row)
+        counts = np.bincount(lay.scol[s_rows], minlength=lay.n_s)
+        order = s_rows[np.argsort(lay.scol[s_rows], kind="stable")]
+        self.rows_of = np.full((lay.n_s, counts.max()), m)
+        self.rows_of[lay.scol[order], np.arange(order.size)
+                     - np.repeat(np.cumsum(counts) - counts, counts)] = order
+        self.col_at = lay.col_of_row + lay.n * np.arange(len(ids))[:, None]
+
+    def polish(self, rows, x0, z0, eps2):
+        """Try the active set that each warm point (x0[j], z0[j]) suggests
+        on program rows[j] of this group. Returns (j, x, z, objective, KKT
+        residual) of the rows accepted, j indexing rows; see
+        `ActiveSetPolish`."""
+        lay = self.layout
+        m, n, n_s, r = lay.scol.size, lay.n, lay.n_s, lay.r_idx.size
+        rows = np.asarray(rows)
+        a_r, b = self.a_r[rows], self.b[rows]
+        active = _guess_active(b - self._a_dot(a_r, x0), z0)
+        # the first active row of each S column is its pivot; a column with
+        # none leaves its variable free, and the row to the solver
+        by_col = np.concatenate((active, np.zeros((len(rows), 1), dtype=bool)),
+                                axis=1)[:, self.rows_of]
+        pivot = self.rows_of[np.arange(n_s), by_col.argmax(axis=2)]
+        # the rows left as equalities on x_r: each further active row of an
+        # S column, less its pivot row scaled to the same S coefficient, and
+        # each active row that touches no S column. With more than r of
+        # them the saddle system below is singular.
+        eq = active.copy()
+        eq[np.arange(len(rows))[:, None], pivot] = False
+        counts = np.count_nonzero(eq, axis=1)
+        tried = np.flatnonzero(by_col.any(axis=2).all(axis=1) & (counts <= r))
+        if not tried.size:
+            return tried, None, None, None, None
+        if tried.size < len(rows):
+            rows, a_r, b, active, pivot, eq, counts = (
+                rows[tried], a_r[tried], b[tried], active[tried], pivot[tried], eq[tried],
+                counts[tried])
+        K = len(rows)
+        k_col = np.arange(K)[:, None]
+        kk, ii = np.nonzero(eq)
+        pp = pivot[kk, lay.scol[ii]]
+        ratio = np.where(self.s_row[ii], lay.scoef[ii] / lay.scoef[pp], 0.0)
+        d_rows = a_r[kk, ii] - ratio[:, None] * a_r[kk, pp]
+        e = b[kk, ii] - ratio * b[kk, pp]
+        # a pivot row fixes its multiplier at -c_j / scoef less the other
+        # rows' share, and its S variable in terms of x_r; their cost folds
+        # into x_r's
+        c = np.array([self.programs[k].c for k in rows])
+        scoef_piv = lay.scoef[pivot]
+        a_piv = a_r[k_col, pivot]
+        c_s = c.take(lay.s_idx, 1)
+        c_red = c.take(lay.r_idx, 1) - ((c_s / scoef_piv)[:, None, :] @ a_piv)[:, 0]
+        qdiag = self.qdiag[rows]
+
+        # one saddle system [diag(q_r) D'; D 0] per row, padded with the
+        # identity to size 2r, which depends on the layout alone; a stacked
+        # `np.linalg.solve` solves each as it would alone
+        slot = r + np.arange(kk.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        kkt = np.zeros((K, 2 * r, 2 * r))
+        diag = np.arange(r)
+        kkt[:, diag, diag] = qdiag.take(lay.r_idx, 1)
+        kkt[:, r + diag, r + diag] = diag >= counts[:, None]
+        kkt[kk, slot, :r] = d_rows
+        kkt[kk, :r, slot] = d_rows
+        rhs = np.zeros((K, 2 * r))
+        rhs[:, :r] = -c_red
+        rhs[kk, slot] = e
+        solved = np.ones(K, dtype=bool)
+        try:
+            sol = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            sol = np.zeros((K, 2 * r))
+            for j in range(K):
+                try:
+                    sol[j] = np.linalg.solve(kkt[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    solved[j] = False
+        x_r = sol[:, :r]
+        z_eq = sol[kk, slot]
+
+        z = np.zeros((K, m))
+        z[kk, ii] = z_eq
+        on_s = self.s_row[ii]
+        shared = np.bincount(kk[on_s] * n_s + lay.scol[ii[on_s]],
+                             lay.scoef[ii[on_s]] * z_eq[on_s], minlength=K * n_s)
+        z[k_col, pivot] = (-c_s - shared.reshape(K, n_s)) / scoef_piv
+        x = np.empty((K, n))
+        x[:, lay.s_idx] = (b[k_col, pivot] - (a_piv @ x_r[:, :, None])[:, :, 0]) / scoef_piv
+        x[:, lay.r_idx] = x_r
+
+        # the check: `_ip_loop`'s KKT residual, with s = b - Ax on the rows
+        # left inactive and s = 0 on the active ones, so s'z = 0
+        res = self._a_dot(a_r, x) - b
+        qx = qdiag * x
+        r_d = np.bincount(self.col_at[:K].ravel(), (lay.scoef * z).ravel(),
+                          minlength=K * n).reshape(K, n)
+        r_d[:, lay.r_idx] = (z[:, None, :] @ a_r)[:, 0]
+        r_d = qx + c + r_d
+        scale_c = 1.0 + np.abs(c).max(axis=1, initial=0.0)
+        kkt_res = np.maximum(
+            np.abs(r_d).max(axis=1) / (scale_c + np.abs(qx).max(axis=1)),
+            np.abs(np.where(active, res, 0.0)).max(axis=1) / self.scale_b[rows])
+        ok = np.flatnonzero(solved & (active | (res <= 0.0)).all(axis=1)
+                            & (z >= 0.0).all(axis=1) & (kkt_res <= eps2))
+        x, z, c, qx = x[ok], z[ok], c[ok], qx[ok]
+        return tried[ok], x, z, 0.5 * _dots(x, qx) + _dots(c, x), kkt_res[ok]
+
+    def _a_dot(self, a_r, x):
+        """A x of every row of x."""
+        lay = self.layout
+        return (lay.scoef * x.take(lay.col_of_row, 1)
+                + (a_r @ x.take(lay.r_idx, 1)[:, :, None])[:, :, 0])
+
+
+class ActiveSetPolish:
+    """The active-set polish of a fixed list of programs, tried before a
+    warm-started solve with only the costs c changed since (the structure
+    contract of `solve`).
+
+    For each program with a warm point (x0, z0), the rows with z0_i >
+    b_i - (A x0)_i are guessed active and the program is solved with them
+    as equalities and the other rows dropped. On the Schur split this is
+    small. An S column whose variable sits in no quadratic term pins its
+    first active row's multiplier at -c_j / scoef less the share of its
+    other active rows, and its variable through that row; each further
+    active row of the column (a kink) becomes one equality on the
+    remainder x_r, as does each active row that touches no S column. The
+    saddle system [diag(q_r) D'; D 0] that is left, of size r plus those
+    equalities, is solved with one `np.linalg.solve`.
+
+    The point is accepted only if it is optimal to `solve`'s tolerance:
+    every multiplier is nonnegative, every inactive row holds, and
+    `_ip_loop`'s KKT residual, with s = b - Ax on the inactive rows and 0
+    on the active ones (so the complementarity gap is 0), is at most
+    eps2. Otherwise, or when the system is singular or an S column has no
+    active row, the program is left to the solver. Programs that do not
+    split, whose S columns carry curvature, or that have no remainder
+    columns are never polished.
+
+    Programs of one row layout are polished together (`_PolishGroup`),
+    with one small solve each; every operation is row by row, so a
+    program's polish has the same bytes in any group.
+    """
+
+    def __init__(self, programs):
+        self.programs = list(programs)
+        layouts = {}
+        for i, p in enumerate(self.programs):
+            split, backend, _ = _structure(p)
+            if split is not None and backend.r_idx.size and not backend.q_s.any():
+                layouts.setdefault(_row_layout(backend), []).append(i)
+        self.groups = [_PolishGroup(self.programs, ids) for ids in layouts.values()]
+
+    def solve(self, warms) -> list:
+        """One entry per program, in order: an OPTIMAL SolverSolution (0
+        iterations, message "polished") where its warm point's active set
+        verifies, else None. `warms` holds an (x0, z0) pair or None per
+        program."""
+        warms = list(warms)
+        if len(warms) != len(self.programs):
+            raise ValueError(f"{len(self.programs)} programs but {len(warms)} warm starts")
+        eps2 = SolverConfig().eps2
+        out = [None] * len(self.programs)
+        # a singular or near-singular system may overflow; its row fails
+        # the check
+        with np.errstate(all="ignore"):
+            for group in self.groups:
+                rows = [k for k, i in enumerate(group.ids)
+                        if _warm_fits(warms[i], self.programs[i])]
+                if not rows:
+                    continue
+                x0 = np.array([warms[group.ids[k]][0] for k in rows], dtype=float)
+                z0 = np.array([warms[group.ids[k]][1] for k in rows], dtype=float)
+                accepted, x, z, obj, kkt = group.polish(rows, x0, z0, eps2)
+                for j, row in enumerate(accepted):
+                    out[group.ids[rows[row]]] = SolverSolution(
+                        x[j], float(obj[j]), SolverStatus.OPTIMAL, float(kkt[j]), 0,
+                        "polished", z_star=z[j], y_star=np.zeros(0))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1068,30 +1308,31 @@ class _Stack:
         v_r[self.r_at] = v[self.r_from]
         return v[self.s_from], v_r.reshape(self.K, self.r)
 
-    def start(self, warms):
+    def start(self, warms, skip):
         """Read every program's cost and set its starting point, as
         `_ip_loop` picks it: the re-centred warm point when its warm start
         fits, else `_cold_start` on the program's own backend. A program
-        whose cost pulls on a free column, or whose cold start fails to
-        factor, is marked failed, for `solve` to redo alone."""
+        marked in `skip` is marked done where it stands, unstarted. A
+        program whose cost pulls on a free column, or whose cold start
+        fails to factor, is marked failed, for `solve` to redo alone."""
         self.c_s, self.c_r = self.gather(np.concatenate([p.c for p in self.programs]))
         self.scale_c = 1.0 + np.maximum(np.maximum.reduceat(np.abs(self.c_s), self.s_start),
                                         np.abs(self.c_r).max(axis=1, initial=0.0))
         self.obj_floor = -UNBOUNDED_OBJECTIVE * self.scale_b * self.scale_c
         self.stall = np.zeros(self.K, dtype=int)
-        self.done = np.zeros(self.K, dtype=bool)
-        self.failed = np.array([_free_cost(p, _structure(p)[2]) is not None
-                                for p in self.programs])
+        self.done = skip.copy()
+        self.failed = np.array([not left_out and _free_cost(p, _structure(p)[2]) is not None
+                                for p, left_out in zip(self.programs, skip)])
         self.warm = np.array([_warm_fits(w, p) for w, p in zip(warms, self.programs)])
         x = []
         s, z = np.ones(self.b.size), np.ones(self.b.size)
         for k, (p, lay) in enumerate(zip(self.programs, self.layout)):
             rows = slice(self.row_start[k], self.row_start[k] + self.m[k])
-            if self.warm[k]:
+            if self.warm[k] and not skip[k]:
                 x.append(np.asarray(warms[k][0], dtype=float))
                 z[rows] = warms[k][1]
                 continue
-            if not self.failed[k]:
+            if not (self.failed[k] or skip[k]):
                 try:
                     x_k, _, s[rows], z[rows] = _cold_start(p, lay)
                     x.append(x_k)
@@ -1234,11 +1475,12 @@ class ProgramStack:
         ids = [i for i, p in enumerate(self.programs) if _structure(p)[0] is not None]
         self.stack = _Stack(self.programs, ids) if ids else None
 
-    def solve(self, warms) -> list:
+    def solve(self, warms, skip=None) -> list:
         """One SolverSolution per program, in order. Each program takes
         `solve`'s path: the same starting point from its entry of `warms`
         (an (x0, z0) pair or None), the same exits and messages, and its
-        own mu, step lengths and residuals.
+        own mu, step lengths and residuals. A program marked in `skip`, a
+        boolean mask, is neither started nor solved, and gets None.
 
         The products are summed in another order than `solve` sums them,
         so a solution agrees with `solve`'s to roundoff, not bit for bit;
@@ -1248,16 +1490,17 @@ class ProgramStack:
         warms = list(warms)
         if len(warms) != len(self.programs):
             raise ValueError(f"{len(self.programs)} programs but {len(warms)} warm starts")
+        skip = _skip_mask(skip, len(self.programs))
         out = [None] * len(self.programs)
-        if self.stack is not None:
+        if self.stack is not None and not skip[self.stack.ids].all():
             # a program heading for a divergence exit may overflow on the
             # way; its own exits report that, and it cannot touch the other
             # segments
             with np.errstate(all="ignore"):
-                self.stack.start([warms[i] for i in self.stack.ids])
+                self.stack.start([warms[i] for i in self.stack.ids], skip[self.stack.ids])
                 _stack_loop(self.stack, SolverConfig(), out)
-        return [solve(p, warm=warm) if sol is None else sol
-                for sol, p, warm in zip(out, self.programs, warms)]
+        return [None if left_out else solve(p, warm=warm) if sol is None else sol
+                for sol, p, warm, left_out in zip(out, self.programs, warms, skip)]
 
 
 def solve_stack(programs, warms) -> list:

@@ -309,6 +309,37 @@ def test_one_run_view_equals_the_reference_loop():
     assert np.array_equal(model.w, ref[-1])
 
 
+def broadcast_minibatch_step(W, W_round, Yb, length, two_c, step, prox_mu):
+    """`baselines._minibatch_step` as it was first written: the masked rows
+    as one (pairs, step sizes, rows, P) product, summed over its rows."""
+    shared = Yb[:, None]
+    active = shared @ W[..., None] < 1.0
+    sums = np.add.reduce(active * shared, axis=2)
+    grad = two_c * W - sums / length
+    if prox_mu > 0.0:
+        grad = grad + prox_mu * (W - W_round)
+    return W - step * grad
+
+
+def test_minibatch_step_keeps_the_bytes_of_the_broadcast_form():
+    # random groups at P >= 2, with signed zeros among the features and the
+    # iterates, where only the order and the start of the row sum show
+    rng = np.random.default_rng(76)
+    for trial in range(400):
+        pairs, K, length, P = (rng.integers(1, 25), rng.integers(1, 5), rng.integers(1, 14),
+                               rng.integers(2, 6))
+        W = rng.standard_normal((pairs, K, P)) * rng.choice([0.0, 0.1, 3.0])
+        if trial % 3 == 0:
+            W = -W
+        Yb = rng.standard_normal((pairs, length, P))
+        if trial % 2 == 0:
+            Yb[rng.random(Yb.shape) < 0.5] = rng.choice([0.0, -0.0])
+        args = (W, W + 0.1, Yb, length, rng.random((pairs, 1, 1)), rng.random((K, 1)),
+                rng.choice([0.0, 0.5]))
+        want = broadcast_minibatch_step(*args)
+        assert baselines._minibatch_step(*args).tobytes() == want.tobytes(), trial
+
+
 def test_minibatch_calls_per_round_do_not_grow_with_clients(monkeypatch):
     # shards of 20 rows at batch_fraction 0.2 take five batches of 4 rows
     # per epoch, so every (fold, client) pair steps in one group

@@ -424,10 +424,10 @@ def test_lockstep_stacks_ragged_remainder_widths_together(monkeypatch):
     stacks, widths = [], []
     real_start = solver._Stack.start
 
-    def record(st, warms):
+    def record(st, warms, skip):
         stacks.append(st)
         widths.append(sorted({b.r_idx.size for b in st.layout}))
-        return real_start(st, warms)
+        return real_start(st, warms, skip)
 
     monkeypatch.setattr(solver._Stack, "start", record)
     assert_lockstep_matches_one_federation_per_run(cfg, grid_points(cfg.grid), folds, [2, 5], 4)

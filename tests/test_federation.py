@@ -336,10 +336,12 @@ def test_server_multiplier_mirror_equals_every_client_bit_for_bit(monkeypatch, a
 
 
 @pytest.mark.parametrize("algorithm", [Algorithm.ADMM, Algorithm.ADMM_SC])
-def test_in_process_admm_replies_equal_lone_clients_on_uneven_shards(monkeypatch, algorithm):
+def test_in_process_admm_replies_equal_lone_clients_on_uneven_shards(monkeypatch, algorithm,
+                                                                     wrong_active_sets):
     # the two shards of one size step as one exact batch, the third alone;
     # every reply and every trace must have the bytes of lone clients, whose
-    # steps are the TCP path's
+    # steps are the TCP path's. Every polish is given a wrong active set, so
+    # that every round's steps go to the interior-point method
     G, T = 3, 20
     shards = [make_shards(27 + g, 1, n, 2)[0] for g, n in enumerate((10, 12, 10))]
     cfg = FederationConfig(clients=toy_cfg(G, tau=0.0 if algorithm is Algorithm.ADMM else 1.0),
@@ -373,9 +375,13 @@ def test_in_process_admm_replies_equal_lone_clients_on_uneven_shards(monkeypatch
         assert a.w_after.tobytes() == b.w_after.tobytes()
         assert (a.global_objective, a.consensus_residual) == (b.global_objective,
                                                                b.consensus_residual)
+    assert wrong_active_sets == []
 
 
-def test_a_failed_step_in_a_shared_batch_aborts_naming_its_client(monkeypatch):
+def test_a_failed_step_in_a_shared_batch_aborts_naming_its_client(monkeypatch,
+                                                                  wrong_active_sets):
+    # with wrong active sets, no polish is accepted, and every round's steps
+    # go to the batch
     G = 3
     shards = make_shards(28, G, 8, 2)
     cfg = FederationConfig(clients=toy_cfg(G), T=4, algorithm=Algorithm.ADMM, rho=0.05)
@@ -386,8 +392,8 @@ def test_a_failed_step_in_a_shared_batch_aborts_naming_its_client(monkeypatch):
         return SolverSolution(np.full(prog.n, np.nan), np.nan, SolverStatus.NUMERICAL_FAILURE,
                               np.inf, 0, "forced failure")
 
-    def third_fails_in_round_2(self, warms):
-        sols = real(self, warms)
+    def third_fails_in_round_2(self, warms, skip=None):
+        sols = real(self, warms, skip)
         rounds.append(len(sols))
         if len(rounds) == 2:
             sols[2] = forced(self.programs[2])
@@ -412,6 +418,7 @@ def test_a_failed_step_in_a_shared_batch_aborts_naming_its_client(monkeypatch):
     assert isinstance(info.value.__cause__, RuntimeError)
     assert str(info.value.__cause__) == ("client 2: proximal QP failed to converge: "
                                          "forced failure")
+    assert wrong_active_sets == []
 
 
 def test_strongly_convex_warns_above_penalty_bound():

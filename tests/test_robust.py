@@ -1001,7 +1001,8 @@ def test_admm_client_step_cache_survives_anchor_drift():
         np.testing.assert_allclose(kept, fresh, rtol=1e-4, atol=1e-5)
 
 
-def test_admm_warm_to_cold_retry_is_logged(monkeypatch, caplog):
+def test_admm_warm_to_cold_retry_is_logged(monkeypatch, caplog, wrong_active_sets):
+    # a wrong active set keeps the polish from taking the warm step
     rng = np.random.default_rng(2039)
     data, _ = random_instance(rng, 8, 2)
     cfg = ClientConfig(epsilon=0.05, kappa=0.5, rho=1.0)
@@ -1024,6 +1025,7 @@ def test_admm_warm_to_cold_retry_is_logged(monkeypatch, caplog):
     assert calls == [True, False]
     assert "client 3" in caplog.text
     assert "iteration cap reached" in caplog.text
+    assert wrong_active_sets == []
 
 
 # One client shard and two consecutive ADMM anchors (rho = 0.01) on which
@@ -1038,7 +1040,9 @@ STALL_Y = [1] * 7 + [-1] * 7
 STALL_ANCHORS = ([4.228, -6.589], [4.006, -6.768])
 
 
-def test_stalled_warm_start_gives_up_early_and_retries_cold(monkeypatch, caplog):
+def test_stalled_warm_start_gives_up_early_and_retries_cold(monkeypatch, caplog,
+                                                            wrong_active_sets):
+    # a wrong active set keeps the polish from taking the warm step
     data = make_data(STALL_X, STALL_Y)
     cfg = ClientConfig(epsilon=1.0 / 140.0, kappa=1.0, rho=0.01)
     steps = ProximalSteps([(data, cfg, 1)])
@@ -1063,12 +1067,46 @@ def test_stalled_warm_start_gives_up_early_and_retries_cold(monkeypatch, caplog)
     assert cold.status is SolverStatus.OPTIMAL
     np.testing.assert_array_equal(step, cold.x_star[:2])
     assert "client 1" in caplog.text and "warm start stalled" in caplog.text
+    assert wrong_active_sets == []
 
     # without the stall exit the same warm start runs to the iteration cap
     monkeypatch.setattr(solver, "WARM_STALL_WINDOW", 10**9)
     capped = real_solve(steps.programs[0], warm=warm_point)
     assert capped.status is SolverStatus.MAX_ITERATIONS
     assert capped.iterations == SolverConfig().max_iterations
+
+
+@pytest.mark.parametrize("norm,kappa,tau", [(NormKind.L1, 1.0, 0.0), (NormKind.LINF, 1.0, 0.1),
+                                            (NormKind.L1, 0.5, 0.1), (NormKind.LINF, 1.0, 0.0)])
+def test_polished_steps_have_the_same_bytes_in_one_proximal_steps_and_in_many(norm, kappa,
+                                                                              tau):
+    # ADMM over uneven shards (two pairs of one size and one alone), with
+    # every client once in one shared ProximalSteps and once in its own, as
+    # in-process and TCP clients hold them. (With kappa = 0 flips are free,
+    # consensus is w = 0 with every hinge row at its kink, and no polish
+    # verifies; nor does one where a crossing sets lam above the l-infinity
+    # dual norm, which leaves u free.)
+    from fedrosvm.federation import admm_server_update
+    rng = np.random.default_rng([2040, int(kappa), norm is NormKind.LINF])
+    shards = [make_data(rng.random((n, 2)), np.where(rng.random(n) < 0.5, 1, -1))
+              for n in (10, 14, 10, 17, 14)]
+    cfgs = [ClientConfig(epsilon=1.0 / (10 * d.n), kappa=kappa, alpha=1.0 / len(shards),
+                         norm=norm, tau=tau, rho=0.05) for d in shards]
+    many = ProximalSteps([(d, cfg, g) for g, (d, cfg) in enumerate(zip(shards, cfgs))])
+    lone = [ProximalSteps([(d, cfg, g)]) for g, (d, cfg) in enumerate(zip(shards, cfgs))]
+    w = np.zeros(2)
+    for _ in range(60):
+        for steps in [many] + lone:
+            steps.mu_g = robust.multiplier_step(steps.mu_g, steps.w_g, w)
+            steps(w - steps.mu_g)
+        for g, steps in enumerate(lone):
+            assert many.w_g[g].tobytes() == steps.w_g[0].tobytes()
+            for got, want in zip(many.warms[g], steps.warms[0]):
+                assert got.tobytes() == want.tobytes()
+        w = admm_server_update([cfg.alpha for cfg in cfgs], many.w_g, many.mu_g)
+    assert many.polished == sum(steps.polished for steps in lone) > len(shards) * 60 // 2
+    assert many.solved == sum(steps.solved for steps in lone)
+    assert many.polished + many.solved == len(shards) * 60
 
 
 def test_client_qp_requires_anchor_with_rho():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fedrosvm import solver
 from fedrosvm.core import DatasetView, NormKind
-from fedrosvm.robust import ClientConfig, build_risk_epigraph_qp, build_sm_lp
+from fedrosvm.robust import ClientConfig, ProximalSteps, build_risk_epigraph_qp, build_sm_lp
 from fedrosvm.solver import (
     ConvexProgram,
     SolverConfig,
@@ -534,9 +534,9 @@ class TestSolveStack:
         stacks, alone_ids = [], []
         real_start = solver._Stack.start
 
-        def record(st, warms):
+        def record(st, warms, skip):
             stacks.append((st.ids.tolist(), st.r))
-            return real_start(st, warms)
+            return real_start(st, warms, skip)
 
         def solve_alone(p, cfg=None, warm=None):
             alone_ids.append(next(i for i, q in enumerate(progs) if q is p))
@@ -896,3 +896,105 @@ class TestProgramBatch:
         for a, b in zip(batch.solve([None] * 3), [solve(p) for p in progs]):
             assert_bitwise_equal(a, b)
         assert alone == [id(progs[2])]
+
+
+def proximal_family(rng, norm, kappa, tau, sizes, P):
+    """Proximal risk epigraphs (rho = 0.5) on random shards of the given
+    sizes, each with a warm point from a cold solve at its anchor; then the
+    anchors move a little, as between two ADMM rounds."""
+    cfg = ClientConfig(epsilon=0.05, kappa=kappa, norm=norm)
+    progs = [build_risk_epigraph_qp(
+        DatasetView(X=rng.random((N, P)), y=np.where(rng.random(N) < 0.5, 1, -1)),
+        cfg, rho=0.5, tau=tau, anchor=rng.standard_normal(P)) for N in sizes]
+    warms = [(s.x_star, s.z_star) for s in map(solve, progs)]
+    for p in progs:
+        p.c[:P] += 1e-3 * rng.standard_normal(P)
+    return progs, warms
+
+
+def kkt_violation(p, x, z):
+    """The largest violation of p's KKT conditions at (x, z), from its
+    sparse matrices: stationarity, primal and dual feasibility and
+    complementarity, each relative to the scale of c or b."""
+    slack = p.b_ineq - p.A_ineq @ x
+    scale_c = 1.0 + np.abs(p.c).max()
+    scale_b = 1.0 + np.abs(p.b_ineq).max()
+    return max(np.abs(p.Q @ x + p.c + p.A_ineq.T @ z).max() / scale_c,
+               max(-slack.min(), 0.0) / scale_b, max(-z.min(), 0.0) / scale_c,
+               np.abs(slack * z).max() / (scale_b * scale_c))
+
+
+def polish_cases():
+    """24 families of random proximal QPs, 240 programs: both norms, kappa
+    in {0, 1}, tau in {0, 0.2}, and shard sizes of one row layout and of
+    several."""
+    rng = np.random.default_rng(77)
+    for norm in (NormKind.L1, NormKind.LINF):
+        for kappa in (0.0, 1.0):
+            for tau in (0.0, 0.2):
+                for even in (True, False, True):
+                    sizes = ([int(rng.integers(8, 30))] * 10 if even
+                             else [int(n) for n in rng.integers(8, 30, size=10)])
+                    yield proximal_family(rng, norm, kappa, tau, sizes, int(rng.integers(1, 4)))
+
+
+class TestActiveSetPolish:
+    def test_an_accepted_polish_is_the_optimum_and_has_the_bytes_it_has_alone(self):
+        accepted = tried = 0
+        for progs, warms in polish_cases():
+            together = solver.ActiveSetPolish(progs).solve(warms)
+            for p, warm, got in zip(progs, warms, together):
+                tried += 1
+                alone = solver.ActiveSetPolish([p]).solve([warm])[0]
+                if got is None:
+                    assert alone is None
+                    continue
+                accepted += 1
+                assert_bitwise_equal(got, alone)
+                assert (got.status, got.iterations, got.message) == (
+                    SolverStatus.OPTIMAL, 0, "polished")
+                assert got.kkt_residual <= SolverConfig().eps2
+                assert kkt_violation(p, got.x_star, got.z_star) <= 1e-9
+                # a cold solve to a tighter tolerance than the default, whose
+                # w can sit 1e-6 from the optimum
+                cold = solve(p, SolverConfig(eps2=1e-12))
+                assert cold.status is SolverStatus.OPTIMAL
+                P = p.Q.diagonal().astype(bool).sum()
+                w_scale = 1.0 + np.abs(cold.x_star[:P]).max()
+                assert np.abs(got.x_star[:P] - cold.x_star[:P]).max() <= 1e-7 * w_scale
+                assert got.objective <= cold.objective + 1e-9 * (1.0 + abs(cold.objective))
+        assert tried == 240
+        assert accepted >= tried // 2
+
+    def test_a_wrong_active_set_is_rejected_and_the_step_goes_to_the_solver(
+            self, monkeypatch):
+        from conftest import drop_largest_multiplier
+        real = solver._guess_active
+        monkeypatch.setattr(solver, "_guess_active",
+                            lambda slack, z: drop_largest_multiplier(real(slack, z), z))
+        for progs, warms in polish_cases():
+            assert solver.ActiveSetPolish(progs).solve(warms) == [None] * len(progs)
+        # two shards of one size step in one batch, the third alone
+        rng = np.random.default_rng(78)
+        cfg = ClientConfig(epsilon=0.05, kappa=1.0, rho=0.5)
+        steps = ProximalSteps([(DatasetView(X=rng.random((N, 2)),
+                                            y=np.where(rng.random(N) < 0.5, 1, -1)), cfg, g)
+                               for g, N in enumerate((12, 12, 15))])
+        anchors = rng.standard_normal((3, 2))
+        steps.step(anchors)
+        warms = list(steps.warms)
+        steps.step(anchors + 1e-3 * rng.standard_normal((3, 2)))
+        assert (steps.polished, steps.solved) == (0, 6)
+        for prog, warm, (x, z) in zip(steps.programs, warms, steps.warms):
+            want = solve(prog, warm=warm)
+            assert x.tobytes() == want.x_star.tobytes() and z.tobytes() == want.z_star.tobytes()
+
+    def test_a_program_on_the_sparse_backend_is_never_polished(self):
+        # under the l-infinity norm 33 features leave a dense remainder of
+        # 66 columns, past what the Schur backend takes
+        rng = np.random.default_rng(79)
+        progs, warms = proximal_family(rng, NormKind.LINF, 1.0, 0.0, [40, 40], 33)
+        assert all(solver._structure(p)[0] is None for p in progs)
+        polish = solver.ActiveSetPolish(progs)
+        assert polish.groups == []
+        assert polish.solve(warms) == [None, None]

@@ -73,7 +73,8 @@ def test_traced_experiments_record_the_spans_noisy_cv_reads(monkeypatch):
         assert spans["data.prepare"] == 1
 
 
-def test_traced_admm_steps_are_spanned_and_a_lone_step_spans_its_solve(monkeypatch):
+def test_traced_admm_steps_are_spanned_and_a_lone_step_spans_its_solve(monkeypatch,
+                                                                        wrong_active_sets):
     # perfbench's per-layer metrics read the spans of the names federation
     # looks up: a robust.admm_client_step per client and round, and per
     # round one federation.aggregate and one robust.admm_multiplier_update,
@@ -81,7 +82,8 @@ def test_traced_admm_steps_are_spanned_and_a_lone_step_spans_its_solve(monkeypat
     # makes. In-process clients of one shard size step as one
     # solver.ProgramBatch inside the first client's step, which the tracer
     # does not span; a lone client's step spans its solver.solve, which the
-    # per-layer solver metrics and the cold-retry count read
+    # per-layer solver metrics and the cold-retry count read. Every polish
+    # is given a wrong active set, so that every step calls the solver
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     T = 3
@@ -111,6 +113,7 @@ def test_traced_admm_steps_are_spanned_and_a_lone_step_spans_its_solve(monkeypat
             assert all(solves_under[s[tracing.ID]] == 1 for s in steps)
         else:
             assert spans["solver.solve"] == 0
+    assert wrong_active_sets == []
 
 
 def test_traced_sm_federation_solves_no_lp_and_replies_with_subgradients(monkeypatch):
