@@ -23,15 +23,15 @@ fold and every step size in one stacked run (baselines.train_fed_l2_stack),
 with the same iterates as one run per fold and point. ADMM and ADMM-SC
 cross-validation advances every (fold, grid point) federation in
 lockstep: each round solves all of their client QPs together, by the
-active-set polish where the last active set still verifies and in one
-stacked interior-point solve otherwise (one robust.ProximalSteps over
+active-set polish where the last active set still verifies and through
+one exact interior-point batch otherwise (one robust.ProximalSteps over
 every client of every federation, which keeps their QPs, warm starts and
-multipliers and lays out one solver.ProgramStack per cross-validation),
-then each
-federation makes its server update with federation.admm_server_update,
-the rule run_federation aggregates with. Those models agree with one
-run_federation per fold and point to solver roundoff. The final fit at
-the chosen point, like every other lone run, goes through run_federation.
+multipliers and lays out one solver.ProgramBatch per cross-validation),
+then each federation makes its server update with
+federation.admm_server_update, the rule run_federation aggregates with.
+Those models are byte-equal to one run_federation per fold and point.
+The final fit at the chosen point, like every other lone run, goes
+through run_federation.
 """
 
 import csv
@@ -77,7 +77,6 @@ from .robust import (
     multiplier_step,
     radius_heuristic,
 )
-from .solver import ProgramStack
 
 
 class ConfigError(ValueError):
@@ -450,7 +449,8 @@ def _snapshots_over_t(cfg, points, folds, t_grid, seed):
     points differ only in gamma0 (validate() rejects any other grid key),
     so every fold and step size advance together, bit for bit as separate
     runs would. The ADMM variants advance every run in lockstep too
-    (`_admm_lockstep`), to roundoff of separate runs and without telemetry."""
+    (`_admm_lockstep`), bit for bit as separate runs and without
+    telemetry."""
     if cfg.model in L2_BASELINES:
         gamma0s = [_gamma0(point) for point in points]
         iterates = train_fed_l2_stack(
@@ -458,20 +458,25 @@ def _snapshots_over_t(cfg, points, folds, t_grid, seed):
         return [[({t: GlobalModel(w=run[t - 1].copy()) for t in t_grid}, [])
                  for run in fold] for fold in iterates]
     if cfg.model in (Algorithm.ADMM.value, Algorithm.ADMM_SC.value):
-        runs = _admm_lockstep([federation_config(cfg, point, shards, max(t_grid))
-                               for shards in folds for point in points],
-                              [shards for shards in folds for _ in points])
-        snapshots = [(kept_models(cfg.model, traces, t_grid), []) for traces in runs]
+        runs = [(k, shards, point) for k, shards in enumerate(folds) for point in points]
+        traces = _admm_lockstep(
+            [federation_config(cfg, point, shards, max(t_grid)) for _, shards, point in runs],
+            [shards for _, shards, _ in runs],
+            [", ".join([f"fold {k}"] + [f"{key}={value}" for key, value in point.items()])
+             for k, _, point in runs])
+        snapshots = [(kept_models(cfg.model, run, t_grid), []) for run in traces]
         return [snapshots[k * len(points):(k + 1) * len(points)] for k in range(len(folds))]
     return [[_snapshots_of_one_run(cfg, point, shards, t_grid)
              for point in points] for shards in folds]
 
 
-def _admm_lockstep(feds, client_data):
+def _admm_lockstep(feds, client_data, names):
     """Run ADMM federations of one round count side by side, round by
     round, and return each one's per-round traces (t and w_after; the
     objective, the residual and the wall time are not measured and read
-    NaN).
+    NaN). `names` holds one name per federation (its fold and grid
+    point), which its clients carry in the warm-retry warning and the
+    convergence error, as "client 3 (fold 2, rho=0.1)".
 
     One `robust.ProximalSteps`, kept for the whole run, holds one row per
     (federation, client) pair: its QP, warm start, multipliers mu_g and
@@ -479,22 +484,19 @@ def _admm_lockstep(feds, client_data):
     federation's last model into its clients' multipliers, as each client
     of `run_federation` does, and the steps of all federations are taken
     together: first by the active-set polish, then the rest through one
-    `solver.ProgramStack`, laid out on the first round (or `solve` when
-    there is a single QP). Then each federation
-    aggregates its own rows with `federation.admm_server_update`. With no
-    wire between them, the server reads the clients' own multipliers,
-    which its mirror in `run_federation` equals bit for bit. The stack
-    sums in another order than `solve`, so the models agree with
-    `run_federation`'s to solver roundoff: the runtime's exact
-    `solver.ProgramBatch` would give `run_federation`'s bytes, but it
-    steps this lockstep's many layouts about 20% slower than the padded
-    stack. `run_federation` stays the wire runtime; this loop has no
-    transport and evaluates no objective."""
+    `solver.ProgramBatch`, laid out on the first round (or `solve` when
+    there is a single QP). Then each federation aggregates its own rows
+    with `federation.admm_server_update`. With no wire between them, the
+    server reads the clients' own multipliers, which its mirror in
+    `run_federation` equals bit for bit, and every row of the batch is
+    `solve`'s bytes, so the models are byte-equal to one `run_federation`
+    per federation. `run_federation` stays the wire runtime; this loop
+    has no transport and evaluates no objective."""
     for fed in feds:
         warn_above_rho_cap(fed)
-    steps = ProximalSteps([(data, fed.clients[g], g)
-                           for fed, shards in zip(feds, client_data)
-                           for g, data in enumerate(shards)], joint=ProgramStack)
+    steps = ProximalSteps([(data, fed.clients[g], f"{g} ({name})")
+                           for fed, shards, name in zip(feds, client_data, names)
+                           for g, data in enumerate(shards)])
     sizes = [len(shards) for shards in client_data]
     fed_of = np.repeat(np.arange(len(feds)), sizes)
     rows = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]

@@ -10,9 +10,9 @@ both read it), the proximal QP solved inside ADMM rounds (one body,
 multipliers for the whole run: a step whose last active set still
 verifies is taken by `solver.ActiveSetPolish`, a lone client step that
 does not goes through `solve`, the steps of many clients through one
-`solver.ProgramBatch`, whose rows are `solve`'s bytes, or, in the
-cross-validation lockstep, one `solver.ProgramStack`; each is laid out
-once and used every round),
+`solver.ProgramBatch`, whose rows are `solve`'s bytes, in a federation
+and in the cross-validation lockstep alike; each is laid out once and
+used every round),
 the scaled multiplier rule (`multiplier_step`), and the practical radius
 rule.
 
@@ -625,18 +625,16 @@ class ProximalSteps:
     KKT residual within its tolerance). The QP is strongly convex in w
     (rho > 0), so w* is unique and a verified point is the step. The
     steps that do not verify go to the solver from the same warm start: a
-    lone QP to `solve`; two or more to one `joint` solver laid out on the
-    first round and reused on every later one, which leaves the polished
-    rows out: by default a `solver.ProgramBatch`, whose solutions are
-    `solve`'s bytes; or a `solver.ProgramStack`, which agrees with `solve`
-    to roundoff. The polish works row by row, so with the default a
-    client's row is the same in a `ProximalSteps` of one and of many.
+    lone QP to `solve`; two or more to one `solver.ProgramBatch` laid out
+    on the first round and reused on every later one, which leaves the
+    polished rows out and whose solutions are `solve`'s bytes. The polish
+    works row by row too, so a client's row is the same in a
+    `ProximalSteps` of one and of many.
     `polished` and `solved` count the steps each took, over the run.
     """
 
-    def __init__(self, clients, joint=ProgramBatch):
+    def __init__(self, clients):
         self.clients = list(clients)
-        self.joint = joint
         self.programs = None
         self.warms = [None] * len(self.clients)
         self.polish = self.together = None
@@ -673,7 +671,7 @@ class ProximalSteps:
                 sols = [solve(progs[0], warm=self.warms[0])]
         elif left.any():
             if self.together is None:
-                self.together = self.joint(progs)
+                self.together = ProgramBatch(progs)
             solved = self.together.solve(self.warms, skip=~left)
             sols = [sol if sol is not None else other for sol, other in zip(sols, solved)]
         for k, (sol, prog, (data, _, client_id)) in enumerate(zip(sols, progs, self.clients)):

@@ -28,30 +28,22 @@ The reduction is exact; backend choice affects speed and floating-point
 roundoff only. Identical inputs take identical paths, so results are
 deterministic within one build.
 
-Two solvers run the iteration over many programs at once. Each is laid
-out once and solved as often as the costs change, round after round.
-
-* `ProgramBatch` steps the Schur programs of one row layout (the client
-  QPs of equal-size shards) through `_batch_loop`, one row per program:
-  every operation of `_ip_loop` runs on all rows in one call, in the
-  memory order and summation order of the single-program call, and the
-  Cholesky factorization and solves run per program. So each row's
-  solution is `solve`'s, byte for byte. A row that would leave `_ip_loop`
-  short of OPTIMAL, or might, goes to `solve`, and the last row left is
-  taken on by `_ip_loop` where it stands. The in-process clients of a
-  federation step through it.
-* `ProgramStack` lays every Schur-eligible program end to end in one
-  stack, whatever its layout: per-program reductions through
-  `np.ufunc.reduceat`, and batched matmuls and solves over the small
-  dense blocks of all programs, the narrower remainders zero-padded to
-  the widest. It sums in another order than `solve`, so it agrees with
-  `solve` to roundoff. The ADMM cross-validation steps through it;
-  `solve_stack` solves a list of programs once.
-
-Each sends a program that does not split to `solve`. On a single
-program their set-up and indexing make them slower than `solve`, which
-stays the single-program path. Both take a mask of programs to leave out,
-which they neither start nor solve.
+`ProgramBatch` runs the iteration over many programs at once. It is laid
+out once and solved as often as the costs change, round after round. It
+steps the Schur programs of one row layout (the client QPs of equal-size
+shards) through `_batch_loop`, one row per program: every operation of
+`_ip_loop` runs on all rows in one call, in the memory order and
+summation order of the single-program call, and the Cholesky
+factorization and solves run per program. So each row's solution is
+`solve`'s, byte for byte, and `_ip_loop` and `_batch_loop` are the only
+two interior-point loops. A row that would leave `_ip_loop` short of
+OPTIMAL, or might, goes to `solve`, and the last row left is taken on by
+`_ip_loop` where it stands. A program that does not split, or is alone
+in its layout, goes to `solve` too; on a single program the batch's
+set-up and indexing would make it slower than `solve`, which stays the
+single-program path. The in-process clients of a federation and the
+ADMM cross-validation step through it. It takes a mask of programs to
+leave out, which it neither starts nor solves.
 
 `ActiveSetPolish` is tried before a warm-started solve. It takes the
 active set a warm point suggests (the rows whose multiplier exceeds their
@@ -90,8 +82,6 @@ __all__ = [
     "SolverSolution",
     "solve",
     "ProgramBatch",
-    "ProgramStack",
-    "solve_stack",
     "solve_lp_by_enumeration",
 ]
 
@@ -112,11 +102,11 @@ WARM_STALL_DROP = 10.0
 # The programs this package builds stay under 1e3 of that unit.
 UNBOUNDED_OBJECTIVE = 1e10
 
-# +inf read as an unsigned integer; `_Stack.max_step` compares against it
+# +inf read as an unsigned integer; `_max_steps` compares against it
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 
-# The exits of the interior-point iteration short of OPTIMAL, as
-# `_ip_loop` and `_stack_loop` both report them.
+# The exits of the interior-point iteration short of OPTIMAL, as `_ip_loop`
+# reports them.
 _DIVERGING = ("iterates diverging: problem is likely infeasible or unbounded "
               "(mu={mu:.2e}, |x|={x_max:.2e})")
 _FALLING = ("objective falling without bound: problem looks unbounded "
@@ -976,7 +966,7 @@ class ProgramBatch:
 
 
 def _skip_mask(skip, count):
-    """The boolean mask of the programs a joint solve leaves out."""
+    """The boolean mask of the programs a batch solve leaves out."""
     if skip is None:
         return np.zeros(count, dtype=bool)
     skip = np.asarray(skip, dtype=bool)
@@ -1192,413 +1182,6 @@ class ActiveSetPolish:
                         x[j], float(obj[j]), SolverStatus.OPTIMAL, float(kkt[j]), 0,
                         "polished", z_star=z[j], y_star=np.zeros(0))
         return out
-
-
-# ---------------------------------------------------------------------------
-# many programs in one iteration
-
-
-class _Stack:
-    """The programs of a `ProgramStack` that split for the Schur backend,
-    laid end to end.
-
-    Row arrays concatenate every program's inequality rows, S arrays their
-    eliminated columns; program arrays hold one value, or one row of the r
-    dense-remainder columns, per program, r being the widest remainder.
-    `row_start` and `s_start` are each program's first row and first S
-    column, the segment starts that `np.ufunc.reduceat` takes. The dense
-    blocks are held per program and zero-padded to the longest program and
-    the widest remainder: A_r as (K, M, r), M_sr as (K, N_s, r), so each
-    product with them is one batched matmul; `row_at` and `s_at` are the
-    flat positions of every row and every S column in that padding, in
-    increasing order, and `row_mask` and `s_mask` mark them. A
-    padded remainder column, with zero cost and iterate, gets only
-    REGULARIZATION on the Schur diagonal and a zero right-hand side, so
-    its Newton step is exactly 0. A_s' W A_r goes through a CSR matrix
-    whose pattern is fixed while the stack is. As in `_SchurBackend`,
-    memory per iteration grows with rows x r. The layout of each program
-    is its `_SchurBackend`, built once per program and reused.
-
-    The layout is built once per stack. Each solve re-reads the costs and
-    sets the starting points (`start`), then iterates every program
-    together. A program that exits stays in its slot, masked: its Schur
-    complement is replaced by the identity and its iterate stands still.
-    Once at least half of the stack has left, the solve goes on over a
-    compacted copy (`subset`); the stack itself keeps every program for
-    the next solve."""
-
-    _ROWS = ("scol_local", "scoef", "scoef2", "b", "s", "z")
-    _COLS = ("q_s", "c_s", "x_s")
-    _PROGS = ("ids", "m", "n_s", "a_r", "a_rT", "q_r", "c_r", "x_r", "scale_b", "scale_c",
-              "obj_floor", "mu0", "warm", "stall", "done", "failed")
-
-    def __init__(self, programs, ids):
-        self.programs = [programs[i] for i in ids]
-        self.layout = [_structure(p)[1] for p in self.programs]
-        lay = self.layout
-        self.r = r = max(b.r_idx.size for b in lay)
-        self.ids = np.asarray(ids)
-        self.m = np.array([b.scol.size for b in lay])
-        self.n_s = np.array([b.n_s for b in lay])
-        self.m_max, self.s_max = int(self.m.max()), int(self.n_s.max())
-        self.scol_local = np.concatenate([b.scol for b in lay])
-        self.scoef = np.concatenate([b.scoef for b in lay])
-        self.scoef2 = np.concatenate([b.scoef2 for b in lay])
-        self.a_r = np.zeros((len(lay), self.m_max, r))
-        self.q_r = np.zeros((len(lay), r))
-        for k, b in enumerate(lay):
-            self.a_r[k, :b.scol.size, :b.r_idx.size] = b.A_r
-            self.q_r[k, :b.r_idx.size] = b.qdiag[b.r_idx]
-        self.a_rT = np.ascontiguousarray(self.a_r.transpose(0, 2, 1))
-        self.b = np.concatenate([p.b_ineq for p in self.programs])
-        self.q_s = np.concatenate([b.q_s for b in lay])
-        # where `gather` finds each S and remainder column among every
-        # program's columns laid end to end, and each remainder column's
-        # slot in the (K, r) padding
-        first = np.cumsum([0] + [b.n for b in lay[:-1]])
-        self.s_from = np.concatenate([f + b.s_idx for f, b in zip(first, lay)])
-        self.r_from = np.concatenate([f + b.r_idx for f, b in zip(first, lay)])
-        self.r_at = np.concatenate([k * r + np.arange(b.r_idx.size) for k, b in enumerate(lay)])
-        self._index()
-        self.scale_b = 1.0 + np.maximum.reduceat(np.abs(self.b), self.row_start)
-
-    def _index(self):
-        self.K = self.m.size
-        self.row_start = np.concatenate(([0], np.cumsum(self.m)[:-1])).astype(np.intp)
-        self.s_start = np.concatenate(([0], np.cumsum(self.n_s)[:-1])).astype(np.intp)
-        self.rowprog = np.repeat(np.arange(self.K), self.m)
-        self.sprog = np.repeat(np.arange(self.K), self.n_s)
-        self.n_cols = int(self.n_s.sum())
-        self.scol = self.scol_local + self.s_start[self.rowprog]
-        self.row_at = (self.rowprog * self.m_max + np.arange(self.rowprog.size)
-                       - self.row_start[self.rowprog])
-        self.s_at = self.sprog * self.s_max + np.arange(self.n_cols) - self.s_start[self.sprog]
-        self.row_mask = np.zeros(self.K * self.m_max, dtype=bool)
-        self.row_mask[self.row_at] = True
-        self.s_mask = np.zeros(self.K * self.s_max, dtype=bool)
-        self.s_mask[self.s_at] = True
-        # A_s' in the padded positions: one row per S column, one entry per
-        # row that touches it; factor() fills in the entries scoef * w
-        touching = np.flatnonzero(self.scoef)
-        col_at = self.s_at[self.scol[touching]]
-        self.s_rows = touching[np.argsort(col_at, kind="stable")]
-        self.s_coef = self.scoef[self.s_rows]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(col_at,
-                                                            minlength=self.K * self.s_max))))
-        self.a_sT = sp.csr_matrix((self.s_coef, self.row_at[self.s_rows], indptr),
-                                  shape=(self.K * self.s_max, self.K * self.m_max))
-
-    def subset(self, keep):
-        """A copy holding the programs where `keep` is True, with their
-        state, for the rest of one solve (it is never started)."""
-        sub = copy.copy(self)
-        rows, cols = keep[self.rowprog], keep[self.sprog]
-        for names, mask in ((self._ROWS, rows), (self._COLS, cols), (self._PROGS, keep)):
-            for name in names:
-                setattr(sub, name, getattr(self, name)[mask])
-        sub.programs = [p for p, k in zip(self.programs, keep) if k]
-        sub.layout = [b for b, k in zip(self.layout, keep) if k]
-        sub._index()
-        return sub
-
-    def gather(self, v):
-        """Split a vector over every program's columns, laid end to end,
-        into its S part and its (K, r) padded remainder."""
-        v_r = np.zeros(self.K * self.r)
-        v_r[self.r_at] = v[self.r_from]
-        return v[self.s_from], v_r.reshape(self.K, self.r)
-
-    def start(self, warms, skip):
-        """Read every program's cost and set its starting point, as
-        `_ip_loop` picks it: the re-centred warm point when its warm start
-        fits, else `_cold_start` on the program's own backend. A program
-        marked in `skip` is marked done where it stands, unstarted. A
-        program whose cost pulls on a free column, or whose cold start
-        fails to factor, is marked failed, for `solve` to redo alone."""
-        self.c_s, self.c_r = self.gather(np.concatenate([p.c for p in self.programs]))
-        self.scale_c = 1.0 + np.maximum(np.maximum.reduceat(np.abs(self.c_s), self.s_start),
-                                        np.abs(self.c_r).max(axis=1, initial=0.0))
-        self.obj_floor = -UNBOUNDED_OBJECTIVE * self.scale_b * self.scale_c
-        self.stall = np.zeros(self.K, dtype=int)
-        self.done = skip.copy()
-        self.failed = np.array([not left_out and _free_cost(p, _structure(p)[2]) is not None
-                                for p, left_out in zip(self.programs, skip)])
-        self.warm = np.array([_warm_fits(w, p) for w, p in zip(warms, self.programs)])
-        x = []
-        s, z = np.ones(self.b.size), np.ones(self.b.size)
-        for k, (p, lay) in enumerate(zip(self.programs, self.layout)):
-            rows = slice(self.row_start[k], self.row_start[k] + self.m[k])
-            if self.warm[k] and not skip[k]:
-                x.append(np.asarray(warms[k][0], dtype=float))
-                z[rows] = warms[k][1]
-                continue
-            if not (self.failed[k] or skip[k]):
-                try:
-                    x_k, _, s[rows], z[rows] = _cold_start(p, lay)
-                    x.append(x_k)
-                    continue
-                except np.linalg.LinAlgError:
-                    self.failed[k] = True
-            x.append(np.zeros(lay.n))
-        self.x_s, self.x_r = self.gather(np.concatenate(x))
-        # re-centre the warm points at a moderate complementarity level
-        warm = self.warm[self.rowprog]
-        lift = np.sqrt(1e-4 * self.scale_b * self.scale_c)[self.rowprog]
-        self.z = np.where(warm, np.maximum(z, lift), z)
-        self.s = np.where(warm, np.maximum(self.b - self.a_dot(self.x_s, self.x_r), lift), s)
-        self.mu0 = self.row_sum(self.s * self.z) / self.m
-
-    def row_sum(self, v):
-        return np.add.reduceat(v, self.row_start)
-
-    def abs_max(self, v_s, v_r):
-        """Per-program max |v| of a column vector split into S and remainder."""
-        return np.maximum(np.maximum.reduceat(np.abs(v_s), self.s_start),
-                          np.abs(v_r).max(axis=1, initial=0.0))
-
-    def pad(self, v, mask, width, fill=0.0):
-        """A row or S-column vector in the (K, width) padding, whose slots
-        `mask` marks (`row_mask` or `s_mask`)."""
-        out = np.full(self.K * width, fill)
-        out[mask] = v
-        return out.reshape(self.K, width)
-
-    def r_dot(self, x_r):
-        """A_r x_r, program by program, as a row vector."""
-        return (self.a_r @ x_r[:, :, None]).ravel()[self.row_at]
-
-    def a_dot(self, x_s, x_r):
-        return self.scoef * x_s[self.scol] + self.r_dot(x_r)
-
-    def at_dot(self, z):
-        return (np.bincount(self.scol, self.scoef * z, minlength=self.n_cols),
-                (self.pad(z, self.row_mask, self.m_max)[:, None, :] @ self.a_r)[:, 0])
-
-    def factor(self, w):
-        """Form every program's Schur complement, as `_SchurBackend.factor`
-        does for one, and test it with one batched Cholesky; `newton`
-        solves with the complements in one batched call. The complement of
-        a program that has left is the identity. Returns the mask of
-        programs whose complement is not positive definite; it is replaced
-        by the identity too, so their next direction is meaningless."""
-        self.w = w
-        self.d_s = self.q_s + np.bincount(self.scol, self.scoef2 * w,
-                                          minlength=self.n_cols) + REGULARIZATION
-        self.a_sT.data = self.s_coef * w[self.s_rows]
-        self.m_sr = (self.a_sT @ self.a_r.reshape(self.K * self.m_max, self.r)
-                     ).reshape(self.K, self.s_max, self.r)
-        h = self.a_rT @ (self.a_r * self.pad(w, self.row_mask, self.m_max)[:, :, None])
-        h[:, np.arange(self.r), np.arange(self.r)] += self.q_r + REGULARIZATION
-        m_d = self.m_sr / self.pad(self.d_s, self.s_mask, self.s_max, 1.0)[:, :, None]
-        h -= np.ascontiguousarray(self.m_sr.transpose(0, 2, 1)) @ m_d
-        h[self.done | self.failed] = np.eye(self.r)
-        bad = np.zeros(self.K, dtype=bool)
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            for k in range(self.K):
-                try:
-                    np.linalg.cholesky(h[k])
-                except np.linalg.LinAlgError:
-                    bad[k] = True
-            h[bad] = np.eye(self.r)
-        self.h = h
-        return bad
-
-    def newton(self, rhs_s, rhs_r, g):
-        """`_SchurBackend.solve` for every program: (dx_s, dx_r, dz). A
-        complement that passed the Cholesky test but is singular to the
-        LU solve marks its program failed and is replaced by the identity,
-        so that program's direction is meaningless."""
-        wg = self.w * g
-        b_s = rhs_s + np.bincount(self.scol, self.scoef * wg, minlength=self.n_cols)
-        b_sd = self.pad(b_s / self.d_s, self.s_mask, self.s_max)
-        b_r = (rhs_r + (self.pad(wg, self.row_mask, self.m_max)[:, None, :] @ self.a_r)[:, 0]
-               - (b_sd[:, None, :] @ self.m_sr)[:, 0])[:, :, None]
-        try:
-            dx_r = np.linalg.solve(self.h, b_r)[:, :, 0]
-        except np.linalg.LinAlgError:
-            for k in range(self.K):
-                try:
-                    np.linalg.solve(self.h[k], b_r[k])
-                except np.linalg.LinAlgError:
-                    self.failed[k] = True
-                    self.h[k] = np.eye(self.r)
-            dx_r = np.linalg.solve(self.h, b_r)[:, :, 0]
-        dx_s = (b_s - (self.m_sr @ dx_r[:, :, None]).ravel()[self.s_at]) / self.d_s
-        dz = self.w * (self.scoef * dx_s[self.scol] + self.r_dot(dx_r) - g)
-        return dx_s, dx_r, dz
-
-    def max_step(self, ds, dz):
-        """`_max_step` per program. Read as unsigned integers, nonnegative
-        doubles keep their order, and the ratio of a component that does
-        not decrease (negative, or NaN) sorts above +inf; so one integer
-        minimum per program finds the nearest boundary without a masked
-        division, and a program with none gets +inf."""
-        ratios = np.minimum((-self.s / ds).view(np.uint64), (-self.z / dz).view(np.uint64))
-        bits = np.minimum.reduceat(ratios, self.row_start)
-        return np.where(bits <= _INF_BITS, bits.view(np.float64), np.inf)
-
-    def finish(self, out, k, obj, status, kkt, iterations, message):
-        """Record program k's solution at the current iterate."""
-        lay = self.layout[k]
-        x = np.empty(lay.n)
-        x[lay.s_idx] = self.x_s[self.s_start[k]:self.s_start[k] + self.n_s[k]]
-        x[lay.r_idx] = self.x_r[k, :lay.r_idx.size]
-        z = self.z[self.row_start[k]:self.row_start[k] + self.m[k]].copy()
-        if obj is None:
-            obj = self.programs[k].objective(x)
-        out[self.ids[k]] = SolverSolution(x, float(obj), status, float(kkt), iterations,
-                                          message, z_star=z, y_star=np.zeros(0))
-        self.done[k] = True
-
-
-class ProgramStack:
-    """A fixed list of programs solved together, as often as needed, with
-    only their costs c changing between solves (the structure contract of
-    `solve`): every client QP of an ADMM cross-validation, round after
-    round.
-
-    Every program that splits for the Schur backend (see `_schur_split`)
-    joins one `_Stack`, whatever the width of its dense remainder, laid
-    out once here. One iteration covers the whole stack: rows and S
-    columns laid end to end, segment reductions per program, and batched
-    matmuls, Cholesky tests and solves over the (r, r) Schur complements.
-    A program that does not split, or whose cost pulls on a free column,
-    goes to `solve`, and so does one whose complement loses positive
-    definiteness, or turns out singular, in the stack: `solve` redoes it
-    alone and may move it to the sparse backend.
-    """
-
-    def __init__(self, programs):
-        self.programs = list(programs)
-        ids = [i for i, p in enumerate(self.programs) if _structure(p)[0] is not None]
-        self.stack = _Stack(self.programs, ids) if ids else None
-
-    def solve(self, warms, skip=None) -> list:
-        """One SolverSolution per program, in order. Each program takes
-        `solve`'s path: the same starting point from its entry of `warms`
-        (an (x0, z0) pair or None), the same exits and messages, and its
-        own mu, step lengths and residuals. A program marked in `skip`, a
-        boolean mask, is neither started nor solved, and gets None.
-
-        The products are summed in another order than `solve` sums them,
-        so a solution agrees with `solve`'s to roundoff, not bit for bit;
-        an iterate that ends within roundoff of a tolerance may also exit
-        one iteration apart. Masking a program that has left changes no
-        byte of the others' solutions."""
-        warms = list(warms)
-        if len(warms) != len(self.programs):
-            raise ValueError(f"{len(self.programs)} programs but {len(warms)} warm starts")
-        skip = _skip_mask(skip, len(self.programs))
-        out = [None] * len(self.programs)
-        if self.stack is not None and not skip[self.stack.ids].all():
-            # a program heading for a divergence exit may overflow on the
-            # way; its own exits report that, and it cannot touch the other
-            # segments
-            with np.errstate(all="ignore"):
-                self.stack.start([warms[i] for i in self.stack.ids], skip[self.stack.ids])
-                _stack_loop(self.stack, SolverConfig(), out)
-        return [None if left_out else solve(p, warm=warm) if sol is None else sol
-                for sol, p, warm, left_out in zip(out, self.programs, warms, skip)]
-
-
-def solve_stack(programs, warms) -> list:
-    """Solve many programs in one interior-point loop, once: one
-    SolverSolution per program, in order (see `ProgramStack.solve`). It
-    pays off when many programs are solved together; `solve` stays the
-    faster path for one program."""
-    return ProgramStack(programs).solve(warms)
-
-
-def _stack_loop(st: _Stack, cfg: SolverConfig, out):
-    """`_ip_loop` over a stack. Fills the entry of `out` of every program
-    that exits; one whose factorization failed keeps None."""
-    trail = deque(maxlen=WARM_STALL_WINDOW + 1)  # KKT residuals, for the stall exit
-    kkt = np.zeros(st.K)
-    for it in range(1, cfg.max_iterations + 1):
-        qx_s, qx_r = st.q_s * st.x_s, st.q_r * st.x_r
-        atz_s, atz_r = st.at_dot(st.z)
-        r_d_s = qx_s + st.c_s + atz_s
-        r_d_r = qx_r + st.c_r + atz_r
-        r_p = st.a_dot(st.x_s, st.x_r) + st.s - st.b
-        mu = st.row_sum(st.s * st.z) / st.m
-        obj = (np.add.reduceat(st.x_s * (0.5 * qx_s + st.c_s), st.s_start)
-               + (st.x_r * (0.5 * qx_r + st.c_r)).sum(axis=1))
-        rd_rel = st.abs_max(r_d_s, r_d_r) / (st.scale_c + st.abs_max(qx_s, qx_r))
-        rp_rel = np.maximum.reduceat(np.abs(r_p), st.row_start) / st.scale_b
-        gap_rel = mu / (1.0 + np.abs(obj))
-        kkt = np.maximum(np.maximum(rd_rel, rp_rel), gap_rel)
-        x_max = st.abs_max(st.x_s, st.x_r)
-        trail.append(kkt)
-
-        live = ~(st.done | st.failed)
-        optimal = live & (kkt <= cfg.eps2)
-        live &= ~optimal
-        diverging = live & (~np.isfinite(kkt) | (mu > 1e10 * (1.0 + st.mu0)) | (x_max > 1e13))
-        live &= ~diverging
-        falling = live & (obj < st.obj_floor)
-        live &= ~falling
-        stalled = live & st.warm
-        if len(trail) > WARM_STALL_WINDOW:
-            stalled &= kkt * WARM_STALL_DROP > trail[0]
-        else:
-            stalled[:] = False
-        for k in np.flatnonzero(optimal):
-            st.finish(out, k, obj[k], SolverStatus.OPTIMAL, kkt[k], it - 1, "")
-        for k in np.flatnonzero(diverging):
-            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1,
-                      _DIVERGING.format(mu=mu[k], x_max=x_max[k]))
-        for k in np.flatnonzero(falling):
-            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1,
-                      _FALLING.format(obj=obj[k], x_max=x_max[k]))
-        for k in np.flatnonzero(stalled):
-            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it - 1, _STALLED)
-        left = st.done | st.failed
-        if 2 * np.count_nonzero(left) >= st.K:
-            keep = ~left
-            if not keep.any():
-                return
-            rows, cols = keep[st.rowprog], keep[st.sprog]
-            st = st.subset(keep)
-            r_d_s, r_p = r_d_s[cols], r_p[rows]
-            r_d_r, mu, gap_rel = r_d_r[keep], mu[keep], gap_rel[keep]
-            obj, kkt = obj[keep], kkt[keep]
-            for j, past in enumerate(trail):
-                trail[j] = past[keep]
-            left = left[keep]
-
-        st.failed |= st.factor(st.z / st.s)
-        minus_r_d_s, minus_r_d_r, sz = -r_d_s, -r_d_r, st.s * st.z
-
-        # predictor (affine scaling) direction
-        rc = -sz
-        dx_s, dx_r, dz_a = st.newton(minus_r_d_s, minus_r_d_r, -r_p - rc / st.z)
-        ds_a = (rc - st.s * dz_a) / st.z
-        step = np.minimum(1.0, st.max_step(ds_a, dz_a))[st.rowprog]
-        mu_aff = st.row_sum((st.s + step * ds_a) * (st.z + step * dz_a)) / st.m
-        sigma = np.minimum(np.maximum((mu_aff / mu) ** 3, 1e-10), 1.0 - 1e-10)
-
-        # corrector
-        rc = (sigma * mu)[st.rowprog] - sz - ds_a * dz_a
-        dx_s, dx_r, dz = st.newton(minus_r_d_s, minus_r_d_r, -r_p - rc / st.z)
-        ds = (rc - st.s * dz) / st.z
-
-        eta = np.where(gap_rel < 1e-3, 0.99995, 0.995)
-        # a program that has left stands still
-        alpha = np.where(left, 0.0, np.minimum(1.0, eta * st.max_step(ds, dz)))
-        st.stall = np.where(alpha < 1e-10, st.stall + 1, 0)
-        for k in np.flatnonzero((st.stall >= 3) & ~(st.done | st.failed)):
-            st.finish(out, k, obj[k], SolverStatus.NUMERICAL_FAILURE, kkt[k], it, _COLLAPSED)
-        st.x_s = st.x_s + alpha[st.sprog] * dx_s
-        st.x_r = st.x_r + alpha[:, None] * dx_r
-        step = alpha[st.rowprog]
-        st.s = st.s + step * ds
-        st.z = st.z + step * dz
-
-    for k in np.flatnonzero(~(st.done | st.failed)):
-        st.finish(out, k, None, SolverStatus.MAX_ITERATIONS, kkt[k], cfg.max_iterations,
-                  _CAPPED)
 
 
 # ---------------------------------------------------------------------------

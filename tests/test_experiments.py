@@ -171,9 +171,6 @@ def test_cv_tie_breaks_to_smaller_grid_index():
 
 
 def test_round_snapshots_match_fresh_runs():
-    # sm and fedavg snapshots are bit-identical to fresh runs; the ADMM
-    # lockstep solves its client QPs in one stack, which agrees with the
-    # one-program solver to roundoff
     cfg, shards, _ = toy_shards(seed=6)
     for model_name, point in (("admm", {"rho": 1e-2}),
                               ("sm", {"gamma0": 0.5}),
@@ -182,10 +179,7 @@ def test_round_snapshots_match_fresh_runs():
         snaps, _ = _snapshots_over_t(cfg, [point], [shards], [2, 4], seed=6)[0][0]
         for t in (2, 4):
             fresh, _ = train_model(cfg, {**point, "T": t}, shards, seed=6)
-            if model_name == "admm":
-                assert np.abs(snaps[t].w - fresh.w).max() <= 1e-7 * np.abs(fresh.w).max()
-            else:
-                assert np.array_equal(snaps[t].w, fresh.w), (model_name, t)
+            assert np.array_equal(snaps[t].w, fresh.w), (model_name, t)
 
 
 def test_central_model_reads_gridded_beta_and_null_epsilon():
@@ -391,8 +385,7 @@ def assert_lockstep_matches_one_federation_per_run(cfg, points, folds, t_grid, s
         for (snaps, rounds), (ref, _) in zip(fold, ref_fold):
             assert rounds == []
             for t in t_grid:
-                gap = np.abs(snaps[t].w - ref[t].w).max()
-                assert gap <= 1e-7 * np.abs(ref[t].w).max(), (t, gap)
+                assert np.array_equal(snaps[t].w, ref[t].w), t
 
 
 @pytest.mark.parametrize("model", ["admm", "admm_sc"])
@@ -410,10 +403,11 @@ def test_lockstep_admm_cv_matches_one_federation_per_fold_and_point(monkeypatch,
     assert (chosen, report) == cross_validate(cfg, shards, seed=3)
 
 
-def test_lockstep_stacks_ragged_remainder_widths_together(monkeypatch):
+def test_lockstep_batches_each_remainder_width_apart(monkeypatch, wrong_active_sets):
     # a feature that is zero throughout one client's fold shard leaves its
     # weight out of every hinge row, so that QP's dense remainder is one
-    # column narrower than the other clients'
+    # column narrower than the other clients'; with every polish rejected,
+    # each round's steps all go through the batch
     cfg = ExperimentConfig.from_dict(base_config(
         grid={"rho": [1e-2, 1e-1], "T": [2, 5]}, partition={"scheme": "even", "G": 3}))
     shards, _, _ = prepare_repetition(cfg, 4)
@@ -421,20 +415,35 @@ def test_lockstep_stacks_ragged_remainder_widths_together(monkeypatch):
     blank[:, 0] = 0.0
     shards[1] = DatasetView(X=blank, y=shards[1].y)
     folds = [[s.subset(np.arange(k, s.n, 2)) for s in shards] for k in range(2)]
-    stacks, widths = [], []
-    real_start = solver._Stack.start
+    built, solved = [], []
+    real_init, real_solve = solver.ProgramBatch.__init__, solver.ProgramBatch.solve
 
-    def record(st, warms, skip):
-        stacks.append(st)
-        widths.append(sorted({b.r_idx.size for b in st.layout}))
-        return real_start(st, warms, skip)
+    def record_init(batch, programs):
+        real_init(batch, programs)
+        built.append(batch)
 
-    monkeypatch.setattr(solver._Stack, "start", record)
+    def record_solve(batch, warms, skip=None):
+        solved.append(batch)
+        return real_solve(batch, warms, skip)
+
+    monkeypatch.setattr(solver.ProgramBatch, "__init__", record_init)
+    monkeypatch.setattr(solver.ProgramBatch, "solve", record_solve)
+    _snapshots_over_t(cfg, grid_points(cfg.grid), folds, [2, 5], 4)
+    # one batch for the whole cross-validation, solved once a round
+    batch, = built
+    assert solved == [batch] * 5
+    # rows run fold by fold, rho by rho, client by client; client 1's QPs
+    # are the narrower ones, and each sits in a `_Batch` of its own width
+    width = [solver._structure(p)[1].r_idx.size for p in batch.programs]
+    assert [i for i, r in enumerate(width) if r == 3] == [1, 4, 7, 10]
+    assert set(width) == {3, 4}
+    assert sorted(i for b in batch.batches for i in b.ids) == list(range(12))
+    for b in batch.batches:
+        assert len({width[i] for i in b.ids}) == 1, b.ids
+    monkeypatch.setattr(solver.ProgramBatch, "__init__", real_init)
+    monkeypatch.setattr(solver.ProgramBatch, "solve", real_solve)
     assert_lockstep_matches_one_federation_per_run(cfg, grid_points(cfg.grid), folds, [2, 5], 4)
-    # one stack for the whole cross-validation, holding both widths and
-    # started once a round
-    assert all(st is stacks[0] for st in stacks)
-    assert widths == [[3, 4]] * 5
+    assert wrong_active_sets == []
 
 
 def test_lockstep_solves_programs_without_a_schur_split_alone():
@@ -449,6 +458,26 @@ def test_lockstep_solves_programs_without_a_schur_split_alone():
                                   rho=1.0, anchor=np.zeros(33))
     assert solver._structure(prog)[0] is None
     assert_lockstep_matches_one_federation_per_run(cfg, grid_points(cfg.grid), folds, [2, 3], 5)
+
+
+def test_a_lockstep_failure_names_the_fold_and_grid_point_of_its_client(monkeypatch):
+    # rows run fold by fold, rho by rho, client by client: row 7 of the 8
+    # is client 1 of fold 1 at rho = 0.1
+    cfg = ExperimentConfig.from_dict(base_config(grid={"rho": [1e-2, 1e-1], "T": [2]}))
+    real_solve = solver.ProgramBatch.solve
+
+    def row_7_fails(batch, warms, skip=None):
+        sols = real_solve(batch, warms, skip)
+        if len(sols) == 8:
+            sols[7] = solver.SolverSolution(np.full(batch.programs[7].n, np.nan), np.nan,
+                                            solver.SolverStatus.NUMERICAL_FAILURE, np.inf, 0,
+                                            "forced")
+        return sols
+
+    monkeypatch.setattr(solver.ProgramBatch, "solve", row_7_fails)
+    rep, = run_experiment(cfg).repetitions
+    assert rep["error"] == ("RuntimeError: client 1 (fold 1, rho=0.1): proximal QP failed "
+                            "to converge: forced")
 
 
 def test_lockstep_admm_sc_warns_once_per_federation_above_the_rho_cap():

@@ -424,244 +424,6 @@ class TestSparseBackend:
         assert len(caplog.records) == 1
 
 
-def stack_group(seed, norm, P, count):
-    """Proximal risk epigraphs of one dense-remainder width: ragged N,
-    kappa in {0, 1} and (rho, tau) in {(0.7, 0), (0.7, 0.3), (0.05, 0)}."""
-    rng = np.random.default_rng(seed)
-    progs = []
-    for i in range(count):
-        N = int(rng.integers(5, 60))
-        data = DatasetView(X=rng.random((N, P)), y=np.where(rng.random(N) < 0.5, 1, -1))
-        cfg = ClientConfig(epsilon=0.05, kappa=float(i % 2), norm=norm)
-        rho, tau = ((0.7, 0.0), (0.7, 0.3), (0.05, 0.0))[i % 3]
-        progs.append(build_risk_epigraph_qp(data, cfg, rho=rho, tau=tau,
-                                            anchor=rng.standard_normal(P)))
-    return progs
-
-
-def assert_same_solutions(stacked, alone):
-    for i, (a, b) in enumerate(zip(stacked, alone)):
-        assert a.status is b.status, (i, a.message, b.message)
-        assert a.message == b.message, i
-        assert a.iterations == b.iterations, i
-        scale = np.abs(b.x_star).max()
-        assert np.abs(a.x_star - b.x_star).max() <= 1e-7 * scale, i
-        assert a.objective == pytest.approx(b.objective, rel=1e-7, abs=1e-12), i
-        assert a.z_star.shape == b.z_star.shape, i
-
-
-class TestSolveStack:
-    @pytest.mark.parametrize("norm,P", [(NormKind.L1, 3), (NormKind.LINF, 2)])
-    def test_matches_solve_program_by_program_cold_then_warm(self, norm, P):
-        progs = stack_group(11, norm, P, 9)
-        cold = solver.solve_stack(progs, [None] * len(progs))
-        alone = [solve(p) for p in progs]
-        assert_same_solutions(cold, alone)
-        # programs leave the stack at different iterations
-        assert len({s.iterations for s in alone}) > 1
-
-        rng = np.random.default_rng(12)
-        warms = [(s.x_star, s.z_star) for s in alone]
-        for p in progs:
-            p.c[:P] += 0.3 * rng.standard_normal(P)
-        warm = solver.solve_stack(progs, warms)
-        assert_same_solutions(warm, [solve(p, warm=w) for p, w in zip(progs, warms)])
-
-    def test_a_stalled_warm_program_exits_as_solve_does(self):
-        # a shard and two ADMM anchors on which the warm-started QP stalls
-        # (the fixture of tests/test_robust.py)
-        from test_robust import STALL_ANCHORS, STALL_X, STALL_Y
-        data = DatasetView(X=np.array(STALL_X), y=np.array(STALL_Y))
-        stall = build_risk_epigraph_qp(data, ClientConfig(epsilon=1.0 / 140.0, kappa=1.0),
-                                       rho=0.01, anchor=np.array(STALL_ANCHORS[0]))
-        first = solve(stall)
-        stall.c[:2] = -0.01 * np.array(STALL_ANCHORS[1])
-        others = stack_group(13, NormKind.L1, 2, 4)
-        progs = [others[0], stall] + others[1:]
-        warms = [None, (first.x_star, first.z_star), None, None, None]
-        stacked = solver.solve_stack(progs, warms)
-        alone = [solve(p, warm=w) for p, w in zip(progs, warms)]
-        assert alone[1].message == "warm start stalled"
-        assert_same_solutions(stacked, alone)
-
-    def test_a_failed_factorization_is_resolved_alone(self, monkeypatch):
-        progs = stack_group(14, NormKind.L1, 2, 4)
-        real = solver._Stack.factor
-        calls = []
-
-        def second_program_fails_once(self, w):
-            bad = real(self, w)
-            if not calls:
-                bad[1] = True
-            calls.append(self.ids.tolist())
-            return bad
-
-        monkeypatch.setattr(solver._Stack, "factor", second_program_fails_once)
-        stacked = solver.solve_stack(progs, [None] * 4)
-        assert 1 not in calls[-1]
-        alone = [solve(p) for p in progs]
-        assert_same_solutions(stacked, alone)
-        np.testing.assert_array_equal(stacked[1].x_star, alone[1].x_star)
-
-    def test_free_cost_program_fails_as_solve_reports_it(self):
-        p = scaled_s_program()
-
-        def with_free_column(cost):
-            return ConvexProgram(n=7, Q=np.diag(np.append(p.Q.diagonal(), 0.0)),
-                                 c=np.append(p.c, cost),
-                                 A_ineq=np.hstack([p.A_ineq.toarray(), np.zeros((p.m, 1))]),
-                                 b_ineq=p.b_ineq)
-
-        free, idle = with_free_column(1.0), with_free_column(0.0)
-        got, fine = solver.solve_stack([free, idle], [None, None])
-        assert got.status is SolverStatus.NUMERICAL_FAILURE
-        assert got.message == solve(free).message
-        assert_same_solutions([fine], [solve(idle)])
-
-    def test_one_stack_takes_ragged_widths_and_sends_the_rest_to_solve(self, monkeypatch):
-        # L1 QPs at P = 2 and P = 3 and L-inf QPs at P = 2 split with
-        # remainders of two widths; a program with equality rows and an
-        # L-inf QP at P = 33 (a remainder of 66 columns) do not split
-        with_eq = ConvexProgram(n=2, c=[1.0, 1.0], A_ineq=-np.eye(2), b_ineq=[0.0, 0.0],
-                                A_eq=[[1.0, 1.0]], b_eq=[1.0])
-        progs = (stack_group(16, NormKind.L1, 2, 3) + stack_group(17, NormKind.L1, 3, 3)
-                 + stack_group(18, NormKind.LINF, 2, 3) + [with_eq]
-                 + stack_group(19, NormKind.LINF, 33, 1))
-        P = [2] * 3 + [3] * 3 + [2] * 3 + [2, 33]
-        splits = [solver._structure(p)[0] for p in progs]
-        assert len({split[1].size for split in splits[:9]}) > 1
-        assert splits[9] is None and splits[10] is None
-        stacks, alone_ids = [], []
-        real_start = solver._Stack.start
-
-        def record(st, warms, skip):
-            stacks.append((st.ids.tolist(), st.r))
-            return real_start(st, warms, skip)
-
-        def solve_alone(p, cfg=None, warm=None):
-            alone_ids.append(next(i for i, q in enumerate(progs) if q is p))
-            return solve(p, cfg, warm)
-
-        monkeypatch.setattr(solver._Stack, "start", record)
-        monkeypatch.setattr(solver, "solve", solve_alone)
-        cold = solver.solve_stack(progs, [None] * len(progs))
-        alone = [solve(p) for p in progs]
-        assert_same_solutions(cold, alone)
-        assert stacks == [(list(range(9)), max(split[1].size for split in splits[:9]))]
-        assert alone_ids == [9, 10]  # every stacked program finished in the stack
-
-        rng = np.random.default_rng(20)
-        warms = [(s.x_star, s.z_star) for s in alone]
-        for p, width in zip(progs, P):
-            p.c[:width] += 0.3 * rng.standard_normal(width)
-        warm = solver.solve_stack(progs, warms)
-        assert_same_solutions(warm, [solve(p, warm=w) for p, w in zip(progs, warms)])
-        assert alone_ids == [9, 10] * 2
-
-    def test_a_cold_start_that_fails_to_factor_is_resolved_alone(self, monkeypatch):
-        progs = stack_group(21, NormKind.L1, 2, 4)
-        failing = solver._structure(progs[2])[1]
-        real_factor = solver._SchurBackend.factor
-        raised = []
-
-        def fails_once(backend, w):
-            if backend is failing and not raised:
-                raised.append(True)
-                raise scipy.linalg.LinAlgError("forced")
-            return real_factor(backend, w)
-
-        real_solve = solver.solve
-        alone_ids = []
-
-        def solve_alone(p, cfg=None, warm=None):
-            alone_ids.append(next(i for i, q in enumerate(progs) if q is p))
-            return real_solve(p, cfg, warm)
-
-        monkeypatch.setattr(solver._SchurBackend, "factor", fails_once)
-        monkeypatch.setattr(solver, "solve", solve_alone)
-        stacked = solver.solve_stack(progs, [None] * 4)
-        assert raised and alone_ids == [2]
-        alone = [real_solve(p) for p in progs]
-        assert_same_solutions(stacked, alone)
-        np.testing.assert_array_equal(stacked[2].x_star, alone[2].x_star)
-
-    def test_rejects_warm_starts_that_do_not_pair_with_the_programs(self):
-        with pytest.raises(ValueError, match="2 programs but 1 warm"):
-            solver.solve_stack(stack_group(15, NormKind.L1, 2, 2), [None])
-
-    def test_a_stack_without_remainder_columns_solves_as_solve_does(self):
-        # the split puts the one column in S, so no program in the stack
-        # has a dense remainder
-        p = ConvexProgram(n=1, Q=[[1.0]], c=[1.0], A_ineq=[[-1.0]], b_ineq=[0.0])
-        assert solver._structure(p)[0][1].size == 0
-        alone = solve(p)
-        assert alone.status is SolverStatus.OPTIMAL
-        assert_same_solutions(solver.solve_stack([p, p], [None, None]), [alone, alone])
-
-    def test_a_singular_complement_is_resolved_alone(self, monkeypatch):
-        # program 1's complement passes the Cholesky test at the first
-        # factorization but is singular to the LU solve
-        progs = stack_group(14, NormKind.L1, 2, 4)
-        clean = solver.solve_stack(progs, [None] * 4)
-        real = solver._Stack.factor
-        calls = []
-
-        def singular_once(st, w):
-            bad = real(st, w)
-            if not calls:
-                st.h[1] = 0.0
-            calls.append(st.ids.tolist())
-            return bad
-
-        monkeypatch.setattr(solver._Stack, "factor", singular_once)
-        stacked = solver.solve_stack(progs, [None] * 4)
-        assert len(calls) > 1
-        assert_bitwise_equal(stacked[1], solve(progs[1]))
-        for i in (0, 2, 3):
-            assert_bitwise_equal(stacked[i], clean[i])
-
-    def test_masking_a_program_that_left_moves_no_byte_of_the_rest(self, monkeypatch):
-        # cold, program 3 runs the longest; warm-started at its own optimum
-        # it leaves first and stays in the stack, masked, while the others
-        # iterate on
-        progs = stack_group(31, NormKind.L1, 2, 5)
-        cold = solver.solve_stack(progs, [None] * 5)
-        assert max(range(5), key=lambda i: cold[i].iterations) == 3
-        real = solver._Stack.factor
-        masked = []
-
-        def record(st, w):
-            masked.append(st.K == 5 and bool(st.done[3]))
-            return real(st, w)
-
-        monkeypatch.setattr(solver._Stack, "factor", record)
-        warms = [None, None, None, (cold[3].x_star, cold[3].z_star), None]
-        early = solver.solve_stack(progs, warms)
-        assert early[3].status is SolverStatus.OPTIMAL
-        assert early[3].iterations < min(s.iterations for s in cold)
-        assert any(masked)
-        for i in (0, 1, 2, 4):
-            assert_bitwise_equal(early[i], cold[i])
-
-    def test_a_program_stack_is_laid_out_once_and_solved_again(self, monkeypatch):
-        progs = stack_group(32, NormKind.L1, 2, 4)
-        stack = solver.ProgramStack(progs)
-        first = stack.solve([None] * 4)
-        for got, want in zip(first, solver.solve_stack(progs, [None] * 4)):
-            assert_bitwise_equal(got, want)
-        rng = np.random.default_rng(33)
-        warms = [(s.x_star, s.z_star) for s in first]
-        for p in progs:
-            p.c[:2] += 0.3 * rng.standard_normal(2)
-        expected = solver.solve_stack(progs, warms)
-        built = []
-        monkeypatch.setattr(solver._Stack, "__init__", lambda *args: built.append(args))
-        again = stack.solve(warms)
-        assert built == []
-        for got, want in zip(again, expected):
-            assert_bitwise_equal(got, want)
-
-
 def test_a_twin_with_another_objective_shares_the_analysis_and_solves_the_same():
     rng = np.random.default_rng(34)
     data = DatasetView(X=rng.random((30, 3)), y=np.where(rng.random(30) < 0.5, 1, -1))
@@ -676,35 +438,6 @@ def test_a_twin_with_another_objective_shares_the_analysis_and_solves_the_same()
     assert_bitwise_equal(solve(twin), solve(fresh))
     with pytest.raises(ValueError, match="length n"):
         first.with_objective(fresh.Q.diagonal()[1:], fresh.c)
-
-
-class TestStackedExits:
-    def test_every_exit_leaves_the_stack_as_solve_reports_it(self, monkeypatch):
-        # between two healthy QPs: an LP that splits and falls without bound,
-        # an infeasible QP that splits with no dense remainder, and the
-        # stalling warm start of tests/test_robust.py with its stall exit
-        # switched off, so that it runs to the iteration cap
-        from test_robust import STALL_ANCHORS, STALL_X, STALL_Y
-        falling = ConvexProgram(n=2, c=[1.0, 0.0], A_ineq=[[1.0, 1.0]], b_ineq=[1.0])
-        infeasible = ConvexProgram(n=1, Q=[[1.0]], A_ineq=[[-1.0], [1.0]], b_ineq=[-1.0, 0.0])
-        data = DatasetView(X=np.array(STALL_X), y=np.array(STALL_Y))
-        capped = build_risk_epigraph_qp(data, ClientConfig(epsilon=1.0 / 140.0, kappa=1.0),
-                                        rho=0.01, anchor=np.array(STALL_ANCHORS[0]))
-        first = solve(capped)
-        capped.c[:2] = -0.01 * np.array(STALL_ANCHORS[1])
-        monkeypatch.setattr(solver, "WARM_STALL_WINDOW", 10**9)
-        healthy = stack_group(23, NormKind.L1, 2, 2)
-        progs = [healthy[0], falling, infeasible, capped, healthy[1]]
-        assert all(solver._structure(p)[0] is not None for p in progs)
-        warms = [None, None, None, (first.x_star, first.z_star), None]
-        stacked = solver.solve_stack(progs, warms)
-        alone = [solve(p, warm=w) for p, w in zip(progs, warms)]
-        assert [s.iterations for s in alone[1:4]] == [6, 7, SolverConfig().max_iterations]
-        assert alone[1].message.startswith("objective falling")
-        assert alone[2].message.startswith("iterates diverging")
-        assert alone[3].status is SolverStatus.MAX_ITERATIONS
-        assert alone[0].status is alone[4].status is SolverStatus.OPTIMAL
-        assert_same_solutions(stacked, alone)
 
 
 def assert_bitwise_equal(a, b):
@@ -723,14 +456,14 @@ class TestWarmStartContract:
     def test_a_warm_start_of_the_wrong_size_starts_cold(self, size):
         p = ConvexProgram(n=2, Q=np.eye(2), c=[1.0, -1.0],
                           A_ineq=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], b_ineq=[1.0, 1.0, 1.0])
-        assert solver._structure(p)[0] is not None  # so solve_stack stacks it
+        batch = solver.ProgramBatch([p, p])
+        assert [b.ids for b in batch.batches] == [[0, 1]]
         cold = solve(p)
         warm = {"z-short": (cold.x_star, [1.0]), "z-of-length-n": (cold.x_star, [1.0, 1.0]),
                 "z-none": (cold.x_star, None), "x-short": (cold.x_star[:1], cold.z_star)}[size]
         assert_bitwise_equal(solve(p, warm=warm), cold)
-        stacked, = solver.solve_stack([p], [warm])
-        assert_bitwise_equal(stacked, solver.solve_stack([p], [None])[0])
-        assert_same_solutions([stacked], [cold])
+        for batched in batch.solve([warm, warm]):
+            assert_bitwise_equal(batched, cold)
 
 
 @settings(max_examples=25, deadline=None)
@@ -739,23 +472,26 @@ class TestWarmStartContract:
        rho_tau=st.sampled_from([(0.7, 0.0), (0.7, 0.3), (0.05, 0.0)]),
        norm=st.sampled_from([NormKind.L1, NormKind.LINF]),
        seed=st.integers(0, 2**32 - 1))
-def test_solve_stack_matches_solve_on_random_epigraph_qps(shapes, kappa, rho_tau, norm, seed):
+def test_program_batch_matches_solve_on_random_epigraph_qps(shapes, kappa, rho_tau, norm, seed):
     rng = np.random.default_rng(seed)
     cfg = ClientConfig(epsilon=0.05, kappa=kappa, norm=norm)
-    progs = []
+    progs, widths = [], []
     for N, P in shapes:
-        data = DatasetView(X=rng.random((N, P)), y=np.where(rng.random(N) < 0.5, 1, -1))
-        progs.append(build_risk_epigraph_qp(data, cfg, rho=rho_tau[0], tau=rho_tau[1],
-                                            anchor=rng.standard_normal(P)))
-    assert all(solver._structure(p)[0] is not None for p in progs)
-    alone = [solve(p) for p in progs]
-    assert_same_solutions(solver.solve_stack(progs, [None] * len(progs)), alone)
-
-    warms = [(s.x_star, s.z_star) for s in alone]
-    for p, (_, P) in zip(progs, shapes):
-        p.c[:P] += 0.3 * rng.standard_normal(P)
-    assert_same_solutions(solver.solve_stack(progs, warms),
-                          [solve(p, warm=w) for p, w in zip(progs, warms)])
+        for _ in range(2):  # each shape twice, so that every layout forms a batch
+            data = DatasetView(X=rng.random((N, P)), y=np.where(rng.random(N) < 0.5, 1, -1))
+            progs.append(build_risk_epigraph_qp(data, cfg, rho=rho_tau[0], tau=rho_tau[1],
+                                                anchor=rng.standard_normal(P)))
+            widths.append(P)
+    batch = solver.ProgramBatch(progs)
+    assert sorted(i for b in batch.batches for i in b.ids) == list(range(len(progs)))
+    warms = [None] * len(progs)
+    for _ in range(2):
+        expected = [solve(p, warm=w) for p, w in zip(progs, warms)]
+        for got, want in zip(batch.solve(warms), expected):
+            assert_bitwise_equal(got, want)
+        warms = [(s.x_star, s.z_star) for s in expected]
+        for p, P in zip(progs, widths):
+            p.c[:P] += 0.3 * rng.standard_normal(P)
 
 
 def equal_layout_group(rng, norm, kappa, rho, tau, count, N, P):
@@ -886,6 +622,12 @@ class TestProgramBatch:
             assert_bitwise_equal(a, b)
         assert alone == [id(progs[1])]
 
+    def test_rejects_warm_starts_that_do_not_pair_with_the_programs(self):
+        progs = equal_layout_group(np.random.default_rng(15), NormKind.L1, 1.0, 0.7, 0.0,
+                                   count=2, N=10, P=2)
+        with pytest.raises(ValueError, match="2 programs but 1 warm"):
+            solver.ProgramBatch(progs).solve([None])
+
     def test_a_program_alone_in_its_layout_goes_to_solve(self, monkeypatch):
         rng = np.random.default_rng(75)
         progs = (equal_layout_group(rng, NormKind.L1, 1.0, 0.7, 0.0, count=2, N=10, P=2)
@@ -896,6 +638,69 @@ class TestProgramBatch:
         for a, b in zip(batch.solve([None] * 3), [solve(p) for p in progs]):
             assert_bitwise_equal(a, b)
         assert alone == [id(progs[2])]
+
+
+class TestBatchedExits:
+    def test_every_exit_leaves_the_batch_as_solve_reports_it(self, monkeypatch):
+        # each exiting program next to a twin of its row layout, so that
+        # its exit fires inside `_batch_loop` with both rows still there:
+        # an LP that falls without bound, an infeasible QP that diverges,
+        # and the stalling warm start of tests/test_robust.py with its
+        # stall exit switched off, so that it runs to the iteration cap;
+        # then a healthy pair. The last program, infeasible too, cannot
+        # batch: its split leaves no remainder column, so it goes to
+        # `solve` unstarted.
+        from test_robust import STALL_ANCHORS, STALL_X, STALL_Y
+
+        def falling():
+            return ConvexProgram(n=2, c=[1.0, 0.0], A_ineq=[[1.0, 1.0]], b_ineq=[1.0])
+
+        def infeasible():
+            return ConvexProgram(n=2, Q=np.eye(2), A_ineq=[[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
+                                 b_ineq=[-1.0, 0.0, 0.0])
+
+        def capped():
+            data = DatasetView(X=np.array(STALL_X), y=np.array(STALL_Y))
+            return build_risk_epigraph_qp(data, ClientConfig(epsilon=1.0 / 140.0, kappa=1.0),
+                                          rho=0.01, anchor=np.array(STALL_ANCHORS[0]))
+
+        first = solve(capped())
+        monkeypatch.setattr(solver, "WARM_STALL_WINDOW", 10**9)
+        no_remainder = ConvexProgram(n=1, Q=[[1.0]], A_ineq=[[-1.0], [1.0]], b_ineq=[-1.0, 0.0])
+        assert solver._structure(no_remainder)[0][1].size == 0
+        progs = ([falling(), falling(), infeasible(), infeasible(), capped(), capped()]
+                 + equal_layout_group(np.random.default_rng(76), NormKind.L1, 1.0, 0.7, 0.0,
+                                      count=2, N=15, P=2) + [no_remainder])
+        for p in progs[4:6]:
+            p.c[:2] = -0.01 * np.array(STALL_ANCHORS[1])
+        warms = [None] * 4 + [(first.x_star, first.z_star)] * 2 + [None] * 3
+        batch = solver.ProgramBatch(progs)
+        assert [b.ids for b in batch.batches] == [[0, 1], [2, 3], [4, 5], [6, 7]]
+        resumed = []
+        real_ip_loop = solver._ip_loop
+
+        def recording(p, cfg, backend, warm=None, resume=None):
+            if resume is not None:
+                resumed.append(id(p))
+            return real_ip_loop(p, cfg, backend, warm, resume)
+
+        monkeypatch.setattr(solver, "_ip_loop", recording)
+        alone = solved_alone(monkeypatch)
+        got = batch.solve(warms)
+        # every exiting row left the batch with its twin, none from a
+        # resumed `_ip_loop`, and went back to `solve`
+        assert alone == [id(p) for p in progs[:6] + progs[8:]]
+        assert resumed == []
+        want = [solve(p, warm=w) for p, w in zip(progs, warms)]
+        cap = SolverConfig().max_iterations
+        assert [s.iterations for s in want[0:6:2] + want[8:]] == [6, 7, cap, 7]
+        assert want[0].message.startswith("objective falling")
+        assert want[2].message.startswith("iterates diverging")
+        assert want[4].status is SolverStatus.MAX_ITERATIONS
+        assert want[6].status is want[7].status is SolverStatus.OPTIMAL
+        assert want[8].message.startswith("iterates diverging")
+        for a, b in zip(got, want):
+            assert_bitwise_equal(a, b)
 
 
 def proximal_family(rng, norm, kappa, tau, sizes, P):
