@@ -639,6 +639,226 @@ class TestProgramBatch:
             assert_bitwise_equal(a, b)
         assert alone == [id(progs[2])]
 
+    @pytest.mark.parametrize("norm,P", [(NormKind.L1, 3), (NormKind.LINF, 2)])
+    def test_ragged_shards_batch_by_size_and_match_solve_cold_then_warm(self, monkeypatch,
+                                                                        norm, P):
+        # three shard sizes, three programs each, with (rho, tau) varying
+        # inside every batch, so that its rows leave at different iterations
+        rng = np.random.default_rng([11, P])
+        cfg = ClientConfig(epsilon=0.05, kappa=1.0, norm=norm)
+        progs = []
+        for i, N in enumerate((9, 31, 9, 52, 31, 9, 52, 31, 52)):
+            rho, tau = ((0.7, 0.0), (0.7, 0.3), (0.05, 0.0))[i % 3]
+            data = DatasetView(X=rng.random((N, P)), y=np.where(rng.random(N) < 0.5, 1, -1))
+            progs.append(build_risk_epigraph_qp(data, cfg, rho=rho, tau=tau,
+                                                anchor=rng.standard_normal(P)))
+        batch = solver.ProgramBatch(progs)
+        assert [b.ids for b in batch.batches] == [[0, 2, 5], [1, 4, 7], [3, 6, 8]]
+        alone = solved_alone(monkeypatch)
+        warms = [None] * len(progs)
+        for _ in range(2):
+            expected = [solve(p, warm=w) for p, w in zip(progs, warms)]
+            for b in batch.batches:
+                assert len({expected[i].iterations for i in b.ids}) > 1
+            for got, want in zip(batch.solve(warms), expected):
+                assert_bitwise_equal(got, want)
+            warms = [(s.x_star, s.z_star) for s in expected]
+            for p in progs:
+                p.c[:P] += 0.3 * rng.standard_normal(P)
+        assert alone == []
+
+    def test_mixed_layouts_batch_apart_and_the_rest_goes_to_solve(self, monkeypatch):
+        # l1 QPs at P = 2 and P = 3 and l-infinity QPs at P = 2 form one
+        # batch each; a program with equality rows and an l-infinity QP at
+        # P = 33 (a remainder of 66 columns) do not split
+        rng = np.random.default_rng(16)
+        with_eq = ConvexProgram(n=2, c=[1.0, 1.0], A_ineq=-np.eye(2), b_ineq=[0.0, 0.0],
+                                A_eq=[[1.0, 1.0]], b_eq=[1.0])
+        progs = (equal_layout_group(rng, NormKind.L1, 1.0, 0.7, 0.0, count=2, N=14, P=2)
+                 + equal_layout_group(rng, NormKind.L1, 1.0, 0.7, 0.3, count=2, N=14, P=3)
+                 + equal_layout_group(rng, NormKind.LINF, 0.0, 0.05, 0.0, count=2, N=14, P=2)
+                 + [with_eq]
+                 + equal_layout_group(rng, NormKind.LINF, 1.0, 0.7, 0.0, count=1, N=14, P=33))
+        widths = [2, 2, 3, 3, 2, 2, 2, 33]
+        assert solver._structure(progs[6])[0] is None and solver._structure(progs[7])[0] is None
+        batch = solver.ProgramBatch(progs)
+        assert [b.ids for b in batch.batches] == [[0, 1], [2, 3], [4, 5]]
+        alone = solved_alone(monkeypatch)
+        warms = [None] * len(progs)
+        for _ in range(2):
+            expected = [solve(p, warm=w) for p, w in zip(progs, warms)]
+            del alone[:]
+            for got, want in zip(batch.solve(warms), expected):
+                assert_bitwise_equal(got, want)
+            assert alone == [id(progs[6]), id(progs[7])]
+            warms = [(s.x_star, s.z_star) for s in expected]
+            for p, P in zip(progs, widths):
+                p.c[:P] += 0.3 * rng.standard_normal(P)
+
+    def test_programs_without_remainder_columns_go_to_solve(self, monkeypatch):
+        # the split puts the one column in S, so the program has no dense
+        # remainder for `_Batch` to step
+        p = ConvexProgram(n=1, Q=[[1.0]], c=[1.0], A_ineq=[[-1.0]], b_ineq=[0.0])
+        assert solver._structure(p)[0][1].size == 0
+        batch = solver.ProgramBatch([p, p])
+        assert batch.batches == []
+        alone = solved_alone(monkeypatch)
+        want = solve(p)
+        assert want.status is SolverStatus.OPTIMAL
+        for got in batch.solve([None, None]):
+            assert_bitwise_equal(got, want)
+        assert alone == [id(p), id(p)]
+
+    def test_a_cold_start_that_fails_to_factor_in_the_batch_is_redone_by_solve(
+            self, monkeypatch):
+        progs = equal_layout_group(np.random.default_rng(21), NormKind.L1, 1.0, 0.7, 0.0,
+                                   count=4, N=16, P=2)
+        failing = solver._structure(progs[2])[1]
+        real_factor = solver._SchurBackend.factor
+        raised = []
+
+        def fails_once(backend, w):
+            if backend is failing and not raised:
+                raised.append(True)
+                raise scipy.linalg.LinAlgError("forced")
+            return real_factor(backend, w)
+
+        monkeypatch.setattr(solver._SchurBackend, "factor", fails_once)
+        batch = solver.ProgramBatch(progs)
+        alone = solved_alone(monkeypatch)
+        got = batch.solve([None] * 4)
+        assert raised and alone == [id(progs[2])]
+        for a, b in zip(got, [solve(p) for p in progs]):
+            assert_bitwise_equal(a, b)
+
+    def test_a_complement_that_fails_to_factor_in_the_batch_alone_is_redone_by_solve(
+            self, monkeypatch):
+        # the Schur complement of row 1 fails its Cholesky factorization at
+        # the batch's first iteration only; the row goes on, unread, and
+        # `solve` redoes the program without a failure
+        progs = equal_layout_group(np.random.default_rng(14), NormKind.L1, 1.0, 0.7, 0.0,
+                                   count=4, N=16, P=2)
+        want = [solve(p) for p in progs]
+        real_start, real_dpotrf = solver._Batch.start, solver.dpotrf
+        calls = []
+
+        def armed(bt, warms, skip):
+            rows = real_start(bt, warms, skip)
+            calls.append("started")
+            return rows
+
+        def second_row_fails_once(h, **kwargs):
+            if calls:
+                calls.append(h.shape)
+                if len(calls) == 3:
+                    return h, 1
+            return real_dpotrf(h, **kwargs)
+
+        monkeypatch.setattr(solver._Batch, "start", armed)
+        monkeypatch.setattr(solver, "dpotrf", second_row_fails_once)
+        alone = solved_alone(monkeypatch)
+        got = solver.ProgramBatch(progs).solve([None] * 4)
+        assert len(calls) > 3
+        assert alone == [id(progs[1])]
+        for a, b in zip(got, want):
+            assert_bitwise_equal(a, b)
+
+    @pytest.mark.parametrize("alpha", [np.nan, 1e-12], ids=["nan", "below-1e-10"])
+    def test_a_row_whose_step_could_differ_from_solve_goes_to_solve(self, monkeypatch, alpha):
+        # `_ip_loop` takes min(1, NaN) as 1 and counts a step below 1e-10
+        # towards its collapse exit; the batch hands such a row to `solve`
+        progs = equal_layout_group(np.random.default_rng(22), NormKind.L1, 1.0, 0.7, 0.0,
+                                   count=3, N=16, P=2)
+        want = [solve(p) for p in progs]
+        real = solver._max_steps
+        calls = []
+
+        def corrector_of_row_1_once(v, dv):
+            steps = real(v, dv)
+            calls.append(v.shape[0])
+            if len(calls) == 2:  # the first corrector step
+                steps[1] = alpha
+            return steps
+
+        monkeypatch.setattr(solver, "_max_steps", corrector_of_row_1_once)
+        alone = solved_alone(monkeypatch)
+        got = solver.ProgramBatch(progs).solve([None] * 3)
+        assert calls[:2] == [3, 3]
+        assert alone == [id(progs[1])]
+        for a, b in zip(got, want):
+            assert_bitwise_equal(a, b)
+
+    def test_a_row_that_left_moves_no_byte_of_the_rest(self, monkeypatch):
+        # warm-started at its own optimum, the longest cold program leaves
+        # first; it stays in the batch, unread, while the others step on
+        progs = equal_layout_group(np.random.default_rng(31), NormKind.L1, 1.0, 0.7, 0.0,
+                                   count=5, N=20, P=2)
+        cold = [solve(p) for p in progs]
+        first = max(range(5), key=lambda i: cold[i].iterations)
+        warms = [None] * 5
+        warms[first] = (cold[first].x_star, cold[first].z_star)
+        early = solve(progs[first], warm=warms[first])
+        assert early.status is SolverStatus.OPTIMAL
+        assert early.iterations < min(s.iterations for s in cold)
+        real = solver._max_steps
+        widths = []
+
+        def recording(v, dv):
+            widths.append(v.shape[0])
+            return real(v, dv)
+
+        monkeypatch.setattr(solver, "_max_steps", recording)
+        got = solver.ProgramBatch(progs).solve(warms)
+        # two calls per iteration; five rows still after the early exit
+        assert widths.count(5) > 2 * early.iterations
+        assert_bitwise_equal(got[first], early)
+        for i in set(range(5)) - {first}:
+            assert_bitwise_equal(got[i], cold[i])
+
+    def test_a_batch_is_laid_out_once_and_solved_again(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        progs = equal_layout_group(rng, NormKind.L1, 1.0, 0.7, 0.0, count=4, N=16, P=2)
+        batch = solver.ProgramBatch(progs)
+        first = batch.solve([None] * 4)
+        for got, want in zip(first, [solve(p) for p in progs]):
+            assert_bitwise_equal(got, want)
+        warms = [(s.x_star, s.z_star) for s in first]
+        for p in progs:
+            p.c[:2] += 0.3 * rng.standard_normal(2)
+        expected = [solve(p, warm=w) for p, w in zip(progs, warms)]
+        built = []
+        monkeypatch.setattr(solver._Batch, "__init__", lambda *args: built.append(args))
+        again = batch.solve(warms)
+        assert built == []
+        for got, want in zip(again, expected):
+            assert_bitwise_equal(got, want)
+
+    def test_a_skipped_program_is_neither_started_nor_solved(self, monkeypatch):
+        progs = equal_layout_group(np.random.default_rng(35), NormKind.L1, 1.0, 0.7, 0.0,
+                                   count=3, N=16, P=2)
+        want = [solve(p) for p in progs]
+        started = []
+        real = solver._cold_start
+
+        def recording(p, backend):
+            started.append(id(p))
+            return real(p, backend)
+
+        monkeypatch.setattr(solver, "_cold_start", recording)
+        alone = solved_alone(monkeypatch)
+        got = solver.ProgramBatch(progs).solve([None] * 3, skip=[False, True, False])
+        assert got[1] is None
+        assert started == [id(progs[0]), id(progs[2])]
+        assert alone == []
+        for i in (0, 2):
+            assert_bitwise_equal(got[i], want[i])
+
+    def test_rejects_a_skip_mask_that_does_not_pair_with_the_programs(self):
+        progs = equal_layout_group(np.random.default_rng(36), NormKind.L1, 1.0, 0.7, 0.0,
+                                   count=2, N=10, P=2)
+        with pytest.raises(ValueError, match=r"2 programs but a skip mask of shape \(3,\)"):
+            solver.ProgramBatch(progs).solve([None, None], skip=[False] * 3)
+
 
 class TestBatchedExits:
     def test_every_exit_leaves_the_batch_as_solve_reports_it(self, monkeypatch):
